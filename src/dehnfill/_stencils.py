@@ -25,17 +25,29 @@ Two stencil families are used:
   truncation is pushed to fourth order so the global error is governed by
   the smooth far field and stays second order under refinement.
 
-Every ratio comes with exact partial derivatives with respect to the
-profile samples, so the Newton linearization is the exact derivative of the
-reported residual.
+The discrete operator has one representation: a fixed-width table per
+component.  The ratios of component i at interior node k read at most five
+samples of the underlying array; cols[k-1] lists their columns (-1 pads a
+shorter row) and wd[k-1], wq[k-1] the exact partials of d and q there.
+The tables hold the matched 3-point rows, the 5-point parity-window rows
+and, for the collapsing fiber, the chain rule through g = f_2/s with the
+extrapolated ghost g(0).  The Newton matrix (`jacobian_triples`) and the
+directional derivative (`apply_linearization`) are both read from them, so
+the linearization is the exact derivative of the reported residual.  The
+parity-window sums run left to right in column order rather than through a
+reduction whose order numpy chooses, so the ratios are reproducible to the
+last bit.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .geometry import _closed_cap
+
 S_ZONE = 2.0
 _Z_CLAMP = 4.0
+_WIDTH = 5          # table slots per row: the widest stencil
 
 _W1 = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0
 _W2 = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0
@@ -91,217 +103,188 @@ def matched_ratios(h, delta, partials=False):
     return d, q, pd, pq
 
 
-def _fold(idx):
-    return abs(idx)
+def _slot_sum(w, v):
+    """sum_m w[..., m] v[..., m], accumulated left to right over the slots."""
+    acc = w[..., 0] * v[..., 0]
+    for m in range(1, w.shape[-1]):
+        acc = acc + w[..., m] * v[..., m]
+    return acc
 
 
 def zone_rows(h, delta, kmax):
     """Fourth-order d, q at nodes 1..kmax with even-parity ghosts across 0.
 
-    Returns (d, q, rows) where rows[k-1] = (cols, dd, dq) lists the partial
-    derivatives with respect to h[col].
+    Returns (d, q, cols, wd, wq): the ratios and their table rows.  Node k
+    reads h at columns |k-2|, ..., k+2; at node 1 the ghost h[-1] = h[1]
+    folds onto the centre column, leaving four columns and one pad.
     """
-    d = np.empty(kmax)
-    q = np.empty(kmax)
-    rows = []
-    for k in range(1, kmax + 1):
-        cols = {}
-        for m, (w1, w2) in enumerate(zip(_W1, _W2)):
-            j = _fold(k + m - 2)
-            prev = cols.get(j, (0.0, 0.0))
-            cols[j] = (prev[0] + w1, prev[1] + w2)
-        h0 = h[k]
-        p = sum(w[0] * h[j] for j, w in cols.items())
-        r = sum(w[1] * h[j] for j, w in cols.items())
-        dk = p / (delta * h0)
-        qk = r / (delta * delta * h0)
-        d[k - 1] = dk
-        q[k - 1] = qk
-        cidx = np.fromiter(cols.keys(), dtype=int)
-        dd = np.array([w[0] for w in cols.values()]) / (delta * h0)
-        dq = np.array([w[1] for w in cols.values()]) / (delta * delta * h0)
-        sel = cidx == k
-        dd[sel] -= dk / h0
-        dq[sel] -= qk / h0
-        rows.append((cidx, dd, dq))
-    return d, q, rows
-
-
-class ComponentStencil:
-    """Derivative ratios of one profile component with exact partials.
-
-    parts[k-1] is a triple (cols, dd, dq): the derivative of d[k-1] resp.
-    q[k-1] with respect to the underlying sample array at the listed columns.
-    """
-
-    def __init__(self, d, q, parts):
-        self.d = d
-        self.q = q
-        self.parts = parts
+    k = np.arange(1, kmax + 1)
+    cols = np.abs(k[:, None] + np.arange(-2, 3))
+    w1 = np.tile(_W1, (kmax, 1))
+    w2 = np.tile(_W2, (kmax, 1))
+    cols[0] = [1, 0, 2, 3, -1]
+    w1[0] = [_W1[0] + _W1[2], _W1[1], _W1[3], _W1[4], 0.0]
+    w2[0] = [_W2[0] + _W2[2], _W2[1], _W2[3], _W2[4], 0.0]
+    h0 = h[1:kmax + 1]
+    hc = h[cols]
+    d = _slot_sum(w1, hc) / (delta * h0)
+    q = _slot_sum(w2, hc) / (delta * delta * h0)
+    wd = w1 / (delta * h0)[:, None]
+    wq = w2 / (delta * delta * h0)[:, None]
+    centre = np.where(k == 1, 0, 2)
+    wd[k - 1, centre] -= d / h0
+    wq[k - 1, centre] -= q / h0
+    return d, q, cols, wd, wq
 
 
 def plain_component(h, delta, kz=0, partials=False):
-    """Stencils for a smooth positive component (f_j, or g off the cap)."""
-    nint = h.size - 2
+    """Ratios of a smooth positive component (f_j, or g off the cap).
+
+    Nodes 1..kz use the parity window.  Returns (d, q, table) with
+    table = (cols, wd, wq) of shape (N-2, 5), or None without partials.
+    """
     if partials:
         d, q, pd, pq = matched_ratios(h, delta, partials=True)
     else:
         d, q = matched_ratios(h, delta)
     if kz > 0:
-        d4, q4, rows4 = zone_rows(h, delta, kz)
-        d = d.copy(); q = q.copy()
-        d[:kz] = d4
-        q[:kz] = q4
+        dz, qz, *zone = zone_rows(h, delta, kz)
+        d[:kz], q[:kz] = dz, qz
     if not partials:
-        return ComponentStencil(d, q, None)
-    parts = []
-    for k in range(1, nint + 1):
-        i = k - 1
-        if kz > 0 and k <= kz:
-            parts.append(rows4[i])
-        else:
-            cols = np.array([k - 1, k, k + 1])
-            parts.append((cols, pd[:, i].copy(), pq[:, i].copy()))
-    return ComponentStencil(d, q, parts)
+        return d, q, None
+    nint = h.size - 2
+    cols = np.full((nint, _WIDTH), -1)
+    cols[:, :3] = np.arange(nint)[:, None] + np.arange(3)
+    wd = np.zeros((nint, _WIDTH))
+    wq = np.zeros((nint, _WIDTH))
+    wd[:, :3] = pd.T
+    wq[:, :3] = pq.T
+    if kz > 0:
+        cols[:kz], wd[:kz], wq[:kz] = zone
+    return d, q, (cols, wd, wq)
 
 
 def capped_theta_component(f2, s, delta, kz, partials=False):
-    """Stencils for the collapsing fiber via the even variable g = f_2/s.
+    """Ratios of the collapsing fiber via the even variable g = f_2/s.
 
-    d = 1/s + (Dg)/g and q = 2 (Dg)/(s g) + (D2g)/g; partials are chained
-    back to the f_2 samples (g[0] is the O(d^6) even extrapolation from
-    g[1..3], so nodes 1..3 pick up its sensitivity).
+    d = 1/s + (Dg)/g and q = 2 (Dg)/(s g) + (D2g)/g; the table is chained
+    back to the f_2 samples through dg[c]/df_2[c] = 1/s[c].  g[0] is the
+    O(d^6) even extrapolation from g[1..3], so the rows of nodes 1 and 2,
+    which read g[0], pick up its sensitivity on their columns 1..3.
     """
     N = f2.size
     g = np.empty(N)
     g[1:] = f2[1:] / s[1:]
     g[0] = _G0_COEF @ g[1:4]
-    base = plain_component(g, delta, kz=kz, partials=partials)
+    dg, qg, table = plain_component(g, delta, kz=kz, partials=partials)
     sm = s[1:-1]
-    d = 1.0 / sm + base.d
-    q = 2.0 * base.d / sm + base.q
+    d = 1.0 / sm + dg
+    q = 2.0 * dg / sm + qg
     if not partials:
-        return ComponentStencil(d, q, None)
-    parts = []
-    for k in range(1, N - 1):
-        cols_g, ddg, dqg = base.parts[k - 1]
-        # q = 2 d_g / s + q_g  => dq = (2/s) ddg + dqg ; d = 1/s + d_g
-        dq_g = 2.0 * ddg / s[k] + dqg
-        acc = {}
-        for cg, vd, vq in zip(cols_g, ddg, dq_g):
-            if cg == 0:
-                for m in range(3):
-                    node = m + 1
-                    w = _G0_COEF[m] / s[node]
-                    e = acc.setdefault(node, [0.0, 0.0])
-                    e[0] += vd * w
-                    e[1] += vq * w
-            else:
-                w = 1.0 / s[cg]
-                e = acc.setdefault(int(cg), [0.0, 0.0])
-                e[0] += vd * w
-                e[1] += vq * w
-        cols = np.fromiter(acc.keys(), dtype=int)
-        vals = np.array(list(acc.values()))
-        parts.append((cols, vals[:, 0], vals[:, 1]))
-    return ComponentStencil(d, q, parts)
+        return d, q, None
+    cols, wdg, wqg = table
+    wqg = 2.0 * wdg / sm[:, None] + wqg
+    inv_s = np.zeros(N)         # g[0] is no sample of f_2: merged below
+    inv_s[1:] = 1.0 / s[1:]
+    wd = wdg * inv_s[cols]
+    wq = wqg * inv_s[cols]
+    w0 = _G0_COEF / s[1:4]
+    for row in (0, 1):
+        ghost = np.flatnonzero(cols[row] == 0)[0]
+        near = np.isin(cols[row], (1, 2, 3))
+        wd[row, near] += wdg[row, ghost] * w0
+        wq[row, near] += wqg[row, ghost] * w0
+        cols[row, ghost], wd[row, ghost], wq[row, ghost] = -1, 0.0, 0.0
+    return d, q, (cols, wd, wq)
+
+
+def e2_constant(n):
+    """Constant term 2(n-1)(n-2) of the constraint E2."""
+    return 2.0 * (n - 1) * (n - 2)
+
+
+def reduced_residual(n, d, q, S, s2):
+    """(E1/sqrt(det M) rows, E2) from the ratios d_i, q_i, S = sum_i d_i
+    and s2 = sum_i d_i^2."""
+    e1n = 2.0 * (q + d * (S - d) - (n - 1))
+    e2 = 2.0 * (S * S - s2) - e2_constant(n)
+    return e1n, e2
 
 
 class DiagonalSystem:
-    """Residual of the diagonal Einstein system and its exact linearization."""
+    """Residual of the diagonal Einstein system and its exact linearization.
 
-    def __init__(self, n, s, f, partials=False, s_zone=None):
+    With partials, cols, wd and wq hold the tables of all components, each
+    of shape (n-1, N-2, 5): d[i, k-1] has partial wd[i, k-1, m] with
+    respect to f_i[cols[i, k-1, m]], and q likewise with wq.
+    """
+
+    def __init__(self, n, s, f, partials=False):
         self.n = n
         self.s = s
         self.f = f
         self.delta = float(s[1] - s[0])
-        N = s.size
-        capped = bool(s[0] == 0.0 and f[0, 0] == 0.0)
-        self.capped = capped
-        zone = S_ZONE if s_zone is None else s_zone
-        if capped:
-            kz = int(np.searchsorted(s, zone))
-            self.kz = int(np.clip(kz, 3, N - 3))
-        else:
-            self.kz = 0
-        comps = []
-        for i in range(n - 1):
-            if capped and i == 0:
-                comps.append(capped_theta_component(f[0], s, self.delta, self.kz,
-                                                    partials=partials))
-            else:
-                comps.append(plain_component(f[i], self.delta, kz=self.kz,
-                                             partials=partials))
-        self.comps = comps
-        self.d = np.vstack([c.d for c in comps])
-        self.q = np.vstack([c.q for c in comps])
+        self.capped = _closed_cap(s, f)
+        self.kz = 0
+        if self.capped:
+            self.kz = int(np.clip(np.searchsorted(s, S_ZONE), 3, s.size - 3))
+        comps = [capped_theta_component(f[0], s, self.delta, self.kz, partials)
+                 if self.capped and i == 0 else
+                 plain_component(f[i], self.delta, self.kz, partials)
+                 for i in range(n - 1)]
+        self.d = np.vstack([c[0] for c in comps])
+        self.q = np.vstack([c[1] for c in comps])
         self.S = self.d.sum(axis=0)
+        if partials:
+            tables = zip(*(c[2] for c in comps))
+            self.cols, self.wd, self.wq = (np.stack(t) for t in tables)
 
     def residual(self):
         """(E1/sqrt(det M) rows, E2) at the interior nodes."""
-        n = self.n
-        e1n = 2.0 * (self.q + self.d * (self.S - self.d) - (n - 1))
-        s2 = (self.d * self.d).sum(axis=0)
-        e2 = 2.0 * (self.S * self.S - s2) - 2.0 * (n - 1) * (n - 2)
-        return e1n, e2
+        return reduced_residual(self.n, self.d, self.q, self.S,
+                                (self.d * self.d).sum(axis=0))
 
     def sqrt_det(self):
         return np.prod(self.f[:, 1:-1], axis=0)
+
+    def _gather(self, v):
+        """v[i, cols[i]] for a per-component sample array v of shape (n-1, N)."""
+        return np.take_along_axis(v[:, None, :], self.cols, axis=2)
 
     def apply_linearization(self, delta_w):
         """Directional derivative of (E1n, E2) for delta log f_i = delta_w[i].
 
         delta_w has shape (n-1, N); the derivative is exact for the discrete
-        scheme (same partials as the Newton matrix).
+        scheme (the tables of the Newton matrix).
         """
-        n = self.n
-        nint = self.s.size - 2
-        dd = np.zeros((n - 1, nint))
-        dq = np.zeros((n - 1, nint))
-        for i, comp in enumerate(self.comps):
-            dfi = delta_w[i] * self.f[i]
-            for k in range(1, nint + 1):
-                cols, pd, pq = comp.parts[k - 1]
-                dd[i, k - 1] = float(pd @ dfi[cols])
-                dq[i, k - 1] = float(pq @ dfi[cols])
+        df = self._gather(delta_w * self.f)
+        dd, dq = _slot_sum(self.wd, df), _slot_sum(self.wq, df)
         dS = dd.sum(axis=0)
         de1 = 2.0 * (dq + dd * (self.S - 2.0 * self.d) + self.d * dS)
         de2 = 4.0 * ((self.S - self.d) * dd).sum(axis=0)
         return de1, de2
 
-    def jacobian_triples(self, column_of):
+    def jacobian_triples(self, index):
         """COO triples of the E1 rows with respect to the log-profile unknowns.
 
-        column_of(i, k) maps component/node to an unknown index, or -1 for
-        pinned samples (the cap value of f_2 and Dirichlet nodes).  Row
-        (i, k) is placed by the caller; here rows are indexed 0..(n-1)*nint-1
-        node-major.
+        index[i, node] is the unknown of the sample f_i[node], or -1 for
+        pinned samples (the cap value of f_2 and Dirichlet nodes).  The row
+        of E1_i at node k is index[i, k].  Triples are ordered by node, row
+        component, column component and table slot.
         """
-        n = self.n
-        nint = self.s.size - 2
-        rows, cols, vals = [], [], []
-        for k in range(1, nint + 1):
-            ki = k - 1
-            row0 = ki * (n - 1)
-            S = self.S[ki]
-            for j, comp in enumerate(self.comps):
-                cgrid, pd, pq = comp.parts[ki]
-                fj = self.f[j]
-                for cj, pdv, pqv in zip(cgrid, pd, pq):
-                    u = column_of(j, int(cj))
-                    if u < 0:
-                        continue
-                    scale = fj[cj]
-                    # own-row contribution (i = j)
-                    own = 2.0 * (pqv + pdv * (S - self.d[j, ki])) * scale
-                    rows.append(row0 + j); cols.append(u); vals.append(own)
-                    # cross rows i != j via dS
-                    for i in range(n - 1):
-                        if i == j:
-                            continue
-                        cross = 2.0 * self.d[i, ki] * pdv * scale
-                        rows.append(row0 + i); cols.append(u); vals.append(cross)
-        return np.array(rows), np.array(cols), np.array(vals)
+        k = self.n - 1
+        f_col = self._gather(self.f)            # d f = f d log f
+        unknown = np.take_along_axis(index[:, None, :], self.cols, axis=2)
+        # E1_i depends on column component j through q_j, d_j (i = j) and S
+        vals = (2.0 * self.d)[:, None, :, None] * self.wd[None] * f_col[None]
+        own = 2.0 * (self.wq + self.wd * (self.S - self.d)[:, :, None]) * f_col
+        vals[np.arange(k), np.arange(k)] = own
+        order = (2, 0, 1, 3)
+        shape = vals.shape
+        keep = np.broadcast_to((self.cols >= 0) & (unknown >= 0), shape).transpose(order)
+        rows = np.broadcast_to(index[:, None, 1:-1, None], shape).transpose(order)
+        cols = np.broadcast_to(unknown, shape).transpose(order)
+        return rows[keep], cols[keep], vals.transpose(order)[keep]
 
 
 # -- full torus block (non-diagonal) ------------------------------------------
@@ -328,7 +311,7 @@ def block_residual(n, s, M, dM=None):
     eye = np.eye(k)
     X = T - 2.0 * (n - 1) * eye[None, :, :]
     e1n = 0.5 * (X + np.swapaxes(X, 1, 2))
-    e2 = 0.5 * (trP**2 - np.trace(P @ P, axis1=1, axis2=2)) - 2.0 * (n - 1) * (n - 2)
+    e2 = 0.5 * (trP**2 - np.trace(P @ P, axis1=1, axis2=2)) - e2_constant(n)
     if dM is None:
         return e1n, e2
     dMi = -Mi @ dM[1:-1] @ Mi

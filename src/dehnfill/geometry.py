@@ -46,6 +46,12 @@ __all__ = [
 ]
 
 
+def _closed_cap(s, f):
+    """True when the profile closes at a cap: the grid starts at s = 0 and
+    the theta fiber f_2 vanishes there."""
+    return bool(s[0] == 0.0 and f[0, 0] == 0.0)
+
+
 def _check_dimension(n):
     if not isinstance(n, (int, np.integer)) or n < 3:
         raise ValueError(f"dimension must be an integer >= 3, got {n!r}")
@@ -287,7 +293,7 @@ class DiagonalMetricProfile:
 
     @property
     def has_cap(self):
-        return bool(self.s[0] == 0.0 and self.f[0, 0] == 0.0)
+        return _closed_cap(self.s, self.f)
 
     @property
     def grid(self):

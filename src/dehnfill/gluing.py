@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._stencils import e2_constant, reduced_residual
 from .geometry import (ArclengthMap, DiagonalMetricProfile,
                        TrivialVariation, _check_dimension, _v_from_offset,
                        r_plus, radius_for_meridian, theta_period, v_profile)
@@ -223,11 +224,9 @@ class GluedEnd:
         n = self.n
         d2, q2, dj, qj = self.ratios(r)
         S = d2 + (n - 2) * dj
-        e1_theta = 2.0 * (q2 + d2 * (S - d2) - (n - 1))
-        e1_torus = 2.0 * (qj + dj * (S - dj) - (n - 1))
         ss = d2**2 + (n - 2) * dj**2
-        e2 = 2.0 * (S**2 - ss) - 2.0 * (n - 1) * (n - 2)
-        return e1_theta, e1_torus, e2
+        e1, e2 = reduced_residual(n, np.array([d2, dj]), np.array([q2, qj]), S, ss)
+        return e1[0], e1[1], e2
 
     def to_profile(self, nodes):
         """Sample on a uniform arclength grid over [r_+, r_out]."""
@@ -501,7 +500,7 @@ def residual_decay_sweep(n, ells=None, radii=None, r_out_factor=4.0,
         r = np.linspace(end.rp * 1.01, end.r_out, samples)
         e1t, e1x, e2 = end.normalized_residual(r)
         local = np.maximum(np.abs(e1t), np.abs(e1x))
-        local = np.maximum(local, np.abs(e2) / (2.0 * (n - 1) * max(n - 2, 1)))
+        local = np.maximum(local, np.abs(e2) / e2_constant(n))
         weighted = local / weight(wf, r)
         out_R.append(end.R)
         out_res.append(float(weighted.max()))

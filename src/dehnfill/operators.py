@@ -118,7 +118,7 @@ class EinsteinResidual:
         return float(np.abs(self.e2).max())
 
     def e2_relative(self):
-        return self.e2 / (2.0 * (self.n - 1) * (self.n - 2)) if self.n > 3 else self.e2 / 4.0
+        return self.e2 / _stencils.e2_constant(self.n)
 
     def max_e2_relative(self):
         return float(np.abs(self.e2_relative()).max())

@@ -36,6 +36,7 @@ __all__ = [
 ]
 
 _PARITY_W = np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / 12.0
+_STEP_CLIP = 1.0        # bound on each Newton update of log f_i
 
 
 @dataclass
@@ -49,15 +50,11 @@ class SolverConfig:
 
     max_iterations: int = 12
     residual_tolerance: float = 1e-8
-    damping: float = 1.0
     mode: str = "newton"
-    step_clip: float = 1.0
 
     def __post_init__(self):
         if self.residual_tolerance <= 0:
             raise ValueError("tolerance must be positive")
-        if not 0.0 < self.damping <= 1.0:
-            raise ValueError("damping must lie in (0, 1]")
         if self.mode not in ("newton", "frozen_jacobian"):
             raise ValueError("mode must be 'newton' or 'frozen_jacobian'")
 
@@ -88,56 +85,30 @@ class BandedLinearization:
     unknowns, then the evolution rows (E1 normalized) node by node.
     """
 
-    def __init__(self, profile: DiagonalMetricProfile, s_zone=None):
+    def __init__(self, profile: DiagonalMetricProfile):
         if not profile.has_cap:
             raise ValueError("the solver expects a capped profile")
         self.profile = profile
         n, N = profile.n, profile.s.size
         self.n, self.N = n, N
-        k = n - 1
-        self.sys = _stencils.DiagonalSystem(n, profile.s, profile.f,
-                                            partials=True, s_zone=s_zone)
-        # unknown indexing
-        idx = -np.ones((k, N), dtype=int)
-        pos = 0
-        for node in range(N - 1):
-            for comp in range(k):
-                if node == 0 and comp == 0:
-                    continue
-                idx[comp, node] = pos
-                pos += 1
-        self.index = idx
-        self.size = pos
+        self.sys = _stencils.DiagonalSystem(n, profile.s, profile.f, partials=True)
+        # node-major unknown numbering; f_2(0) and the last node are pinned
+        free = np.ones((n - 1, N), dtype=bool)
+        free[0, 0] = free[:, -1] = False
+        self.size = int(free.sum())
+        self.index = np.full((n - 1, N), -1)
+        self.index.T[free.T] = np.arange(self.size)
         self._assemble()
 
     def _assemble(self):
-        n, N, k = self.n, self.N, self.n - 1
-        f = self.profile.f
-        delta = self.profile.spacing
-        rows, cols, vals = self.sys.jacobian_triples(
-            lambda comp, node: int(self.index[comp, node]))
-        # evolution row (k_node, i) sits at the unknown slot of (i, k_node)
-        node = rows // k + 1
-        comp = rows % k
-        row_slot = self.index[comp, node]
-        keep = row_slot >= 0
-        rows_b = row_slot[keep]
-        cols_b = cols[keep]
-        vals_b = vals[keep]
+        rows, cols, vals = self.sys.jacobian_triples(self.index)
         # parity rows f_i'(0) = 0 for i >= 1 occupy the node-0 slots
-        prows, pcols, pvals = [], [], []
-        for comp in range(1, k):
-            slot = self.index[comp, 0]
-            for m in range(5):
-                u = self.index[comp, m]
-                if u < 0:
-                    continue
-                prows.append(slot)
-                pcols.append(u)
-                pvals.append(_PARITY_W[m] / delta * f[comp, m])
-        rows_all = np.concatenate([rows_b, np.array(prows, dtype=int)])
-        cols_all = np.concatenate([cols_b, np.array(pcols, dtype=int)])
-        vals_all = np.concatenate([vals_b, np.array(pvals)])
+        prows = np.repeat(self.index[1:, 0], 5)
+        pcols = self.index[1:, :5].ravel()
+        pvals = (_PARITY_W / self.sys.delta * self.sys.f[1:, :5]).ravel()
+        rows_all = np.concatenate([rows, prows])
+        cols_all = np.concatenate([cols, pcols])
+        vals_all = np.concatenate([vals, pvals])
         off = rows_all - cols_all
         self.l = int(max(0, off.max()))
         self.u = int(max(0, -off.min()))
@@ -148,17 +119,7 @@ class BandedLinearization:
 
     def residual_vector(self):
         """Stacked residual in row order: parity rows, then E1 rows."""
-        n, N, k = self.n, self.N, self.n - 1
-        f = self.profile.f
-        delta = self.profile.spacing
-        e1n, _ = self.sys.residual()
-        out = np.zeros(self.size)
-        for comp in range(1, k):
-            out[self.index[comp, 0]] = float(_PARITY_W @ f[comp, :5]) / delta
-        for node in range(1, N - 1):
-            for comp in range(k):
-                out[self.index[comp, node]] = e1n[comp, node - 1]
-        return out
+        return _stacked_residual(self, self.sys)
 
     def solve(self, rhs):
         return solve_banded((self.l, self.u), self.ab, rhs)
@@ -203,9 +164,19 @@ class BandedLinearization:
         return 1.0 / np.sqrt(lam)
 
 
-def assemble_linearization(profile: DiagonalMetricProfile, s_zone=None):
+def _stacked_residual(lin, sys):
+    """Residual of a system at any iterate, in the row order of lin."""
+    e1n, _ = sys.residual()
+    out = np.zeros(lin.size)
+    out[lin.index[:, 1:-1]] = e1n
+    for comp in range(1, lin.n - 1):
+        out[lin.index[comp, 0]] = (_PARITY_W @ sys.f[comp, :5]) / sys.delta
+    return out
+
+
+def assemble_linearization(profile: DiagonalMetricProfile):
     """Banded linearization of the discrete system at the profile."""
-    return BandedLinearization(profile, s_zone=s_zone)
+    return BandedLinearization(profile)
 
 
 def trivial_direction(profile: DiagonalMetricProfile, u_diag, lin=None):
@@ -222,13 +193,15 @@ def trivial_direction(profile: DiagonalMetricProfile, u_diag, lin=None):
         np.interp(profile.cap_radius, profile.r, profile.s))
     rho = rho_cutoff(profile.s, s_b)
     r2 = profile.r**2
+    dw = rho * r2 * u_diag[:, None] / (2.0 * profile.f**2 + 1e-300)
+    return _to_unknowns(lin, dw)
+
+
+def _to_unknowns(lin, per_sample):
+    """Unknown vector holding per_sample[i, node] at each free slot."""
+    free = lin.index >= 0
     vec = np.zeros(lin.size)
-    for comp in range(profile.n - 1):
-        dw = rho * r2 * u_diag[comp] / (2.0 * profile.f[comp] ** 2 + 1e-300)
-        for node in range(profile.s.size - 1):
-            slot = lin.index[comp, node]
-            if slot >= 0:
-                vec[slot] = dw[node]
+    vec[lin.index[free]] = per_sample[free]
     return vec
 
 
@@ -242,9 +215,10 @@ def newton_solve(g0: DiagonalMetricProfile, cfg: SolverConfig | None = None,
                  weight_fn: WeightFunction | None = None):
     """Drive the glued profile to a discrete Einstein profile.
 
-    Newton mode refactors the linearization every step; frozen_jacobian mode
-    keeps the factorization of the initial profile, realizing the fixed
-    point iteration h -> h - L^{-1} Phi(g + h).  Returns (profile, report).
+    Newton mode reassembles the linearization every step; frozen_jacobian
+    mode assembles it once, at the initial profile, and afterwards evaluates
+    only the residual, realizing the fixed point iteration
+    h -> h - L^{-1} Phi(g + h).  Returns (profile, report).
     """
     cfg = SolverConfig() if cfg is None else cfg
     profile = g0.copy()
@@ -253,22 +227,19 @@ def newton_solve(g0: DiagonalMetricProfile, cfg: SolverConfig | None = None,
     profile.cap_radius = g0.cap_radius
     if weight_fn is None and g0.cap_radius is not None:
         weight_fn = WeightFunction(g0.n, g0.cap_radius)
-    frozen = None
+    lin = None
     history, stars, dstars = [], [], []
     grow = 0
     diverged = False
     message = ""
     for it in range(cfg.max_iterations + 1):
-        lin = assemble_linearization(profile)
-        if cfg.mode == "frozen_jacobian":
-            if frozen is None:
-                frozen = lin
-            solver = frozen
+        if lin is None or cfg.mode == "newton":
+            lin = assemble_linearization(profile)
+            sys = lin.sys
         else:
-            solver = lin
-        res = lin.residual_vector()
-        e1n, _ = lin.sys.residual()
-        rnorm = float(np.abs(e1n).max())
+            sys = _stencils.DiagonalSystem(profile.n, profile.s, profile.f)
+        res = _stacked_residual(lin, sys)
+        rnorm = float(np.abs(res[lin.index[:, 1:-1]]).max())
         history.append(rnorm)
         if weight_fn is not None and g0.r is not None:
             stars.append(_perturbation_star(g0, profile, weight_fn))
@@ -289,13 +260,9 @@ def newton_solve(g0: DiagonalMetricProfile, cfg: SolverConfig | None = None,
         if it == cfg.max_iterations:
             message = "maximum iterations reached"
             break
-        step = solver.solve(-res)
-        step = np.clip(step, -cfg.step_clip, cfg.step_clip) * cfg.damping
-        for comp in range(profile.n - 1):
-            for node in range(profile.s.size - 1):
-                slot = lin.index[comp, node]
-                if slot >= 0:
-                    profile.f[comp, node] *= np.exp(step[slot])
+        step = np.clip(lin.solve(-res), -_STEP_CLIP, _STEP_CLIP)
+        free = lin.index >= 0
+        profile.f[free] *= np.exp(step[lin.index[free]])
         profile.f[0, 0] = 0.0
     res_final = einstein_residual(profile)
     orders = _fit_orders(history)
@@ -357,9 +324,9 @@ def verify_einstein(profile, tol=1e-6):
     }
     if isinstance(profile, DiagonalMetricProfile) and profile.n == 3:
         sys = _stencils.DiagonalSystem(profile.n, profile.s, profile.f)
-        k12 = -sys.comps[0].q
-        k13 = -sys.comps[1].q
-        k23 = -sys.comps[0].d * sys.comps[1].d
+        k12 = -sys.q[0]
+        k13 = -sys.q[1]
+        k23 = -sys.d[0] * sys.d[1]
         dev = max(np.abs(k12 + 1).max(), np.abs(k13 + 1).max(),
                   np.abs(k23 + 1).max())
         report["max_curvature_deviation"] = float(dev)
@@ -414,14 +381,9 @@ def kernel_spectrum(profile, count=1, weight_fn: WeightFunction | None = None,
 
 
 def _unknown_weights(lin, profile, weight_fn):
-    from .gluing import weight as _w
-    w = np.ones(lin.size)
-    for comp in range(profile.n - 1):
-        for node in range(profile.s.size - 1):
-            slot = lin.index[comp, node]
-            if slot >= 0:
-                w[slot] = _w(weight_fn, profile.r[node])
-    return w
+    from .gluing import weight
+    w = weight(weight_fn, profile.r)
+    return _to_unknowns(lin, np.broadcast_to(w, lin.index.shape))
 
 
 def rayleigh_quotient(profile, direction, weight_fn=None, lin=None):

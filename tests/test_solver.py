@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dehnfill.geometry import (TrivialVariation, black_hole_profile,
                                r_plus, theta_period, v_profile)
@@ -14,10 +16,10 @@ def ell_for_radius(n, R):
     return theta_period(n) * np.sqrt(v_profile(n, R)[0])
 
 
-def test_matvec_matches_linearized_residual():
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_matvec_matches_linearized_residual(n):
     # the assembled matrix and the tensor-space linearization share partials;
     # their actions must agree to solver precision on random directions
-    n = 4
     p = black_hole_profile(n, 15.0, 512)
     lin = assemble_linearization(p)
     rng = np.random.Generator(np.random.Philox(17))
@@ -29,19 +31,42 @@ def test_matvec_matches_linearized_residual():
         dM = np.zeros((p.s.size, k, k))
         dM[:, np.arange(k), np.arange(k)] = (2.0 * dw * p.f**2).T
         dres = linearized_residual(p, dM)
+        free = lin.index >= 0
         vec = np.zeros(lin.size)
-        for comp in range(k):
-            for node in range(p.s.size - 1):
-                slot = lin.index[comp, node]
-                if slot >= 0:
-                    vec[slot] = dw[comp, node]
-        out = lin.matvec(vec)
-        de1 = np.array([[out[lin.index[comp, node]]
-                         for node in range(1, p.s.size - 1)]
-                        for comp in range(k)])
+        vec[lin.index[free]] = dw[free]
+        de1 = lin.matvec(vec)[lin.index[:, 1:-1]]
         ref = dres.e1[:, np.arange(k), np.arange(k)].T
         scale = max(1.0, np.abs(ref).max())
         assert np.abs(de1 - ref).max() < 1e-10 * scale
+
+
+@settings(max_examples=12, deadline=None)
+@given(n=st.integers(3, 6), ell=st.sampled_from([10.0, 14.0, 20.0]),
+       nodes=st.integers(128, 512), pick=st.integers(0, 10**6))
+def test_matrix_is_derivative_of_residual(n, ell, nodes, pick):
+    # central differences of the reported residual in one log-profile
+    # unknown reproduce that column of the Newton matrix; the sampled
+    # columns cover the cap ghost (nodes 0..3), both edges of the parity
+    # window, the matched region and one node drawn at random
+    p = glue(n, ell, nodes=nodes)
+    lin = assemble_linearization(p)
+    kz, N = lin.sys.kz, p.s.size
+    h = 1e-5
+    for comp in range(n - 1):
+        for node in (0, 1, 2, 3, kz - 1, kz, kz + 1, N - 2, 1 + pick % (N - 2)):
+            u = lin.index[comp, node]
+            if u < 0:
+                continue
+            e = np.zeros(lin.size)
+            e[u] = 1.0
+            col = lin.matvec(e)
+            res = []
+            for sign in (1.0, -1.0):
+                q = p.copy()
+                q.f[comp, node] *= np.exp(sign * h)
+                res.append(assemble_linearization(q).residual_vector())
+            fd = (res[0] - res[1]) / (2.0 * h)
+            assert np.abs(fd - col).max() <= 1e-6 * np.abs(col).max()
 
 
 def test_trivial_direction_in_discrete_kernel():
