@@ -360,12 +360,26 @@ def _local_norms(frame, s, order, window=0.5):
         raise ValueError("discrete derivatives available up to order 2")
     point = np.max(np.vstack(mags), axis=0)
     half = window / 2.0
-    out = np.empty(N)
     j_lo = np.searchsorted(s, s - half, side="left")
     j_hi = np.searchsorted(s, s + half, side="right")
-    for k in range(N):
-        out[k] = point[j_lo[k]:j_hi[k]].max()
-    return out
+    return _window_max(point, j_lo, j_hi)
+
+
+def _window_max(values, lo, hi):
+    """max(values[lo[k]:hi[k]]) for every k, each window non-empty.
+
+    Sparse table: row p holds the maxima over spans of length 2^p, and a
+    window is covered by the two such spans flush with its ends.  Max is
+    exact, so the result does not depend on how the window is split.
+    """
+    level = np.frexp(hi - lo)[1] - 1          # floor(log2(window length))
+    table = np.empty((int(level.max()) + 1, values.size))
+    table[0] = values
+    for p in range(1, table.shape[0]):
+        w = 1 << (p - 1)
+        m = values.size - 2 * w + 1
+        table[p, :m] = np.maximum(table[p - 1, :m], table[p - 1, w:w + m])
+    return np.maximum(table[level, lo], table[level, hi - (1 << level)])
 
 
 def _tensor_s_grid(h: InvariantTensor, background):

@@ -16,7 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import LinAlgError
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from . import _stencils
 from .geometry import DiagonalMetricProfile, RadialGrid
@@ -83,21 +84,26 @@ class BandedLinearization:
     node 0 except the pinned theta fiber, then nodes 1..N-2 (the Dirichlet
     node N-1 is eliminated).  Row slots: parity rows for the node-0
     unknowns, then the evolution rows (E1 normalized) node by node.
+
+    The band is LU-factored (LAPACK dgbtrf) on the first solve and the
+    factors are held: every later `solve` and every `solve_transpose`
+    (A^T x = b, from the same factors) is a pair of triangular band sweeps.
+    Both take one right-hand side or a matrix of them, column by column.
+    `sys` is the system at the profile when the caller already built it
+    with partials.
     """
 
-    def __init__(self, profile: DiagonalMetricProfile):
+    def __init__(self, profile: DiagonalMetricProfile, sys=None):
         if not profile.has_cap:
             raise ValueError("the solver expects a capped profile")
         self.profile = profile
         n, N = profile.n, profile.s.size
         self.n, self.N = n, N
-        self.sys = _stencils.DiagonalSystem(n, profile.s, profile.f, partials=True)
-        # node-major unknown numbering; f_2(0) and the last node are pinned
-        free = np.ones((n - 1, N), dtype=bool)
-        free[0, 0] = free[:, -1] = False
-        self.size = int(free.sum())
-        self.index = np.full((n - 1, N), -1)
-        self.index.T[free.T] = np.arange(self.size)
+        self.sys = (_stencils.DiagonalSystem(n, profile.s, profile.f, partials=True)
+                    if sys is None else sys)
+        self.index = _unknown_index(n, N)
+        self.size = int(self.index.max()) + 1
+        self._lu = self._piv = None
         self._assemble()
 
     def _assemble(self):
@@ -119,16 +125,38 @@ class BandedLinearization:
 
     def residual_vector(self):
         """Stacked residual in row order: parity rows, then E1 rows."""
-        return _stacked_residual(self, self.sys)
+        return _stacked_residual(self.index, self.sys)
+
+    def _factor(self):
+        if not np.isfinite(self.ab).all():
+            raise ValueError("the Newton matrix holds infs or NaNs")
+        work = np.zeros((2 * self.l + self.u + 1, self.size))
+        work[self.l:] = self.ab      # dgbtrf needs l spare rows for fill-in
+        lu, piv, info = dgbtrf(work, self.l, self.u, overwrite_ab=True)
+        if info > 0:
+            raise LinAlgError("singular matrix")
+        _check_lapack(info, "dgbtrf")
+        self._lu, self._piv = lu, piv
+
+    def _band_solve(self, rhs, trans):
+        rhs = np.asarray(rhs, dtype=float)
+        if rhs.ndim not in (1, 2) or rhs.shape[0] != self.size:
+            raise ValueError("right-hand side does not match the matrix")
+        if not np.isfinite(rhs).all():
+            raise ValueError("right-hand side holds infs or NaNs")
+        if self._lu is None:
+            self._factor()
+        x, info = dgbtrs(self._lu, self.l, self.u, rhs, self._piv, trans=trans)
+        _check_lapack(info, "dgbtrs")
+        return x
 
     def solve(self, rhs):
-        return solve_banded((self.l, self.u), self.ab, rhs)
+        """A x = rhs for a vector or for each column of a matrix."""
+        return self._band_solve(rhs, 0)
 
     def solve_transpose(self, rhs):
-        ab_t = np.zeros((self.l + self.u + 1, self.size))
-        r, c, v = self._triples
-        np.add.at(ab_t, (self.l + (c - r), r), v)
-        return solve_banded((self.u, self.l), ab_t, rhs)
+        """A^T x = rhs for a vector or for each column of a matrix."""
+        return self._band_solve(rhs, 1)
 
     def matvec(self, x):
         r, c, v = self._triples
@@ -164,13 +192,28 @@ class BandedLinearization:
         return 1.0 / np.sqrt(lam)
 
 
-def _stacked_residual(lin, sys):
-    """Residual of a system at any iterate, in the row order of lin."""
+def _check_lapack(info, routine):
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of {routine}")
+
+
+def _unknown_index(n, N):
+    """Node-major unknown numbering; -1 marks the pinned f_2(0) and the
+    Dirichlet last node."""
+    free = np.ones((n - 1, N), dtype=bool)
+    free[0, 0] = free[:, -1] = False
+    index = np.full((n - 1, N), -1)
+    index.T[free.T] = np.arange(int(free.sum()))
+    return index
+
+
+def _stacked_residual(index, sys):
+    """Residual of a system at any iterate, in the row order of index."""
     e1n, _ = sys.residual()
-    out = np.zeros(lin.size)
-    out[lin.index[:, 1:-1]] = e1n
-    for comp in range(1, lin.n - 1):
-        out[lin.index[comp, 0]] = (_PARITY_W @ sys.f[comp, :5]) / sys.delta
+    out = np.zeros(int(index.max()) + 1)
+    out[index[:, 1:-1]] = e1n
+    for comp in range(1, index.shape[0]):
+        out[index[comp, 0]] = (_PARITY_W @ sys.f[comp, :5]) / sys.delta
     return out
 
 
@@ -216,9 +259,10 @@ def newton_solve(g0: DiagonalMetricProfile, cfg: SolverConfig | None = None,
     """Drive the glued profile to a discrete Einstein profile.
 
     Newton mode reassembles the linearization every step; frozen_jacobian
-    mode assembles it once, at the initial profile, and afterwards evaluates
-    only the residual, realizing the fixed point iteration
-    h -> h - L^{-1} Phi(g + h).  Returns (profile, report).
+    mode assembles and factors it once, at the initial profile, and
+    afterwards evaluates only the residual, realizing the fixed point
+    iteration h -> h - L^{-1} Phi(g + h).  A matrix is assembled only when
+    a step follows.  Returns (profile, report).
     """
     cfg = SolverConfig() if cfg is None else cfg
     profile = g0.copy()
@@ -227,19 +271,19 @@ def newton_solve(g0: DiagonalMetricProfile, cfg: SolverConfig | None = None,
     profile.cap_radius = g0.cap_radius
     if weight_fn is None and g0.cap_radius is not None:
         weight_fn = WeightFunction(g0.n, g0.cap_radius)
+    index = _unknown_index(profile.n, profile.s.size)
+    free = index >= 0
     lin = None
     history, stars, dstars = [], [], []
     grow = 0
     diverged = False
     message = ""
     for it in range(cfg.max_iterations + 1):
-        if lin is None or cfg.mode == "newton":
-            lin = assemble_linearization(profile)
-            sys = lin.sys
-        else:
-            sys = _stencils.DiagonalSystem(profile.n, profile.s, profile.f)
-        res = _stacked_residual(lin, sys)
-        rnorm = float(np.abs(res[lin.index[:, 1:-1]]).max())
+        # partials only where a matrix may be assembled from this system
+        fresh = lin is None or cfg.mode == "newton"
+        sys = _stencils.DiagonalSystem(profile.n, profile.s, profile.f, partials=fresh)
+        res = _stacked_residual(index, sys)
+        rnorm = float(np.abs(res[index[:, 1:-1]]).max())
         history.append(rnorm)
         if weight_fn is not None and g0.r is not None:
             stars.append(_perturbation_star(g0, profile, weight_fn))
@@ -260,9 +304,10 @@ def newton_solve(g0: DiagonalMetricProfile, cfg: SolverConfig | None = None,
         if it == cfg.max_iterations:
             message = "maximum iterations reached"
             break
+        if fresh:
+            lin = BandedLinearization(profile, sys)
         step = np.clip(lin.solve(-res), -_STEP_CLIP, _STEP_CLIP)
-        free = lin.index >= 0
-        profile.f[free] *= np.exp(step[lin.index[free]])
+        profile.f[free] *= np.exp(step[index[free]])
         profile.f[0, 0] = 0.0
     res_final = einstein_residual(profile)
     orders = _fit_orders(history)
@@ -356,25 +401,16 @@ def kernel_spectrum(profile, count=1, weight_fn: WeightFunction | None = None,
     if count == 1:
         return np.array([lin.sigma_min(row_scale=rs, col_scale=cs, seed=seed)])
 
-    ones = np.ones(lin.size)
-    rsv = ones if rs is None else rs
-    csv = ones if cs is None else cs
-
-    def apply_binv(V):
-        return np.column_stack([csv * lin.solve(V[:, i] / rsv)
-                                for i in range(V.shape[1])])
-
-    def apply_binv_t(V):
-        return np.column_stack([lin.solve_transpose(csv * V[:, i]) / rsv
-                                for i in range(V.shape[1])])
-
+    rsv = np.ones((lin.size, 1)) if rs is None else rs[:, None]
+    csv = np.ones((lin.size, 1)) if cs is None else cs[:, None]
     rng = np.random.Generator(np.random.Philox(seed))
     X = rng.standard_normal((lin.size, count))
     X, _ = np.linalg.qr(X)
     for _ in range(200):
-        X = apply_binv(apply_binv_t(X))
+        Y = lin.solve_transpose(csv * X) / rsv     # B^{-T} X = D_r^{-1} A^{-T} D_c X
+        X = csv * lin.solve(Y / rsv)               # B^{-1} Y = D_c A^{-1} D_r^{-1} Y
         X, _ = np.linalg.qr(X)
-    Y = apply_binv_t(X)
+    Y = lin.solve_transpose(csv * X) / rsv
     lam = np.linalg.eigvalsh(Y.T @ Y)       # largest eigenvalues of (B B^T)^(-1)
     sig = np.sort(1.0 / np.sqrt(lam))
     return sig[:count]

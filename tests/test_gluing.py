@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dehnfill.geometry import (RadialGrid, r_plus, radius_for_meridian,
                                theta_period, v_profile)
-from dehnfill.gluing import (CutoffSpec, GluedEnd, WeightFunction, cutoff,
-                             double_star_decompose, double_star_norm, glue,
+from dehnfill.gluing import (CutoffSpec, GluedEnd, WeightFunction, _window_max,
+                             cutoff, double_star_decompose, double_star_norm, glue,
                              residual_decay_sweep, rho_cutoff, weight,
                              weighted_norms)
 from dehnfill.operators import InvariantTensor, einstein_residual
@@ -133,6 +135,24 @@ def test_norms_zero_and_homogeneous():
     s3, st3, _ = weighted_norms(h3, wf, order=1)
     assert s3 == pytest.approx(3.0 * s1, rel=1e-12)
     assert st3 == pytest.approx(3.0 * st1, rel=1e-12)
+
+
+@settings(max_examples=30, deadline=None)
+@given(size=st.integers(1, 3000), half=st.floats(0.0, 2.0), seed=st.integers(0, 2**32 - 1))
+def test_window_max_matches_slices(size, half, seed):
+    # the sparse-table range max equals the max of each window's slice on
+    # an irregular grid; monotone values expose a span that overruns either
+    # end of its window, and a NaN must propagate
+    rng = np.random.default_rng(seed)
+    s = np.cumsum(rng.exponential(0.01, size))
+    lo = np.searchsorted(s, s - half, side="left")
+    hi = np.searchsorted(s, s + half, side="right")
+    values = rng.standard_normal(size) ** 2
+    with_nan = values.copy()
+    with_nan[rng.integers(size)] = np.nan
+    for v in (values, np.sort(values), np.sort(values)[::-1], with_nan):
+        ref = np.array([v[a:b].max() for a, b in zip(lo, hi)])
+        assert np.array_equal(_window_max(v, lo, hi), ref, equal_nan=True)
 
 
 def test_norms_weight_placed_component():

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import LinAlgError, solve_banded
 
+from dehnfill import solver
 from dehnfill.geometry import (TrivialVariation, black_hole_profile,
                                r_plus, theta_period, v_profile)
 from dehnfill.gluing import WeightFunction, glue
@@ -67,6 +69,80 @@ def test_matrix_is_derivative_of_residual(n, ell, nodes, pick):
                 res.append(assemble_linearization(q).residual_vector())
             fd = (res[0] - res[1]) / (2.0 * h)
             assert np.abs(fd - col).max() <= 1e-6 * np.abs(col).max()
+
+
+glued_ends = dict(n=st.integers(3, 6), ell=st.sampled_from([10.0, 14.0, 20.0]),
+                  nodes=st.integers(128, 512), seed=st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=10, deadline=None)
+@given(**glued_ends)
+def test_solve_transpose_is_adjoint_solve(n, ell, nodes, seed):
+    # A^T x, built independently of the band from the assembly triples,
+    # reproduces the right-hand side of the transpose solve
+    lin = assemble_linearization(glue(n, ell, nodes=nodes))
+    b = np.random.default_rng(seed).standard_normal(lin.size)
+    x = lin.solve_transpose(b)
+    r, c, v = lin._triples
+    atx = np.bincount(c, weights=v * x[r], minlength=lin.size)
+    assert np.linalg.norm(atx - b) <= 1e-10 * np.linalg.norm(b)
+
+
+@settings(max_examples=10, deadline=None)
+@given(**glued_ends)
+def test_solves_match_column_solves_and_solve_banded(n, ell, nodes, seed):
+    lin = assemble_linearization(glue(n, ell, nodes=nodes))
+    B = np.random.default_rng(seed).standard_normal((lin.size, 3))
+    # the forward solve is LAPACK's gbsv split into its two halves
+    x = lin.solve(B[:, 0])
+    assert np.array_equal(x, solve_banded((lin.l, lin.u), lin.ab, B[:, 0]))
+    for solve in (lin.solve, lin.solve_transpose):
+        X = solve(B)
+        assert X.shape == B.shape
+        cols = np.column_stack([solve(B[:, i]) for i in range(B.shape[1])])
+        # the transpose sweep may group a column's dot products differently
+        assert np.abs(X - cols).max() <= 1e-13 * np.abs(cols).max()
+
+
+def test_non_finite_and_singular_bands_raise():
+    p = glue(4, 10.0, nodes=128)
+    p.f[1, 40] = np.nan
+    lin = assemble_linearization(p)
+    # named as non-finite input, not as a singular matrix
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        lin.solve(np.ones(lin.size))
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        lin.solve_transpose(np.ones(lin.size))
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        newton_solve(p)
+    lin = assemble_linearization(glue(4, 10.0, nodes=128))
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        lin.solve(np.full(lin.size, np.inf))
+    lin.ab[:, 7] = 0.0
+    with pytest.raises(LinAlgError):
+        lin.solve(np.ones(lin.size))
+
+
+@pytest.mark.parametrize("mode", ["newton", "frozen_jacobian"])
+def test_matrix_assembled_and_factored_only_for_steps(monkeypatch, mode):
+    # a matrix is built only when a step follows, and factored once
+    built, factored = [], []
+    init, factor = solver.BandedLinearization.__init__, solver.BandedLinearization._factor
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    def counting_factor(self):
+        factored.append(self)
+        factor(self)
+
+    monkeypatch.setattr(solver.BandedLinearization, "__init__", counting_init)
+    monkeypatch.setattr(solver.BandedLinearization, "_factor", counting_factor)
+    _, rep = newton_solve(glue(3, 10.0, nodes=256), SolverConfig(mode=mode))
+    assert rep.converged and rep.iterations >= 2
+    assert len(built) == (rep.iterations if mode == "newton" else 1)
+    assert factored == built
 
 
 def test_trivial_direction_in_discrete_kernel():
