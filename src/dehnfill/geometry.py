@@ -14,6 +14,7 @@ f_i = r (all i) with r = e^s.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.integrate import cumulative_simpson
@@ -412,6 +413,11 @@ class ArclengthMap:
     tabulated densely; both directions are cubic-spline interpolants of the
     table, accurate to ~1e-12 relative.  g_rr defaults to 1/V (the cap
     metric); glued metrics pass their own radial coefficient.
+
+    The table and the forward spline s(sigma), which s_of_r reads, are built
+    here.  The inverse spline sigma(s), which sigma_of_s, r_of_s and
+    offset_of_s read, is built from the same table on the first such call;
+    until then the map keeps only the table's s column.
     """
 
     def __init__(self, n, r_max, grr=None, dsigma=2e-5):
@@ -435,8 +441,13 @@ class ArclengthMap:
             phi[1:] = sig[1:] * np.sqrt(g)
         s = cumulative_simpson(phi, x=sig, initial=0.0)
         self._s_of_sigma = CubicSpline(sig, s)
-        self._sigma_of_s = CubicSpline(s, sig)
+        self._s_table = s
         self.s_max = float(self._s_of_sigma(np.sqrt(2.0 * (self.r_max - self.rp))))
+
+    @cached_property
+    def _sigma_of_s(self):
+        s, self._s_table = self._s_table, None
+        return CubicSpline(s, self._s_of_sigma.x)
 
     def sigma_of_r(self, r):
         return np.sqrt(2.0 * (np.asarray(r, dtype=float) - self.rp))

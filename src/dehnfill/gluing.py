@@ -13,6 +13,7 @@ filling torus grows.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -134,6 +135,11 @@ class GluedEnd:
     Provides the profile functions f_i(r), their first and second arclength
     derivatives, and the pointwise normalized residual, all analytically;
     the sampled DiagonalMetricProfile comes from to_profile().
+
+    Construction builds only the cap arclength map cap_map, whose s_of_r
+    the cutoff reads.  The glued metric's own map amap, a table over the
+    whole end that evaluates the cutoff at every point, is built on first
+    access; to_profile reads it, the closed-form residual does not.
     """
 
     def __init__(self, n, ell, r_out_factor=4.0, collar_width=1.0):
@@ -152,7 +158,11 @@ class GluedEnd:
             raise ValueError(
                 f"meridian too short: the boundary torus sits at arclength "
                 f"{self.s_R:.3f} < collar width {collar_width:g} from the core")
-        self.amap = ArclengthMap(n, self.r_out, grr=self._grr_for_map)
+
+    @cached_property
+    def amap(self):
+        """Arclength map of the glued metric over [r_+, r_out]."""
+        return ArclengthMap(self.n, self.r_out, grr=self._grr_for_map)
 
     # metric data ---------------------------------------------------------
 
@@ -419,8 +429,13 @@ def weighted_norms(h, wf: WeightFunction, order=2,
             local = np.maximum(local, np.linalg.norm(d1.reshape(N, -1), axis=1))
         w = weight(wf, h.r)
         return float(local.max()), float((local / w).max()), local
+    return _tensor_norms(h, wf, order, background, window,
+                         _tensor_s_grid(h, background))
+
+
+def _tensor_norms(h: InvariantTensor, wf, order, background, window, s):
+    """weighted_norms of a tensor whose arclength grid s is given."""
     frame = unit_frame_components(h, background)
-    s = _tensor_s_grid(h, background)
     if np.diff(s).max() > window:
         raise ValueError("grid too coarse for the seminorm window")
     local = _local_norms(frame, s, order, window)
@@ -439,13 +454,17 @@ def double_star_decompose(h: InvariantTensor, wf: WeightFunction,
     the residue (h - u)(c_k) is orthogonal to that subspace.  rho vanishes
     near the boundary torus and the core.
     """
+    return _decompose(h, wf, background, _tensor_s_grid(h, background))
+
+
+def _decompose(h: InvariantTensor, wf, background, s):
+    """double_star_decompose of a tensor whose arclength grid s is given."""
     frame = unit_frame_components(h, background)
     r = h.grid.nodes
     ck = int(np.argmin(np.abs(r - wf.center_radius)))
     k = h.grid.n - 1
     block = frame[ck, 1:, 1:]
     u = block - np.trace(block) / k * np.eye(k)
-    s = _tensor_s_grid(h, background)
     s_boundary = float(np.interp(min(wf.R_k, r[-1]), r, s))
     rho = rho_cutoff(s - s[0], s_boundary - s[0])
     hbar = InvariantTensor(
@@ -473,11 +492,14 @@ def double_star_norm(h: InvariantTensor, wf: WeightFunction, order=2,
 
     The constructive value is ||hbar||_star + |u| for the center-point
     decomposition; the reported double_star is min(star, constructive),
-    the two-candidate infimum, so double_star <= star holds exactly.
+    the two-candidate infimum, so double_star <= star holds exactly.  The
+    arclength grid is computed once and shared by h and hbar, which live on
+    the same radial grid.
     """
-    sup, star, _ = weighted_norms(h, wf, order, background, window)
-    hbar, u, ck, _ = double_star_decompose(h, wf, background)
-    _, star_bar, _ = weighted_norms(hbar, wf, order, background, window)
+    s = _tensor_s_grid(h, background)
+    sup, star, _ = _tensor_norms(h, wf, order, background, window, s)
+    hbar, u, ck, _ = _decompose(h, wf, background, s)
+    _, star_bar, _ = _tensor_norms(hbar, wf, order, background, window, s)
     constructive = star_bar + u.size
     return NormReport(sup=sup, star=star,
                       double_star=min(star, constructive),

@@ -138,6 +138,15 @@ def test_arclength_round_trip_and_monotone():
         assert np.abs(back - r).max() < 1e-10
 
 
+def test_arclength_inverse_built_on_first_read():
+    amap = ArclengthMap(4, 12.0)
+    s = amap.s_of_r(np.linspace(r_plus(4), 12.0, 50))
+    assert "_sigma_of_s" not in vars(amap)
+    back = amap.r_of_s(s)
+    assert "_sigma_of_s" in vars(amap) and amap._s_table is None
+    assert np.abs(back - np.linspace(r_plus(4), 12.0, 50)).max() < 1e-10
+
+
 def test_radius_for_meridian():
     beta = theta_period(3)
     R = radius_for_meridian(3, 10.0)

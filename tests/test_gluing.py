@@ -3,12 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dehnfill.geometry import (RadialGrid, r_plus, radius_for_meridian,
-                               theta_period, v_profile)
-from dehnfill.gluing import (CutoffSpec, GluedEnd, WeightFunction, _window_max,
-                             cutoff, double_star_decompose, double_star_norm, glue,
-                             residual_decay_sweep, rho_cutoff, weight,
-                             weighted_norms)
+from dehnfill.geometry import (ArclengthMap, RadialGrid, _v_from_offset, r_plus,
+                               radius_for_meridian, theta_period, v_profile)
+from dehnfill.gluing import (CutoffSpec, GluedEnd, WeightFunction, _tensor_s_grid,
+                             _window_max, cutoff, double_star_decompose,
+                             double_star_norm, glue, residual_decay_sweep,
+                             rho_cutoff, weight, weighted_norms)
 from dehnfill.operators import InvariantTensor, einstein_residual
 
 
@@ -249,3 +249,76 @@ def test_weighted_norms_accepts_residual():
     lo, hi = p.source.collar_r_range()
     e1t, _, _ = p.source.normalized_residual(np.linspace(lo, hi, 2000))
     assert sup == pytest.approx(np.abs(e1t).max(), rel=0.2)
+
+
+def _count_arclength_builds(monkeypatch):
+    builds = []
+    init = ArclengthMap.__init__
+
+    def counted(self, *args, **kwargs):
+        builds.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ArclengthMap, "__init__", counted)
+    return builds
+
+
+def test_tensor_s_grid_bh_n3_closed_form():
+    r = np.linspace(np.sqrt(2.0), 20.0, 64)
+    h = InvariantTensor.zero(RadialGrid("r", r, 3))
+    s = _tensor_s_grid(h, "bh")
+    assert np.abs(s - np.arccosh(r / np.sqrt(2.0))).max() < 1e-11
+
+
+def test_double_star_norm_bh_builds_one_map(monkeypatch):
+    n, R = 4, 64.0
+    r = np.geomspace(r_plus(n) * 1.01, R, 800)
+    wf = WeightFunction(n, R)
+    h = _random_tensor(n, r, 7)
+    # reference: the parts composed through the public functions
+    sup, star, _ = weighted_norms(h, wf, 0, "bh")
+    hbar, u, ck, _ = double_star_decompose(h, wf, "bh")
+    _, star_bar, _ = weighted_norms(hbar, wf, 0, "bh")
+    builds = _count_arclength_builds(monkeypatch)
+    rep = double_star_norm(h, wf, order=0, background="bh")
+    assert len(builds) == 1
+    assert (rep.sup, rep.star, rep.c_k_index) == (sup, star, ck)
+    assert rep.double_star_constructive == star_bar + u.size
+    assert np.array_equal(rep.u, u.u)
+
+
+def test_sweep_builds_one_map_per_radius(monkeypatch):
+    builds = _count_arclength_builds(monkeypatch)
+    radii = np.array([6.0, 12.0, 24.0])
+    residual_decay_sweep(3, radii=radii, samples=500)
+    assert len(builds) == radii.size
+
+
+@pytest.mark.parametrize("n, ell", [(3, 10.0), (4, 20.0), (5, 20.0), (6, 12.0)])
+def test_glue_lazy_map_matches_eager_map(n, ell):
+    nodes = 256
+    p = glue(n, ell, nodes=nodes)
+    assert "amap" in vars(p.source)
+    end = GluedEnd(n, ell)
+    assert "amap" not in vars(end)
+    eager = ArclengthMap(n, end.r_out, grr=end._grr_for_map)
+    eager.sigma_of_s(0.0)
+    s = np.linspace(0.0, eager.s_max, nodes)
+    x = eager.offset_of_s(s)
+    x[0] = 0.0
+    r = end.rp * (1.0 + x)
+    chi = end.chi(r)[0]
+    f2 = np.sqrt(chi * _v_from_offset(n, x, end.rp) + (1.0 - chi) * r**2)
+    f2[0] = 0.0
+    assert np.array_equal(p.s, s)
+    assert np.array_equal(p.f[0], f2)
+    assert np.array_equal(p.f[1:], np.tile(r, (n - 2, 1)))
+
+
+def test_collar_r_range_reads_cap_map_only():
+    end = GluedEnd(4, 20.0)
+    lo, hi = end.collar_r_range()
+    assert hi == end.R and lo < hi
+    assert float(end.cap_map.s_of_r(lo)) == pytest.approx(
+        end.s_R - end.collar_width, abs=1e-9)
+    assert "amap" not in vars(end)
