@@ -20,10 +20,7 @@ from .geometry import r_plus, sectional_curvatures, v_profile
 
 FORMAT_VERSION = 1
 
-_KNOWN_KEYS = {"n", "ell", "R", "nodes", "outer_factor", "tol", "mode",
-               "seed", "out", "format", "alpha", "trials", "r_min", "r_max",
-               "samples"}
-
+# the keys a configuration file may set, each with its parser
 _KEY_CASTS = {"n": int, "nodes": int, "trials": int, "seed": int,
               "samples": int, "ell": float, "outer_factor": float,
               "tol": float, "alpha": float, "r_min": float, "r_max": float,
@@ -50,7 +47,7 @@ def _load_config_file(path):
             if "=" not in line:
                 raise ConfigError(f"{path}:{line_no}: expected key=value")
             key, val = (part.strip() for part in line.split("=", 1))
-            if key not in _KNOWN_KEYS:
+            if key not in _KEY_CASTS:
                 raise ConfigError(f"{path}:{line_no}: unknown key {key!r}")
             cfg[key] = val
     return cfg
@@ -334,10 +331,7 @@ def main(argv=None):
         args.samples = int(args.r_range[2])
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"dehnfill: configuration error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+    except (ConfigError, ValueError, OSError) as exc:
         print(f"dehnfill: configuration error: {exc}", file=sys.stderr)
         return 2
 

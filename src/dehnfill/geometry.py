@@ -405,6 +405,9 @@ class BlackHoleProfile:
 
 # -- arclength machinery -------------------------------------------------------
 
+_DSIGMA = 2e-5       # table spacing in sigma, within [50_001, 1_500_001] points
+
+
 class ArclengthMap:
     """Arclength s(r) = int_{r_+}^{r} sqrt(g_rr) and its inverse.
 
@@ -420,14 +423,14 @@ class ArclengthMap:
     until then the map keeps only the table's s column.
     """
 
-    def __init__(self, n, r_max, grr=None, dsigma=2e-5):
+    def __init__(self, n, r_max, grr=None):
         self.n = _check_dimension(n)
         self.rp = r_plus(self.n)
         if r_max <= self.rp:
             raise ValueError("r_max must exceed r_plus")
         self.r_max = float(r_max)
         sigma_max = np.sqrt(2.0 * (self.r_max - self.rp)) * 1.005
-        m = int(np.clip(np.ceil(sigma_max / dsigma), 50_001, 1_500_001))
+        m = int(np.clip(np.ceil(sigma_max / _DSIGMA), 50_001, 1_500_001))
         sig = np.linspace(0.0, sigma_max, m)
         x = sig**2 / (2.0 * self.rp)
         v = _v_from_offset(self.n, x, self.rp)

@@ -198,10 +198,6 @@ class GluedEnd:
         chi, chi1, chi2 = self.chi(r)
         return r, v, vp, vpp, chi, chi1, chi2
 
-    def grr(self, r):
-        r, v, vp, _, chi, chi1, _ = self._pieces(r)
-        return chi / v + (1.0 - chi) / r**2
-
     def theta_fiber_sq(self, r):
         """f_2^2 = chi V + (1-chi) r^2 and two r-derivatives."""
         r, v, vp, vpp, chi, chi1, chi2 = self._pieces(r)

@@ -104,12 +104,6 @@ class EinsteinResidual:
     e2: np.ndarray
     sqrt_det: np.ndarray
     r: np.ndarray | None = None
-    normalized: bool = True
-
-    def raw_e1(self):
-        if self.e1.ndim == 2:
-            return self.e1 * self.sqrt_det[None, :]
-        return self.e1 * self.sqrt_det[:, None, None]
 
     def max_e1(self):
         return float(np.abs(self.e1).max())

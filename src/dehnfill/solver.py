@@ -21,7 +21,7 @@ from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from . import _stencils
 from .geometry import DiagonalMetricProfile, RadialGrid
-from .gluing import WeightFunction, double_star_norm, weighted_norms
+from .gluing import WeightFunction, double_star_norm
 from .operators import InvariantTensor, einstein_residual
 
 __all__ = [
@@ -38,6 +38,8 @@ __all__ = [
 
 _PARITY_W = np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / 12.0
 _STEP_CLIP = 1.0        # bound on each Newton update of log f_i
+_PROBE_TOL = 1e-12      # relative change that stops the spectral probe
+_PROBE_STEPS = 400      # step cap of the spectral probe
 
 
 @dataclass
@@ -164,31 +166,34 @@ class BandedLinearization:
         np.add.at(out, r, v * x[c])
         return out
 
-    def sigma_min(self, iterations=400, tol=1e-12, row_scale=None,
-                  col_scale=None, seed=7):
-        """Smallest singular value of B = D_row A D_col^{-1} by power
-        iteration on (B^T B)^{-1}, with a deterministic seeded start."""
+    def sigma_min(self, count=1, row_scale=None, col_scale=None, seed=7):
+        """The count smallest singular values of B = D_row A D_col^{-1},
+        ascending, by block power iteration on (B^T B)^{-1} from a seeded
+        start block.
+
+        Each step applies (B^T B)^{-1} to the block, re-orthonormalizes it
+        by QR, and estimates the largest eigenvalues of (B^T B)^{-1} as the
+        singular values of R; for one column that is the norm of the iterate.
+        Unlike the diagonal of R, these converge at the gap to the first
+        eigenvalue outside the block, even where two inside nearly coincide.
+        The loop stops when no estimate moves by more than _PROBE_TOL
+        relative, or after _PROBE_STEPS steps.
+        """
         rs = np.ones(self.size) if row_scale is None else np.asarray(row_scale)
         cs = np.ones(self.size) if col_scale is None else np.asarray(col_scale)
-
-        def apply_binv(v):        # B^{-1} v = D_c A^{-1} D_r^{-1} v
-            return cs * self.solve(v / rs)
-
-        def apply_binv_t(v):      # B^{-T} v = D_r^{-1} A^{-T} D_c v
-            return self.solve_transpose(cs * v) / rs
-
+        rs, cs = rs[:, None], cs[:, None]
         rng = np.random.Generator(np.random.Philox(seed))
-        x = rng.standard_normal(self.size)
-        x /= np.linalg.norm(x)
-        lam = 0.0
-        for _ in range(iterations):
-            y = apply_binv(apply_binv_t(x))
-            lam_new = float(np.linalg.norm(y))
-            x = y / lam_new
-            if abs(lam_new - lam) <= tol * lam_new:
-                lam = lam_new
-                break
+        X, _ = np.linalg.qr(rng.standard_normal((self.size, count)))
+        lam = np.zeros(count)
+        for _ in range(_PROBE_STEPS):
+            Y = self.solve_transpose(cs * X) / rs    # B^{-T} X = D_r^{-1} A^{-T} D_c X
+            Y = cs * self.solve(Y / rs)              # B^{-1} Y = D_c A^{-1} D_r^{-1} Y
+            X, R = np.linalg.qr(Y)
+            lam_new = np.linalg.svd(R, compute_uv=False)    # descending
+            done = np.all(np.abs(lam_new - lam) <= _PROBE_TOL * lam_new)
             lam = lam_new
+            if done:
+                break
         return 1.0 / np.sqrt(lam)
 
 
@@ -286,8 +291,10 @@ def newton_solve(g0: DiagonalMetricProfile, cfg: SolverConfig | None = None,
         rnorm = float(np.abs(res[index[:, 1:-1]]).max())
         history.append(rnorm)
         if weight_fn is not None and g0.r is not None:
-            stars.append(_perturbation_star(g0, profile, weight_fn))
-            dstars.append(_perturbation_double_star(g0, profile, weight_fn))
+            h = _perturbation_tensor(g0, profile)
+            norms = double_star_norm(h, weight_fn, order=0)
+            stars.append(norms.star)
+            dstars.append(norms.double_star)
         if rnorm < cfg.residual_tolerance:
             break
         if len(history) >= 2 and history[-1] > history[-2]:
@@ -309,7 +316,7 @@ def newton_solve(g0: DiagonalMetricProfile, cfg: SolverConfig | None = None,
         step = np.clip(lin.solve(-res), -_STEP_CLIP, _STEP_CLIP)
         profile.f[free] *= np.exp(step[index[free]])
         profile.f[0, 0] = 0.0
-    res_final = einstein_residual(profile)
+    _, e2 = sys.residual()       # every exit breaks right after sys is built
     orders = _fit_orders(history)
     report = NewtonReport(
         converged=history[-1] < cfg.residual_tolerance and not diverged,
@@ -317,7 +324,7 @@ def newton_solve(g0: DiagonalMetricProfile, cfg: SolverConfig | None = None,
         residual_history=history,
         star_history=stars,
         double_star_history=dstars,
-        e2_drift=res_final.max_e2_relative(),
+        e2_drift=float(np.abs(e2 / _stencils.e2_constant(profile.n)).max()),
         cone_angle_ratio=_cone_angle_ratio(profile),
         convergence_orders=orders,
         diverged=diverged,
@@ -344,17 +351,6 @@ def _perturbation_tensor(g0, profile):
     dfsq = profile.f**2 - g0.f**2
     hij[:, np.arange(k), np.arange(k)] = dfsq.T
     return InvariantTensor(grid, None, None, hij)
-
-
-def _perturbation_star(g0, profile, wf):
-    h = _perturbation_tensor(g0, profile)
-    _, star, _ = weighted_norms(h, wf, order=0)
-    return star
-
-
-def _perturbation_double_star(g0, profile, wf):
-    h = _perturbation_tensor(g0, profile)
-    return double_star_norm(h, wf, order=0).double_star
 
 
 def verify_einstein(profile, tol=1e-6):
@@ -388,32 +384,16 @@ def kernel_spectrum(profile, count=1, weight_fn: WeightFunction | None = None,
 
     With conjugate=True the operator is D A D^{-1} with D the diagonal of
     inverse weights 1/W at each unknown's node (the discrete shadow of
-    measuring both sides in the weighted norm).  Deterministic start vector.
+    measuring both sides in the weighted norm).  Deterministic start block;
+    see BandedLinearization.sigma_min.
     """
     lin = assemble_linearization(profile)
     rs = cs = None
     if conjugate:
         if weight_fn is None:
             raise ValueError("conjugation needs a weight function")
-        w = _unknown_weights(lin, profile, weight_fn)
-        rs = 1.0 / w
-        cs = 1.0 / w
-    if count == 1:
-        return np.array([lin.sigma_min(row_scale=rs, col_scale=cs, seed=seed)])
-
-    rsv = np.ones((lin.size, 1)) if rs is None else rs[:, None]
-    csv = np.ones((lin.size, 1)) if cs is None else cs[:, None]
-    rng = np.random.Generator(np.random.Philox(seed))
-    X = rng.standard_normal((lin.size, count))
-    X, _ = np.linalg.qr(X)
-    for _ in range(200):
-        Y = lin.solve_transpose(csv * X) / rsv     # B^{-T} X = D_r^{-1} A^{-T} D_c X
-        X = csv * lin.solve(Y / rsv)               # B^{-1} Y = D_c A^{-1} D_r^{-1} Y
-        X, _ = np.linalg.qr(X)
-    Y = lin.solve_transpose(csv * X) / rsv
-    lam = np.linalg.eigvalsh(Y.T @ Y)       # largest eigenvalues of (B B^T)^(-1)
-    sig = np.sort(1.0 / np.sqrt(lam))
-    return sig[:count]
+        rs = cs = 1.0 / _unknown_weights(lin, profile, weight_fn)
+    return lin.sigma_min(count, rs, cs, seed)
 
 
 def _unknown_weights(lin, profile, weight_fn):

@@ -258,6 +258,50 @@ def test_kernel_spectrum_stability():
     assert three[0] == pytest.approx(sig[256], rel=1e-4)
 
 
+def _spectrum_case(case):
+    """(profile, weight function or None) of one spectral-probe check."""
+    if case == "cap":
+        return black_hole_profile(4, 15.0, 256), None
+    if case == "glued":
+        return glue(3, 10.0, nodes=256), None
+    p = glue(4, 20.0, nodes=128)
+    return p, WeightFunction(4, p.cap_radius)
+
+
+@pytest.mark.parametrize("case", ["cap", "glued", "conjugated"])
+def test_kernel_spectrum_matches_dense_svd(case):
+    p, wf = _spectrum_case(case)
+    lin = assemble_linearization(p)
+    rows, cols, vals = lin._triples
+    dense = np.zeros((lin.size, lin.size))
+    np.add.at(dense, (rows, cols), vals)
+    if wf is not None:       # D_r A D_c^{-1} with D_r = D_c = 1/W
+        w = solver._unknown_weights(lin, p, wf)
+        dense = dense * w[None, :] / w[:, None]
+    exact = np.linalg.svd(dense, compute_uv=False)[::-1]
+    conj = wf is not None
+    three = kernel_spectrum(p, count=3, weight_fn=wf, conjugate=conj)
+    np.testing.assert_allclose(three, exact[:3], rtol=1e-10)
+    # one column is a plain power iteration: at "cap" the two smallest
+    # values (3.438, 3.458) nearly coincide, so 400 steps leave it ~1e-6 off
+    one = kernel_spectrum(p, weight_fn=wf, conjugate=conj)
+    assert one.shape == (1,)
+    assert one[0] == pytest.approx(exact[0], rel=1e-5)
+
+
+def test_kernel_spectrum_stops_when_converged(monkeypatch):
+    calls = []
+    solve = solver.BandedLinearization.solve
+
+    def counted(self, rhs):
+        calls.append(1)
+        return solve(self, rhs)
+
+    monkeypatch.setattr(solver.BandedLinearization, "solve", counted)
+    kernel_spectrum(black_hole_profile(4, 15.0, 256), count=3)
+    assert 0 < len(calls) < 50
+
+
 def test_weighted_conjugation_direction_of_effect():
     # the raw quotient in the cutoff trivial direction degrades as the end
     # lengthens; the weight-conjugated smallest singular value stays put
