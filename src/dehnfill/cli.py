@@ -130,15 +130,13 @@ def _residual_csv(cfg, profile):
     from .operators import einstein_residual
     res = einstein_residual(profile)
     header = ["s", "r"] + [f"E1_{i}{i}" for i in range(2, profile.n + 1)] + ["E2"]
-    rows = [(res.s[j], res.r[j], *res.e1[:, j], res.e2[j])
-            for j in range(res.s.size)]
+    rows = np.vstack([res.s, res.r, res.e1, res.e2]).T.tolist()
     return _csv(cfg, header, rows)
 
 
 def _profile_csv(cfg, profile):
     header = ["s", "r"] + [f"f{i}" for i in range(2, profile.n + 1)]
-    rows = [(profile.s[j], profile.r[j], *profile.f[:, j])
-            for j in range(profile.s.size)]
+    rows = np.vstack([profile.s, profile.r, profile.f]).T.tolist()
     return _csv(cfg, header, rows,
                 extra_comments=[f"# theta_period={_fmt(profile.theta_period)}",
                                 f"# cap_radius={_fmt(profile.cap_radius or 0.0)}"])

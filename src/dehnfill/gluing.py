@@ -123,6 +123,82 @@ def cutoff(spec: CutoffSpec, r):
 
 # -- the glued end -------------------------------------------------------------
 
+_NEWTON_STEPS = 30       # cap on the collar inversion, which takes two or three
+
+
+def _panel(edges, v):
+    """Index of the panel between consecutive edges holding each v."""
+    return np.clip(np.searchsorted(edges, v, side="right") - 1, 0, edges.size - 2)
+
+
+class _GluedArclength:
+    """Arclength s of the glued metric over [r_+, r_out] and its inverse.
+
+    The variable is the cap arclength t (ArclengthMap, closed form).  Below
+    the collar, t <= s_R - width, chi = 1 and the glued metric is the cap's,
+    so s = t.  Beyond the boundary torus it is the cusp's, so
+    s = s(R) + log(r/R).  Only the unit-width collar is integrated, where
+
+        ds/dt = sqrt(chi + (1 - chi) V/r^2),   V/r^2 = tanh^2((n-1) t/2),
+
+    is smooth and lies in (0, 1].  It is taken by `panels` Gauss-Legendre
+    panels of `order` nodes; s inside a panel is one more rule of the same
+    order from the panel's edge.  The inverse on the collar is Newton in t,
+    whose derivative is the integrand itself.
+    """
+
+    def __init__(self, end, panels=16, order=16):
+        self.end = end
+        self._gl = np.polynomial.legendre.leggauss(order)
+        self.t_edges = np.linspace(end.s_R - end.collar_width, end.s_R, panels + 1)
+        steps = self._integral(self.t_edges[:-1], self.t_edges[1:])
+        self.s_edges = self.t_edges[0] + np.concatenate(([0.0], np.cumsum(steps)))
+        self.s_R = float(self.s_edges[-1])
+        self.s_max = self.s_R + float(np.log(end.r_out / end.R))
+
+    def _rate(self, t):
+        """ds/dt on the collar."""
+        end = self.end
+        chi = _bump01((end.s_R - t) / end.collar_width)[0]
+        y2 = np.tanh(0.5 * (end.n - 1) * t) ** 2
+        return np.sqrt(chi + (1.0 - chi) * y2)
+
+    def _integral(self, a, b):
+        """int_a^b ds/dt dt, one Gauss-Legendre rule per interval."""
+        nodes, weights = self._gl
+        h = 0.5 * (b - a)
+        t = (a + h)[:, None] + h[:, None] * nodes
+        return h * (self._rate(t) @ weights)
+
+    def _s_of_t(self, t):
+        j = _panel(self.t_edges, t)
+        return self.s_edges[j] + self._integral(self.t_edges[j], t)
+
+    def _t_of_s(self, s):
+        j = _panel(self.s_edges, s)
+        ta, tb = self.t_edges[j], self.t_edges[j + 1]
+        sa, sb = self.s_edges[j], self.s_edges[j + 1]
+        t = ta + (s - sa) * (tb - ta) / (sb - sa)
+        for _ in range(_NEWTON_STEPS):
+            dt = (self._s_of_t(t) - s) / self._rate(t)
+            t = t - dt
+            if np.all(np.abs(dt) <= 1e-10):   # quadratic: t is now at roundoff
+                return t
+        raise RuntimeError("collar arclength inversion did not converge")
+
+    def offset_of_s(self, s):
+        """(r - r_+)/r_+ at glued arclength s."""
+        end = self.end
+        s = np.asarray(s, dtype=float)
+        t = s.copy()
+        collar = (s > self.s_edges[0]) & (s < self.s_R)
+        t[collar] = self._t_of_s(s[collar])
+        beyond = s >= self.s_R
+        x = end.cap_map.offset_of_s(t)
+        x[beyond] = end.R * np.exp(s[beyond] - self.s_R) / end.rp - 1.0
+        return x
+
+
 class GluedEnd:
     """Closed-form glued metric with exact radial derivatives.
 
@@ -136,10 +212,9 @@ class GluedEnd:
     derivatives, and the pointwise normalized residual, all analytically;
     the sampled DiagonalMetricProfile comes from to_profile().
 
-    Construction builds only the cap arclength map cap_map, whose s_of_r
-    the cutoff reads.  The glued metric's own map amap, a table over the
-    whole end that evaluates the cutoff at every point, is built on first
-    access; to_profile reads it, the closed-form residual does not.
+    The cutoff reads the closed-form cap arclength cap_map.  The glued
+    metric's own arclength amap (see _GluedArclength) integrates the collar
+    only; it is built on first access, by to_profile.
     """
 
     def __init__(self, n, ell, r_out_factor=4.0, collar_width=1.0):
@@ -162,7 +237,7 @@ class GluedEnd:
     @cached_property
     def amap(self):
         """Arclength map of the glued metric over [r_+, r_out]."""
-        return ArclengthMap(self.n, self.r_out, grr=self._grr_for_map)
+        return _GluedArclength(self)
 
     # metric data ---------------------------------------------------------
 
@@ -187,10 +262,6 @@ class GluedEnd:
                             + b1 * vp / (2.0 * sv**3) / self.collar_width,
                             0.0)
         return b, chi1, chi2
-
-    def _grr_for_map(self, r, v):
-        chi = self.chi(r)[0]
-        return chi / v + (1.0 - chi) / r**2
 
     def _pieces(self, r):
         r = np.asarray(r, dtype=float)
@@ -240,7 +311,6 @@ class GluedEnd:
             raise ValueError("need at least 64 interior nodes")
         s = np.linspace(0.0, self.amap.s_max, nodes)
         x = self.amap.offset_of_s(s)
-        x[0] = 0.0
         r = self.rp * (1.0 + x)
         v = _v_from_offset(self.n, x, self.rp)
         chi = self.chi(r)[0]

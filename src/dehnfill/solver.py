@@ -47,8 +47,11 @@ class SolverConfig:
     """Newton driver settings.
 
     The reachable residual floor is set by roundoff in the second
-    differences, about 100 eps / spacing^2 (1e-9 at 2048 nodes); tolerances
-    below it make the iteration stall, which is detected and reported.
+    differences, about 20 eps / spacing^2: relative noise of size eps in f
+    moves E1 of a solved glued profile by 16-19 eps / spacing^2 for
+    n = 3..7, 1.5e-9 to 2.6e-9 at 2048 nodes and 2.5e-8 at 8192.
+    Tolerances below it make the iteration stall, which is detected and
+    reported.
     """
 
     max_iterations: int = 12

@@ -5,7 +5,8 @@ from scipy.special import gamma as gamma_fn
 
 from dehnfill.geometry import (ArclengthMap, BlackHoleProfile, BlockMetricProfile,
                                DiagonalMetricProfile, RadialGrid,
-                               TrivialVariation, apply_trivial_variation,
+                               TrivialVariation, _v_from_offset,
+                               apply_trivial_variation,
                                arclength_map, black_hole_profile,
                                boundary_torus_data, coordinate_curvature_oracle,
                                cusp_profile, cusp_volume_ratio, metric_gap,
@@ -138,13 +139,26 @@ def test_arclength_round_trip_and_monotone():
         assert np.abs(back - r).max() < 1e-10
 
 
-def test_arclength_inverse_built_on_first_read():
-    amap = ArclengthMap(4, 12.0)
-    s = amap.s_of_r(np.linspace(r_plus(4), 12.0, 50))
-    assert "_sigma_of_s" not in vars(amap)
-    back = amap.r_of_s(s)
-    assert "_sigma_of_s" in vars(amap) and amap._s_table is None
-    assert np.abs(back - np.linspace(r_plus(4), 12.0, 50)).max() < 1e-10
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+def test_arclength_closed_form_matches_quadrature_in_sigma(n):
+    # independent oracle: s = int_0^sigma sigma' / sqrt(V) dsigma' with
+    # r = r_+ + sigma'^2 / 2, whose integrand is smooth through the cap
+    rp = r_plus(n)
+    amap = ArclengthMap(n, 300.0)
+
+    def integrand(sig):
+        if sig == 0.0:
+            return np.sqrt(2.0 / ((n - 1) * rp))
+        return sig / np.sqrt(_v_from_offset(n, sig**2 / (2.0 * rp), rp))
+
+    for r in (rp * (1.0 + 1e-6), 1.5 * rp, 3.0, 12.0, 100.0, 300.0):
+        sig = np.sqrt(2.0 * (r - rp))
+        ref, _ = quad(integrand, 0.0, sig, epsabs=1e-300, epsrel=1e-13, limit=200)
+        s = amap.s_of_r(r)
+        assert abs(s - ref) <= 1e-13 * ref
+        x = (r - rp) / rp
+        assert abs(amap.offset_of_s(s) - x) <= 1e-13 * x
+    assert amap.s_max == amap.s_of_r(300.0)
 
 
 def test_radius_for_meridian():

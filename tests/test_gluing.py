@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
-from dehnfill.geometry import (ArclengthMap, RadialGrid, _v_from_offset, r_plus,
+from dehnfill.geometry import (ArclengthMap, RadialGrid, r_plus,
                                radius_for_meridian, theta_period, v_profile)
-from dehnfill.gluing import (CutoffSpec, GluedEnd, WeightFunction, _tensor_s_grid,
-                             _window_max, cutoff, double_star_decompose,
+from dehnfill.gluing import (CutoffSpec, GluedEnd, WeightFunction, _GluedArclength,
+                             _tensor_s_grid, _window_max, cutoff, double_star_decompose,
                              double_star_norm, glue, residual_decay_sweep,
                              rho_cutoff, weight, weighted_norms)
 from dehnfill.operators import InvariantTensor, einstein_residual
@@ -294,25 +295,32 @@ def test_sweep_builds_one_map_per_radius(monkeypatch):
     assert len(builds) == radii.size
 
 
-@pytest.mark.parametrize("n, ell", [(3, 10.0), (4, 20.0), (5, 20.0), (6, 12.0)])
-def test_glue_lazy_map_matches_eager_map(n, ell):
-    nodes = 256
-    p = glue(n, ell, nodes=nodes)
-    assert "amap" in vars(p.source)
+@pytest.mark.parametrize("n, ell", [(3, 10.0), (4, 20.0), (5, 20.0), (6, 12.0),
+                                   (7, 12.0)])
+def test_glued_arclength_matches_panel_refinement(n, ell):
+    p = glue(n, ell, nodes=2048)
+    end = p.source
+    fine = _GluedArclength(end, panels=256, order=24)
+    assert abs(end.amap.s_max - fine.s_max) <= 1e-14 * fine.s_max
+    assert np.array_equal(p.s, np.linspace(0.0, end.amap.s_max, 2048))
+    r_fine = end.rp * (1.0 + fine.offset_of_s(p.s))
+    assert np.all(np.abs(p.r - r_fine) <= 1e-14 * r_fine)
+
+
+@pytest.mark.parametrize("n, ell", [(3, 10.0), (5, 20.0), (7, 12.0)])
+def test_glued_s_max_matches_quadrature_in_r(n, ell):
+    # independent of the cap-arclength variable: the collar's
+    # int sqrt(chi / V + (1 - chi) / r^2) dr taken by adaptive quadrature
     end = GluedEnd(n, ell)
-    assert "amap" not in vars(end)
-    eager = ArclengthMap(n, end.r_out, grr=end._grr_for_map)
-    eager.sigma_of_s(0.0)
-    s = np.linspace(0.0, eager.s_max, nodes)
-    x = eager.offset_of_s(s)
-    x[0] = 0.0
-    r = end.rp * (1.0 + x)
-    chi = end.chi(r)[0]
-    f2 = np.sqrt(chi * _v_from_offset(n, x, end.rp) + (1.0 - chi) * r**2)
-    f2[0] = 0.0
-    assert np.array_equal(p.s, s)
-    assert np.array_equal(p.f[0], f2)
-    assert np.array_equal(p.f[1:], np.tile(r, (n - 2, 1)))
+    lo, hi = end.collar_r_range()
+
+    def integrand(r):
+        chi = end.chi(r)[0]
+        return np.sqrt(chi / v_profile(n, r)[0] + (1.0 - chi) / r**2)
+
+    collar, _ = quad(integrand, lo, hi, epsabs=1e-300, epsrel=1e-13, limit=200)
+    ref = end.s_R - end.collar_width + collar + np.log(end.r_out / end.R)
+    assert end.amap.s_max == pytest.approx(ref, rel=1e-13)
 
 
 def test_collar_r_range_reads_cap_map_only():

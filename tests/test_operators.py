@@ -34,6 +34,19 @@ def test_bh_residual_small_and_second_order():
         assert errs[2048] < 1.6e-6
 
 
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+def test_bh_residual_refines_by_four(n):
+    # second order on the cap: each halving of ds divides E1 and the
+    # relative E2 by four (truncation dominates from 512 to 2048 nodes)
+    prev = None
+    for nodes in (512, 1024, 2048):
+        res = einstein_residual(black_hole_profile(n, 20.0, nodes))
+        cur = np.array([res.max_e1(), res.max_e2_relative()])
+        if prev is not None:
+            assert np.all((prev / cur >= 3.9) & (prev / cur <= 4.1))
+        prev = cur
+
+
 def test_cusp_residual_roundoff():
     res = einstein_residual(cusp_profile(5, 0.3, 3.0, 700))
     assert res.max_e1() < 1e-9

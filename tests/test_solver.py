@@ -43,7 +43,7 @@ def test_matvec_matches_linearized_residual(n):
 
 
 @settings(max_examples=12, deadline=None)
-@given(n=st.integers(3, 6), ell=st.sampled_from([10.0, 14.0, 20.0]),
+@given(n=st.integers(3, 7), ell=st.sampled_from([10.0, 14.0, 20.0]),
        nodes=st.integers(128, 512), pick=st.integers(0, 10**6))
 def test_matrix_is_derivative_of_residual(n, ell, nodes, pick):
     # central differences of the reported residual in one log-profile
@@ -71,7 +71,7 @@ def test_matrix_is_derivative_of_residual(n, ell, nodes, pick):
             assert np.abs(fd - col).max() <= 1e-6 * np.abs(col).max()
 
 
-glued_ends = dict(n=st.integers(3, 6), ell=st.sampled_from([10.0, 14.0, 20.0]),
+glued_ends = dict(n=st.integers(3, 7), ell=st.sampled_from([10.0, 14.0, 20.0]),
                   nodes=st.integers(128, 512), seed=st.integers(0, 2**32 - 1))
 
 
