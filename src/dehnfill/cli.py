@@ -89,8 +89,9 @@ def _csv(config, header, rows, extra_comments=()):
         lines.append(f"# {key}={_fmt(config[key])}")
     lines.extend(extra_comments)
     lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(_fmt(x) for x in row))
+    # every value is a float (or np.float64), so "%.17g" is _fmt's format
+    fmt = ",".join(["%.17g"] * len(header))
+    lines.extend(fmt % tuple(row) for row in rows)
     return "\n".join(lines) + "\n"
 
 

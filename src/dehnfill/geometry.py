@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from types import SimpleNamespace
 
 import numpy as np
-from scipy.optimize import brentq
 
 __all__ = [
     "r_plus",
@@ -198,19 +197,36 @@ def torus_diameter_bound(n, volume, inj):
 
 
 def radius_for_meridian(n, ell):
-    """Cap radius R solving V(R) = (ell / beta)^2 for a meridian of length ell."""
+    """Cap radius R solving V(R) = (ell / beta)^2 for a meridian of length ell.
+
+    V is strictly increasing on (r_+, oo), since V' = 2r + 2(n-3) r^(2-n) > 0,
+    and V(r_+) = 0 < target < V(hi).  So bisection keeps the root bracketed
+    and runs until the two ends are adjacent floats, across which the
+    evaluated V crosses the target; of those two it returns the one with the
+    smaller |V - target|.  (Rounding makes the evaluated V non-monotone at
+    the scale of one ulp of R, so a float further out can sit closer to the
+    target; the result is the computed crossing, a few ulps from the root.)
+    """
     n = _check_dimension(n)
     if ell <= 0:
         raise ValueError("meridian length must be positive")
     rp = r_plus(n)
     beta = theta_period(n)
     target = (ell / beta) ** 2
-    hi = rp + max(2.0, ell / beta + 2.0)
+    lo, hi = rp, rp + max(2.0, ell / beta + 2.0)
 
     def gap(r):
-        return _v_from_offset(n, (r - rp) / rp, rp) - target
+        return float(_v_from_offset(n, (r - rp) / rp, rp)) - target
 
-    return brentq(gap, rp, hi, xtol=1e-15, rtol=8.881784197001252e-16)
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break
+        if gap(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return lo if abs(gap(lo)) <= abs(gap(hi)) else hi
 
 
 def metric_gap(n, r):

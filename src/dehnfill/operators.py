@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
 
 from . import _stencils
 from .geometry import (BlackHoleProfile, BlockMetricProfile,
@@ -224,6 +223,7 @@ def block_variation_of_tensor(h: InvariantTensor, profile: BlackHoleProfile):
     equivalent variation of M(s) is  dM = h_blk - delta_s * M'(s).  Mixed
     dr dx_i components cannot be represented and must vanish.
     """
+    from scipy.integrate import cumulative_simpson
     if np.any(np.abs(h.h1i) > 0):
         raise ValueError("mixed components have no torus-block representation")
     if not np.all(np.isfinite(h.h11)):
@@ -358,6 +358,7 @@ def gauge_fix_xi(h11, profile: BlackHoleProfile, grid: RadialGrid,
     Returns the gauge field and the fitted constant of the near-edge bound
     sqrt(V) |xi_1| <= C (r - r_+)^(1/2).
     """
+    from scipy.integrate import cumulative_simpson
     n = profile.n
     r = grid.nodes
     h11 = np.asarray(h11, dtype=float)

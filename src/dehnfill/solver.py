@@ -124,7 +124,8 @@ class BandedLinearization:
         self.l = int(max(0, off.max()))
         self.u = int(max(0, -off.min()))
         ab = np.zeros((self.l + self.u + 1, self.size))
-        np.add.at(ab, (self.u + off, cols_all), vals_all)
+        # each (row, col) pair occurs once, so a plain scatter fills the band
+        ab[self.u + off, cols_all] = vals_all
         self.ab = ab
         self._triples = (rows_all, cols_all, vals_all)
 

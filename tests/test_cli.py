@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -153,3 +155,17 @@ def test_sweep_json_format():
     doc = json.loads(res.stdout)
     assert len(doc["R"]) == 3
     assert -2.2 < doc["slope"] < -1.8
+
+
+def test_import_loads_no_optimize_or_integrate():
+    # start-up cost: the package and its CLI import numpy and scipy.linalg;
+    # scipy.optimize and scipy.integrate (and what they pull in) are left to
+    # the library-only functions that need them
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = ("import sys, dehnfill, dehnfill.cli; "
+            "print(sorted(m for m in ('scipy.optimize', 'scipy.integrate') "
+            "if m in sys.modules))")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": src})
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.optimize import brentq
 from scipy.special import gamma as gamma_fn
 
 from dehnfill.geometry import (ArclengthMap, BlackHoleProfile, BlockMetricProfile,
@@ -174,6 +175,35 @@ def test_radius_for_meridian():
         assert abs(v - target) < 1e-12 * max(1.0, target)
     # ell -> 0 brings the cap radius to the root of V
     assert radius_for_meridian(4, 1e-8) == pytest.approx(r_plus(4), rel=1e-9)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+def test_radius_for_meridian_is_the_float_root(n):
+    rp, beta = r_plus(n), theta_period(n)
+    ells = np.geomspace(1e-8, 1e3, 50)
+    R = np.array([radius_for_meridian(n, ell) for ell in ells])
+    # below ell ~ 1e-7 the root lies within an ulp or two of r_+
+    assert np.all(np.diff(R) >= 0.0)
+    assert np.all(np.diff(R[ells >= 1e-6]) > 0.0)
+    for ell, r in zip(ells, R):
+        t = (ell / beta) ** 2
+
+        def gap(x):
+            return float(_v_from_offset(n, (x - rp) / rp, rp)) - t
+
+        ref = brentq(gap, rp, rp + ell / beta + 2.0, xtol=1e-15,
+                     rtol=8.881784197001252e-16)
+        assert abs(r - ref) <= 1e-14 * ref
+        if n == 5:
+            # V = R^2 - 2 R^-2 is a quadratic in R^2
+            assert abs(r - np.sqrt(0.5 * (t + np.sqrt(t * t + 8.0)))) <= 1e-14 * r
+        # the computed V crosses t between r and the neighbouring float on
+        # the other side, and |V - t| is no larger at r than there; the far
+        # neighbour is not compared, since V's rounding is not monotone
+        # at the scale of one ulp of r
+        other = np.nextafter(r, np.inf if gap(r) < 0.0 else 0.0)
+        assert (gap(r) < 0.0) != (gap(other) < 0.0)
+        assert abs(gap(r)) <= abs(gap(other))
 
 
 def test_metric_gap_against_tensor_subtraction():

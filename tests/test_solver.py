@@ -90,6 +90,17 @@ def test_solve_transpose_is_adjoint_solve(n, ell, nodes, seed):
 
 @settings(max_examples=10, deadline=None)
 @given(**glued_ends)
+def test_band_entries_are_unique(n, ell, nodes, seed):
+    # the band is filled by plain assignment, which would drop a repeated
+    # (row, col) pair instead of summing it
+    lin = assemble_linearization(glue(n, ell, nodes=nodes))
+    r, c, v = lin._triples
+    assert np.unique(r * lin.size + c).size == r.size
+    assert np.array_equal(lin.ab[lin.u + r - c, c], v)
+
+
+@settings(max_examples=10, deadline=None)
+@given(**glued_ends)
 def test_solves_match_column_solves_and_solve_banded(n, ell, nodes, seed):
     lin = assemble_linearization(glue(n, ell, nodes=nodes))
     B = np.random.default_rng(seed).standard_normal((lin.size, 3))
