@@ -269,22 +269,32 @@ class DiagonalSystem:
 
         index[i, node] is the unknown of the sample f_i[node], or -1 for
         pinned samples (the cap value of f_2 and Dirichlet nodes).  The row
-        of E1_i at node k is index[i, k].  Triples are ordered by node, row
-        component, column component and table slot.
+        of E1_i at node k is index[i, k].  Returns (rows, cols, vals), each
+        of shape (n-1, M): chunk i holds the triples of the E1_i rows,
+        ordered by column component, node and table slot.  Every E1_i reads
+        the same samples at a node, so cols is one row of column indices
+        broadcast over the chunks (a read-only view).
         """
         k = self.n - 1
-        f_col = self._gather(self.f)            # d f = f d log f
         unknown = np.take_along_axis(index[:, None, :], self.cols, axis=2)
-        # E1_i depends on column component j through q_j, d_j (i = j) and S
-        vals = (2.0 * self.d)[:, None, :, None] * self.wd[None] * f_col[None]
-        own = 2.0 * (self.wq + self.wd * (self.S - self.d)[:, :, None]) * f_col
-        vals[np.arange(k), np.arange(k)] = own
-        order = (2, 0, 1, 3)
-        shape = vals.shape
-        keep = np.broadcast_to((self.cols >= 0) & (unknown >= 0), shape).transpose(order)
-        rows = np.broadcast_to(index[:, None, 1:-1, None], shape).transpose(order)
-        cols = np.broadcast_to(unknown, shape).transpose(order)
-        return rows[keep], cols[keep], vals.transpose(order)[keep]
+        keep = (self.cols >= 0) & (unknown >= 0)    # per (column comp, node, slot)
+        cols = unknown[keep]
+        at = np.flatnonzero(keep) // _WIDTH         # column comp * (N-2) + node
+        node = at % keep.shape[1]
+        wd = self.wd[keep]
+        f_col = self._gather(self.f)[keep]          # d f = f d log f
+        # E1_i depends on column component j through S, and for i = j also
+        # through q_j and d_j
+        vals = np.take(2.0 * self.d, node, axis=1)
+        vals *= wd
+        vals *= f_col
+        own = 2.0 * (self.wq[keep] + wd * (self.S - self.d).ravel()[at]) * f_col
+        # the entries of column component i are contiguous
+        bounds = np.searchsorted(at, np.arange(k + 1) * keep.shape[1])
+        for i in range(k):
+            vals[i, bounds[i]:bounds[i + 1]] = own[bounds[i]:bounds[i + 1]]
+        rows = np.take(index[:, 1:-1], node, axis=1)
+        return rows, np.broadcast_to(cols, rows.shape), vals
 
 
 # -- full torus block (non-diagonal) ------------------------------------------

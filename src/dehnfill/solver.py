@@ -90,12 +90,16 @@ class BandedLinearization:
     node N-1 is eliminated).  Row slots: parity rows for the node-0
     unknowns, then the evolution rows (E1 normalized) node by node.
 
-    The band is LU-factored (LAPACK dgbtrf) on the first solve and the
-    factors are held: every later `solve` and every `solve_transpose`
-    (A^T x = b, from the same factors) is a pair of triangular band sweeps.
-    Both take one right-hand side or a matrix of them, column by column.
-    `sys` is the system at the profile when the caller already built it
-    with partials.
+    The matrix is held once, as the band `ab` in LAPACK layout: A[i, j]
+    sits at ab[u + i - j, j].  It is scattered there straight from the
+    chunks of `DiagonalSystem.jacobian_triples`; no COO triples are kept,
+    and `triples` derives them afresh when a test asks.  The band is
+    LU-factored in place (LAPACK dgbtrf) on the first solve and the
+    factors are held beside it: every later `solve` and every
+    `solve_transpose` (A^T x = b, from the same factors) is a pair of
+    triangular band sweeps.  Both take one right-hand side or a matrix of
+    them, column by column.  `sys` is the system at the profile when the
+    caller already built it with partials.
     """
 
     def __init__(self, profile: DiagonalMetricProfile, sys=None):
@@ -113,21 +117,26 @@ class BandedLinearization:
 
     def _assemble(self):
         rows, cols, vals = self.sys.jacobian_triples(self.index)
-        # parity rows f_i'(0) = 0 for i >= 1 occupy the node-0 slots
-        prows = np.repeat(self.index[1:, 0], 5)
-        pcols = self.index[1:, :5].ravel()
-        pvals = (_PARITY_W / self.sys.delta * self.sys.f[1:, :5]).ravel()
-        rows_all = np.concatenate([rows, prows])
-        cols_all = np.concatenate([cols, pcols])
-        vals_all = np.concatenate([vals, pvals])
-        off = rows_all - cols_all
-        self.l = int(max(0, off.max()))
-        self.u = int(max(0, -off.min()))
+        prows, pcols, pvals = _parity_triples(self.index, self.sys)
+        off = np.subtract(rows, cols, out=rows)     # the rows are not read again
+        poff = prows - pcols
+        self.l = int(max(0, off.max(), poff.max()))
+        self.u = int(max(0, -off.min(), -poff.min()))
         ab = np.zeros((self.l + self.u + 1, self.size))
         # each (row, col) pair occurs once, so a plain scatter fills the band
-        ab[self.u + off, cols_all] = vals_all
+        off += self.u
+        ab[off, cols] = vals
+        ab[self.u + poff, pcols] = pvals
         self.ab = ab
-        self._triples = (rows_all, cols_all, vals_all)
+
+    def triples(self):
+        """COO triples (rows, cols, vals) of the matrix, derived afresh from
+        the system: the E1 chunks of `jacobian_triples` in order, then the
+        parity rows.  Each (row, col) pair occurs once.  For tests: no
+        solve reads them."""
+        parts = zip(self.sys.jacobian_triples(self.index),
+                    _parity_triples(self.index, self.sys))
+        return tuple(np.concatenate([chunks.ravel(), parity]) for chunks, parity in parts)
 
     def residual_vector(self):
         """Stacked residual in row order: parity rows, then E1 rows."""
@@ -136,8 +145,10 @@ class BandedLinearization:
     def _factor(self):
         if not np.isfinite(self.ab).all():
             raise ValueError("the Newton matrix holds infs or NaNs")
-        work = np.zeros((2 * self.l + self.u + 1, self.size))
-        work[self.l:] = self.ab      # dgbtrf needs l spare rows for fill-in
+        # dgbtrf needs l spare rows for fill-in; in Fortran order it factors
+        # the work array in place rather than a copy of it
+        work = np.zeros((2 * self.l + self.u + 1, self.size), order="F")
+        work[self.l:] = self.ab
         lu, piv, info = dgbtrf(work, self.l, self.u, overwrite_ab=True)
         if info > 0:
             raise LinAlgError("singular matrix")
@@ -165,9 +176,12 @@ class BandedLinearization:
         return self._band_solve(rhs, 1)
 
     def matvec(self, x):
-        r, c, v = self._triples
+        """A x, one band diagonal at a time."""
         out = np.zeros(self.size)
-        np.add.at(out, r, v * x[c])
+        for band_row in range(self.l + self.u + 1):
+            off = band_row - self.u          # row - col on this diagonal
+            lo, hi = max(0, -off), min(self.size, self.size - off)
+            out[lo + off:hi + off] += self.ab[band_row, lo:hi] * x[lo:hi]
         return out
 
     def sigma_min(self, count=1, row_scale=None, col_scale=None, seed=7):
@@ -226,6 +240,15 @@ def _stacked_residual(index, sys):
     return out
 
 
+def _parity_triples(index, sys):
+    """COO triples of the parity rows f_i'(0) = 0, i >= 1, which occupy the
+    node-0 slots."""
+    rows = np.repeat(index[1:, 0], 5)
+    cols = index[1:, :5].ravel()
+    vals = (_PARITY_W / sys.delta * sys.f[1:, :5]).ravel()
+    return rows, cols, vals
+
+
 def assemble_linearization(profile: DiagonalMetricProfile):
     """Banded linearization of the discrete system at the profile."""
     return BandedLinearization(profile)
@@ -271,7 +294,10 @@ def newton_solve(g0: DiagonalMetricProfile, cfg: SolverConfig | None = None,
     mode assembles and factors it once, at the initial profile, and
     afterwards evaluates only the residual, realizing the fixed point
     iteration h -> h - L^{-1} Phi(g + h).  A matrix is assembled only when
-    a step follows.  Returns (profile, report).
+    a step follows.  At most one linearization is alive: a Newton step
+    drops the previous one, and the system it was built from, before it
+    builds the next, so a step holds one band, its LU factors and one
+    system's stencil tables.  Returns (profile, report).
     """
     cfg = SolverConfig() if cfg is None else cfg
     profile = g0.copy()
@@ -288,8 +314,10 @@ def newton_solve(g0: DiagonalMetricProfile, cfg: SolverConfig | None = None,
     diverged = False
     message = ""
     for it in range(cfg.max_iterations + 1):
+        if cfg.mode == "newton":
+            lin = sys = None     # free the last step's matrix before the next
         # partials only where a matrix may be assembled from this system
-        fresh = lin is None or cfg.mode == "newton"
+        fresh = lin is None
         sys = _stencils.DiagonalSystem(profile.n, profile.s, profile.f, partials=fresh)
         res = _stacked_residual(index, sys)
         rnorm = float(np.abs(res[index[:, 1:-1]]).max())
@@ -376,9 +404,17 @@ def verify_einstein(profile, tol=1e-6):
                   np.abs(k23 + 1).max())
         report["max_curvature_deviation"] = float(dev)
     if res.r is not None:
-        worst = np.argmax(np.abs(res.e1).max(axis=0) if res.e1.ndim == 2
-                          else np.abs(res.e1).reshape(res.e1.shape[0], -1).max(axis=1))
+        # the node of the largest |E1|, and its entry named as the residual
+        # CSV names its columns: E1_ii, or E1_ij on the block path
+        e1 = np.abs(res.e1)
+        if e1.ndim == 2:        # diagonal entries, (n-1, N-2)
+            worst = np.argmax(e1.max(axis=0))
+            i = j = int(np.argmax(e1[:, worst]))
+        else:                   # full matrices, (N-2, n-1, n-1)
+            worst = np.argmax(e1.reshape(e1.shape[0], -1).max(axis=1))
+            i, j = np.unravel_index(np.argmax(e1[worst]), e1.shape[1:])
         report["residual_argmax_r"] = float(res.r[worst])
+        report["residual_argmax_component"] = f"E1_{i + 2}{j + 2}"
     return report
 
 

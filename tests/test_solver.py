@@ -1,12 +1,16 @@
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import LinAlgError, solve_banded
 
-from dehnfill import solver
-from dehnfill.geometry import (TrivialVariation, black_hole_profile,
-                               r_plus, theta_period, v_profile)
+from dehnfill import _stencils, solver
+from dehnfill.geometry import (BlockMetricProfile, TrivialVariation,
+                               black_hole_profile, cusp_profile, r_plus,
+                               theta_period, v_profile)
 from dehnfill.gluing import WeightFunction, glue
 from dehnfill.operators import einstein_residual, linearized_residual
 from dehnfill.solver import (SolverConfig, assemble_linearization,
@@ -78,12 +82,12 @@ glued_ends = dict(n=st.integers(3, 7), ell=st.sampled_from([10.0, 14.0, 20.0]),
 @settings(max_examples=10, deadline=None)
 @given(**glued_ends)
 def test_solve_transpose_is_adjoint_solve(n, ell, nodes, seed):
-    # A^T x, built independently of the band from the assembly triples,
+    # A^T x, built independently of the band from the stencil triples,
     # reproduces the right-hand side of the transpose solve
     lin = assemble_linearization(glue(n, ell, nodes=nodes))
     b = np.random.default_rng(seed).standard_normal(lin.size)
     x = lin.solve_transpose(b)
-    r, c, v = lin._triples
+    r, c, v = lin.triples()
     atx = np.bincount(c, weights=v * x[r], minlength=lin.size)
     assert np.linalg.norm(atx - b) <= 1e-10 * np.linalg.norm(b)
 
@@ -94,9 +98,14 @@ def test_band_entries_are_unique(n, ell, nodes, seed):
     # the band is filled by plain assignment, which would drop a repeated
     # (row, col) pair instead of summing it
     lin = assemble_linearization(glue(n, ell, nodes=nodes))
-    r, c, v = lin._triples
+    r, c, v = lin.triples()
     assert np.unique(r * lin.size + c).size == r.size
     assert np.array_equal(lin.ab[lin.u + r - c, c], v)
+    # matvec sums the band diagonal by diagonal, the triples row by row
+    y = np.random.default_rng(seed).standard_normal(lin.size)
+    ref = np.bincount(r, weights=v * y[c], minlength=lin.size)
+    scale = np.bincount(r, weights=np.abs(v * y[c]), minlength=lin.size)
+    assert np.all(np.abs(lin.matvec(y) - ref) <= 1e-14 * scale.max())
 
 
 @settings(max_examples=10, deadline=None)
@@ -154,6 +163,46 @@ def test_matrix_assembled_and_factored_only_for_steps(monkeypatch, mode):
     assert rep.converged and rep.iterations >= 2
     assert len(built) == (rep.iterations if mode == "newton" else 1)
     assert factored == built
+
+
+def test_assembly_and_solve_hold_one_matrix():
+    # one band and one set of LU factors survive a solve, and assembly
+    # builds them with no copy of the matrix in another form
+    p = glue(4, 20.0, nodes=2048)
+    sys = _stencils.DiagonalSystem(p.n, p.s, p.f, partials=True)
+    rhs = np.ones(int(solver._unknown_index(p.n, p.s.size).max()) + 1)
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        lin = solver.BandedLinearization(p, sys)
+        assembled, assembly_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        lin.solve(rhs)
+        end, solve_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    lu = lin._lu.nbytes
+    assert end - start <= 2.0 * lu
+    assert max(assembly_peak, solve_peak) - start <= 3.5 * lu
+    # dgbtrf factors its work array in place, so the factors are the only
+    # matrix-sized allocation of the first solve
+    assert solve_peak - assembled <= 1.5 * lu
+
+
+def test_newton_step_frees_the_previous_matrix(monkeypatch):
+    # each linearization is dead before the next one is built
+    refs, alive = [], []
+    init = solver.BandedLinearization.__init__
+
+    def recording_init(self, *args, **kwargs):
+        alive.append(sum(ref() is not None for ref in refs))
+        refs.append(weakref.ref(self))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(solver.BandedLinearization, "__init__", recording_init)
+    _, rep = newton_solve(glue(3, 10.0, nodes=256))
+    assert rep.converged and len(refs) >= 2
+    assert alive == [0] * len(refs)
 
 
 def test_trivial_direction_in_discrete_kernel():
@@ -230,6 +279,20 @@ def test_frozen_jacobian_contracts():
     assert rates and max(rates) <= 0.5
 
 
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_cone_defect_scales_like_inverse_power_of_radius(n):
+    # the glued end closes with cone angle 2 pi (1 + O(R^(1-n))): the
+    # Newton-solved defect falls with slope -(n-1) in log-log
+    radii = np.array([6.0, 8.0, 12.0, 16.0, 24.0])
+    defects = []
+    for R in radii:
+        _, rep = newton_solve(glue(n, ell_for_radius(n, R), nodes=1024))
+        assert rep.converged
+        defects.append(abs(rep.cone_angle_ratio - 1.0))
+    slope = np.polyfit(np.log(radii), np.log(defects), 1)[0]
+    assert abs(slope + (n - 1)) <= 0.1
+
+
 def test_newton_respects_iteration_budget():
     g0 = glue(3, 10.0, nodes=256)
     cfg = SolverConfig(max_iterations=1, residual_tolerance=1e-14)
@@ -283,7 +346,7 @@ def _spectrum_case(case):
 def test_kernel_spectrum_matches_dense_svd(case):
     p, wf = _spectrum_case(case)
     lin = assemble_linearization(p)
-    rows, cols, vals = lin._triples
+    rows, cols, vals = lin.triples()
     dense = np.zeros((lin.size, lin.size))
     np.add.at(dense, (rows, cols), vals)
     if wf is not None:       # D_r A D_c^{-1} with D_r = D_c = 1/W
@@ -338,9 +401,27 @@ def test_verify_flags_unconverged_glued_profile():
     assert lo <= v["residual_argmax_r"] <= hi
 
 
+def test_verify_names_the_worst_component():
+    # the component is named as the residual CSV names its columns
+    p = glue(4, 14.0, nodes=512)
+    v = verify_einstein(p)
+    e1 = np.abs(einstein_residual(p).e1)
+    names = [f"E1_{i}{i}" for i in range(2, p.n + 1)]
+    assert v["residual_argmax_component"] == names[int(np.argmax(e1.max(axis=1)))]
+    assert v["residual_argmax_r"] == p.r[1:-1][int(np.argmax(e1.max(axis=0)))]
+    # on the block path: an off-diagonal bump in M_34 of an exact cusp
+    # moves E1_34 at first order and the diagonal entries only at second
+    c = cusp_profile(4, 0.4, 2.4, 400, rate=1.05)
+    M = c.torus_block()
+    bump = 0.05 * np.exp(-((c.s - c.s.mean()) / 0.2) ** 2) * np.sqrt(M[:, 1, 1] * M[:, 2, 2])
+    M[:, 1, 2] += bump
+    M[:, 2, 1] += bump
+    vb = verify_einstein(BlockMetricProfile(4, c.s, M, c.theta_period, r=c.r))
+    assert vb["residual_argmax_component"] == "E1_34"
+
+
 def test_verify_model_metrics():
     v = verify_einstein(black_hole_profile(4, 20.0, 2048))
     assert v["passes"] and v["max_e1_normalized"] < 1e-6
-    from dehnfill.geometry import cusp_profile
     vc = verify_einstein(cusp_profile(4, 0.2, 3.0, 500))
     assert vc["passes"] and vc["max_e1_normalized"] < 1e-9
