@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
 
+from ._lapack import check_info, dgtsv
 from .geometry import _check_dimension
 
 __all__ = [
@@ -172,7 +172,11 @@ def solve_euler_bvp(ode: EulerODE, phi, boundary, r):
     rhs = np.empty(N)
     rhs[0], rhs[-1] = boundary
     rhs[1:-1] = phi[1:-1]
-    return solve_banded((1, 1), ab, rhs)
+    if not (np.isfinite(ab).all() and np.isfinite(rhs).all()):
+        raise ValueError("Euler BVP holds infs or NaNs")
+    *_, x, info = dgtsv(ab[2, :-1], ab[1], ab[0, 1:], rhs)
+    check_info(info, "dgtsv")
+    return x
 
 
 def _bump(t):

@@ -4,7 +4,8 @@ Subcommands: curvature, glue, solve, kernel, norms, sweep, estimate.
 Configuration comes from a flat key=value file and/or flags (flags win).
 Outputs are CSV or JSON with the resolved configuration echoed, byte
 identical for identical configuration and seed.  Exit codes: 0 success,
-1 solver divergence (report still written), 2 configuration error.
+1 solver divergence (report still written), 2 configuration error,
+3 numerical failure (infs or NaNs reached a linear solve).
 """
 
 from __future__ import annotations
@@ -330,6 +331,9 @@ def main(argv=None):
         args.samples = int(args.r_range[2])
     try:
         return args.func(args)
+    except solver.NumericalError as exc:
+        print(f"dehnfill: numerical failure: {exc}", file=sys.stderr)
+        return 3
     except (ConfigError, ValueError, OSError) as exc:
         print(f"dehnfill: configuration error: {exc}", file=sys.stderr)
         return 2

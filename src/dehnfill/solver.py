@@ -16,15 +16,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import LinAlgError
-from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from . import _stencils
+from ._lapack import check_info, dgbtrf, dgbtrs
 from .geometry import DiagonalMetricProfile, RadialGrid
 from .gluing import WeightFunction, double_star_norm
 from .operators import InvariantTensor, einstein_residual
 
 __all__ = [
+    "NumericalError",
     "SolverConfig",
     "NewtonReport",
     "BandedLinearization",
@@ -40,6 +40,12 @@ _PARITY_W = np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / 12.0
 _STEP_CLIP = 1.0        # bound on each Newton update of log f_i
 _PROBE_TOL = 1e-12      # relative change that stops the spectral probe
 _PROBE_STEPS = 400      # step cap of the spectral probe
+
+
+class NumericalError(ValueError):
+    """Non-finite state reached a linear solve: the Newton matrix or a
+    right-hand side holds infs or NaNs.  A subclass of ValueError, so that
+    callers catching ValueError still catch it."""
 
 
 @dataclass
@@ -144,15 +150,13 @@ class BandedLinearization:
 
     def _factor(self):
         if not np.isfinite(self.ab).all():
-            raise ValueError("the Newton matrix holds infs or NaNs")
+            raise NumericalError("the Newton matrix holds infs or NaNs")
         # dgbtrf needs l spare rows for fill-in; in Fortran order it factors
         # the work array in place rather than a copy of it
         work = np.zeros((2 * self.l + self.u + 1, self.size), order="F")
         work[self.l:] = self.ab
         lu, piv, info = dgbtrf(work, self.l, self.u, overwrite_ab=True)
-        if info > 0:
-            raise LinAlgError("singular matrix")
-        _check_lapack(info, "dgbtrf")
+        check_info(info, "dgbtrf")
         self._lu, self._piv = lu, piv
 
     def _band_solve(self, rhs, trans):
@@ -160,11 +164,11 @@ class BandedLinearization:
         if rhs.ndim not in (1, 2) or rhs.shape[0] != self.size:
             raise ValueError("right-hand side does not match the matrix")
         if not np.isfinite(rhs).all():
-            raise ValueError("right-hand side holds infs or NaNs")
+            raise NumericalError("right-hand side holds infs or NaNs")
         if self._lu is None:
             self._factor()
         x, info = dgbtrs(self._lu, self.l, self.u, rhs, self._piv, trans=trans)
-        _check_lapack(info, "dgbtrs")
+        check_info(info, "dgbtrs")
         return x
 
     def solve(self, rhs):
@@ -213,11 +217,6 @@ class BandedLinearization:
             if done:
                 break
         return 1.0 / np.sqrt(lam)
-
-
-def _check_lapack(info, routine):
-    if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of {routine}")
 
 
 def _unknown_index(n, N):

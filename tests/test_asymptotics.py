@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import LinAlgError, solve_banded
 
 from dehnfill.asymptotics import (EulerODE, ResonanceError,
                                   cusp_block_exponents,
@@ -164,3 +165,54 @@ def test_forcing_scales_linearly():
     h1 = solve_euler_bvp(ode, 0.3 * phi, (0.0, 0.0), r)
     h2 = solve_euler_bvp(ode, 0.6 * phi, (0.0, 0.0), r)
     assert np.abs(h2).max() == pytest.approx(2.0 * np.abs(h1).max(), rel=1e-12)
+
+
+def _spy_on_dgtsv(monkeypatch):
+    """Record the band and right-hand side of each dgtsv call; dgtsv sees the
+    band only as three views of it."""
+    import dehnfill.asymptotics as asy
+    dgtsv, seen = asy.dgtsv, []
+
+    def spy(dl, d, du, rhs):
+        seen.append((d.base.copy(), rhs.copy()))
+        return dgtsv(dl, d, du, rhs)
+
+    monkeypatch.setattr(asy, "dgtsv", spy)
+    return seen
+
+
+@pytest.mark.parametrize("a, b, r", [
+    (4.0, -6.0, np.geomspace(2.0, 16.0, 200)),
+    (2.0, -2.0, np.geomspace(0.5, 2.0, 61)),
+    (3.0, -4.0, np.sort(np.random.default_rng(5).uniform(0.6, 3.0, 300))),
+    (-1.5, 0.75, 1.0 + np.linspace(0.0, 1.0, 97) ** 2),
+])
+def test_bvp_matches_solve_banded_bit_for_bit(monkeypatch, a, b, r):
+    # the tridiagonal solve is the dgtsv call that solve_banded((1, 1), ...)
+    # makes, so the two agree bit for bit on the band the solver built
+    seen = _spy_on_dgtsv(monkeypatch)
+    phi = np.sin(3.0 * r) + r**0.5
+    f = solve_euler_bvp(EulerODE(a, b), phi, (0.3, -1.1), r)
+    (ab, rhs), = seen
+    assert ab.shape == (3, r.size)
+    assert np.array_equal(f, solve_banded((1, 1), ab, rhs))
+
+
+def test_bvp_rejects_nan_and_singular_systems(monkeypatch):
+    # the errors solve_banded raised: ValueError for non-finite input,
+    # LinAlgError for a singular band
+    r = np.geomspace(0.5, 4.0, 50)
+    phi = np.zeros_like(r)
+    phi[7] = np.nan
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        solve_euler_bvp(EulerODE(4.0, -6.0), phi, (0.0, 1.0), r)
+    # on r = 1..5, a = -4 and b = 8 zero row 1 but for its entry in column
+    # 0, so rows 0 and 1 are parallel
+    seen = _spy_on_dgtsv(monkeypatch)
+    r = np.arange(1.0, 6.0)
+    with pytest.raises(LinAlgError):
+        solve_euler_bvp(EulerODE(-4.0, 8.0), np.ones_like(r), (0.0, 1.0), r)
+    (ab, rhs), = seen
+    assert [ab[2, 0], ab[1, 1], ab[0, 2]] == [8.0, 0.0, 0.0]   # row 1
+    with pytest.raises(LinAlgError):
+        solve_banded((1, 1), ab, rhs)

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -157,15 +158,61 @@ def test_sweep_json_format():
     assert -2.2 < doc["slope"] < -1.8
 
 
-def test_import_loads_no_optimize_or_integrate():
-    # start-up cost: the package and its CLI import numpy and scipy.linalg;
-    # scipy.optimize and scipy.integrate (and what they pull in) are left to
-    # the library-only functions that need them
+def _run_python(code):
     src = str(Path(__file__).resolve().parents[1] / "src")
-    code = ("import sys, dehnfill, dehnfill.cli; "
-            "print(sorted(m for m in ('scipy.optimize', 'scipy.integrate') "
-            "if m in sys.modules))")
     res = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, env={**os.environ, "PYTHONPATH": src})
     assert res.returncode == 0, res.stderr
-    assert res.stdout.strip() == "[]"
+    return res.stdout.strip()
+
+
+def test_import_loads_no_optimize_or_integrate():
+    # start-up cost: the package and its CLI import numpy, the top-level
+    # scipy package and SciPy's compiled LAPACK wrapper, not the scipy.linalg
+    # package with its array-API layer (scipy._lib._util, which pulls in
+    # numpy.ma and unittest); scipy.optimize and scipy.integrate are left to
+    # the library-only functions that need them
+    heavy = ("scipy.linalg", "scipy._lib._util", "numpy.ma", "unittest",
+             "scipy.optimize", "scipy.integrate")
+    code = ("import sys, dehnfill, dehnfill.cli; "
+            f"print(sorted(m for m in {heavy!r} if m in sys.modules))")
+    assert _run_python(code) == "[]"
+
+
+@pytest.mark.parametrize("first, second", [("dehnfill._lapack", "scipy.linalg"),
+                                           ("scipy.linalg", "dehnfill._lapack")])
+def test_lapack_routines_are_scipys(first, second):
+    # dehnfill loads scipy.linalg._flapack from its file; a SciPy release
+    # that moves it fails here, and either import order shares one module
+    code = (f"import sys, {first}, {second}; import dehnfill._lapack as L; "
+            "import scipy.linalg.lapack as S; "
+            "print(L._flapack is S._flapack is sys.modules[L._NAME], "
+            "all(getattr(L, f) is getattr(S, f) "
+            "for f in ('dgbtrf', 'dgbtrs', 'dgtsv')))")
+    assert _run_python(code) == "True True"
+
+
+def test_missing_lapack_wrapper_names_its_path(monkeypatch, tmp_path):
+    from types import SimpleNamespace
+
+    from dehnfill import _lapack
+    monkeypatch.delitem(sys.modules, _lapack._NAME)
+    monkeypatch.setattr(_lapack, "scipy",
+                        SimpleNamespace(__file__=str(tmp_path / "__init__.py")))
+    looked_for = re.escape(str(tmp_path / "linalg" / "_flapack"))
+    with pytest.raises(ImportError, match=looked_for):
+        _lapack._load_flapack()
+
+
+def test_numerical_failure_exits_3(monkeypatch, capsys):
+    from dehnfill import cli, solver
+
+    def nan_solve(profile, config):
+        raise solver.NumericalError("the Newton matrix holds infs or NaNs")
+
+    monkeypatch.setattr(solver, "newton_solve", nan_solve)
+    code = cli.main(["solve", "--n", "3", "--ell", "10", "--nodes", "128"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("dehnfill: numerical failure: ")
+    assert "configuration error" not in err

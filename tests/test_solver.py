@@ -135,9 +135,13 @@ def test_non_finite_and_singular_bands_raise():
         lin.solve_transpose(np.ones(lin.size))
     with pytest.raises(ValueError, match="infs or NaNs"):
         newton_solve(p)
+    with pytest.raises(solver.NumericalError, match="Newton matrix"):
+        lin.solve(np.ones(lin.size))
     lin = assemble_linearization(glue(4, 10.0, nodes=128))
     with pytest.raises(ValueError, match="infs or NaNs"):
         lin.solve(np.full(lin.size, np.inf))
+    with pytest.raises(solver.NumericalError, match="right-hand side"):
+        lin.solve_transpose(np.full(lin.size, np.nan))
     lin.ab[:, 7] = 0.0
     with pytest.raises(LinAlgError):
         lin.solve(np.ones(lin.size))
