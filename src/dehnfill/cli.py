@@ -71,6 +71,9 @@ def _resolve(args, defaults, casts=None):
     missing = [k for k, v in cfg.items() if v is None]
     if missing:
         raise ConfigError(f"missing required option(s): {', '.join(missing)}")
+    for key, val in cfg.items():
+        if isinstance(val, float) and not np.isfinite(val):
+            raise ConfigError(f"{key} must be finite, got {val!r}")
     return cfg
 
 

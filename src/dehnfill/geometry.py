@@ -208,12 +208,21 @@ def radius_for_meridian(n, ell):
     target; the result is the computed crossing, a few ulps from the root.)
     """
     n = _check_dimension(n)
-    if ell <= 0:
-        raise ValueError("meridian length must be positive")
+    if not 0.0 < ell < np.inf:
+        raise ValueError(f"meridian length ell must be positive and finite, got {ell!r}")
     rp = r_plus(n)
     beta = theta_period(n)
-    target = (ell / beta) ** 2
     lo, hi = rp, rp + max(2.0, ell / beta + 2.0)
+    too_long = ValueError(f"meridian length ell = {ell:g} is too long: "
+                          f"V(R) = (ell / beta)^2 overflows")
+    try:
+        target = (float(ell) / beta) ** 2      # a float power raises on overflow
+    except OverflowError:
+        raise too_long from None
+    # so must V = r^(3-n) 2 expm1((n-1) log1p(x)) up to hi, or bisection
+    # would stop where it overflows
+    if (n - 1) * np.log1p((hi - rp) / rp) >= np.log(np.finfo(float).max):
+        raise too_long
 
     def gap(r):
         return float(_v_from_offset(n, (r - rp) / rp, rp)) - target

@@ -63,24 +63,36 @@ def _psi_pp(t):
     return out
 
 
+def _bump_from_psi(t, u, v):
+    """B(t) from u = psi(t), v = psi(1-t); 0 for t <= 0, 1 for t >= 1."""
+    s = u + v
+    with np.errstate(divide="ignore", invalid="ignore"):
+        b = np.where(s > 0, u / np.where(s > 0, s, 1.0), 0.0)
+    return np.where(t >= 1.0, 1.0, np.where(t <= 0.0, 0.0, b))
+
+
+def _bump01_value(t):
+    """B(t) = psi(t) / (psi(t) + psi(1-t)) alone, where no derivative is read."""
+    t = np.asarray(t, dtype=float)
+    return _bump_from_psi(t, _psi(t), _psi(1.0 - t))
+
+
 def _bump01(t):
-    """B(t) = psi(t) / (psi(t) + psi(1-t)) and two derivatives; B(<=0)=0, B(>=1)=1."""
+    """B(t) and two derivatives; B(<=0)=0, B(>=1)=1."""
     t = np.asarray(t, dtype=float)
     u, v = _psi(t), _psi(1.0 - t)
     up, vp = _psi_p(t), -_psi_p(1.0 - t)
     upp, vpp = _psi_pp(t), _psi_pp(1.0 - t)
     s = u + v
     with np.errstate(divide="ignore", invalid="ignore"):
-        b = np.where(s > 0, u / np.where(s > 0, s, 1.0), 0.0)
         b1 = np.where(s > 0, (up * v - u * vp) / s**2, 0.0)
         b2 = np.where(s > 0,
                       (upp * v - u * vpp) / s**2
                       - 2.0 * (up * v - u * vp) * (up + vp) / s**3,
                       0.0)
-    b = np.where(t >= 1.0, 1.0, np.where(t <= 0.0, 0.0, b))
     b1 = np.where((t >= 1.0) | (t <= 0.0), 0.0, b1)
     b2 = np.where((t >= 1.0) | (t <= 0.0), 0.0, b2)
-    return b, b1, b2
+    return _bump_from_psi(t, u, v), b1, b2
 
 
 @dataclass
@@ -124,6 +136,7 @@ def cutoff(spec: CutoffSpec, r):
 # -- the glued end -------------------------------------------------------------
 
 _NEWTON_STEPS = 30       # cap on the collar inversion, which takes two or three
+_R_MAX = np.finfo(float).max ** 0.25     # the closed forms square V ~ r^2
 
 
 def _panel(edges, v):
@@ -159,7 +172,7 @@ class _GluedArclength:
     def _rate(self, t):
         """ds/dt on the collar."""
         end = self.end
-        chi = _bump01((end.s_R - t) / end.collar_width)[0]
+        chi = _bump01_value((end.s_R - t) / end.collar_width)
         y2 = np.tanh(0.5 * (end.n - 1) * t) ** 2
         return np.sqrt(chi + (1.0 - chi) * y2)
 
@@ -227,6 +240,10 @@ class GluedEnd:
         if r_out_factor <= 1.0:
             raise ValueError("outer factor must exceed 1")
         self.r_out = r_out_factor * self.R
+        if not self.r_out < _R_MAX:
+            raise ValueError(
+                f"ell = {self.ell:g} with outer factor {r_out_factor:g} puts the "
+                f"outer radius at {self.r_out:g}, beyond {_R_MAX:.3g}, where V^2 overflows")
         self.cap_map = ArclengthMap(n, self.r_out * 1.01)
         self.s_R = float(self.cap_map.s_of_r(self.R))
         if self.s_R <= collar_width + 0.05:
@@ -370,8 +387,8 @@ def rho_cutoff(s, s_boundary):
     arclength of the boundary torus and within distance 1 of the core
     (rising over s in [1, 2], falling over the last unit before s_boundary)."""
     s = np.asarray(s, dtype=float)
-    rise = _bump01(s - 1.0)[0]
-    fall = _bump01(s_boundary - s)[0]
+    rise = _bump01_value(s - 1.0)
+    fall = _bump01_value(s_boundary - s)
     out = rise * fall
     return np.where(s > s_boundary, 0.0, out)
 
@@ -394,51 +411,107 @@ class NormReport:
     c_k_index: int | None = None
 
 
+def _frame_scales(grid, background):
+    """g_11 of the background end, (N,), and sqrt(g_ii) on its torus, (n-1, N)."""
+    r = grid.nodes
+    n = grid.n
+    if background == "cusp":
+        a_r = 1.0 / r**2
+        sq = np.broadcast_to(np.sqrt(r**2), (n - 1, r.size))
+    elif background == "bh":
+        v = v_profile(n, r)[0]
+        a_r = 1.0 / v
+        sq = np.sqrt(np.vstack([v, np.tile(r**2, (n - 2, 1))]))
+    else:
+        raise ValueError("background must be 'cusp' or 'bh'")
+    return a_r, sq
+
+
+def _frame(h: InvariantTensor, a_r, sq):
+    """Unit-frame components of h, component-major: (n, n, N), nodes contiguous."""
+    n = h.grid.n
+    out = np.empty((n, n, a_r.size))
+    out[0, 0] = h.h11 / a_r
+    out[0, 1:] = h.h1i / (np.sqrt(a_r) * sq)
+    out[1:, 0] = out[0, 1:]
+    np.divide(np.moveaxis(h.hij, 0, -1), sq[:, None] * sq[None, :],
+              out=out[1:, 1:])
+    return out
+
+
 def unit_frame_components(h: InvariantTensor, background="cusp"):
     """Components of h in the orthonormal frame of the background end.
 
     background "cusp": |r^2 h11|, |h1i|, |r^-2 hij|; "bh": frame weights
-    from (V, r^2).  Returns an (N, n, n) symmetric matrix field.
+    from (V, r^2).  Returns an (N, n, n) symmetric matrix field, a view of
+    the component-major (n, n, N) array the norms read.
     """
-    r = h.grid.nodes
-    n = h.grid.n
-    N = r.size
-    if background == "cusp":
-        a_r = 1.0 / r**2
-        diag = np.tile(r**2, (n - 1, 1))
-    elif background == "bh":
-        v = v_profile(n, r)[0]
-        a_r = 1.0 / v
-        diag = np.vstack([v, np.tile(r**2, (n - 2, 1))])
+    return _frame(h, *_frame_scales(h.grid, background)).transpose(2, 0, 1)
+
+
+def _torus_pairs(k):
+    """Torus index pairs (i, j), i <= j, the k diagonal ones first."""
+    i, j = np.triu_indices(k, 1)
+    d = np.arange(k)
+    return np.concatenate([d, i]), np.concatenate([d, j])
+
+
+def _gradient(f, s):
+    """np.gradient(f, s, axis=1), bit for bit, with one temporary the size
+    of the interior."""
+    dx = np.diff(s)
+    out = np.empty_like(f)
+    mid = out[:, 1:-1]
+    if (dx == dx[0]).all():                  # np.gradient's even-step rule
+        np.subtract(f[:, 2:], f[:, :-2], out=mid)
+        mid /= 2.0 * dx[0]
     else:
-        raise ValueError("background must be 'cusp' or 'bh'")
-    out = np.zeros((N, n, n))
-    out[:, 0, 0] = h.h11 / a_r
-    sq = np.sqrt(diag)
-    for i in range(n - 1):
-        out[:, 0, i + 1] = out[:, i + 1, 0] = h.h1i[i] / (np.sqrt(a_r) * sq[i])
-    out[:, 1:, 1:] = h.hij / (sq.T[:, :, None] * sq.T[:, None, :])
+        dx1, dx2 = dx[:-1], dx[1:]
+        np.multiply(-dx2 / (dx1 * (dx1 + dx2)), f[:, :-2], out=mid)
+        tmp = (dx2 - dx1) / (dx1 * dx2) * f[:, 1:-1]
+        mid += tmp
+        mid += np.multiply(dx1 / (dx2 * (dx1 + dx2)), f[:, 2:], out=tmp)
+    out[:, 0] = (f[:, 1] - f[:, 0]) / dx[0]
+    out[:, -1] = (f[:, -1] - f[:, -2]) / dx[-1]
     return out
 
 
-def _local_norms(frame, s, order, window=0.5):
-    """Discrete local norm: max of |h| and s-derivatives up to order over a
-    window of arclength width `window` around each node."""
-    N = frame.shape[0]
-    mags = [np.linalg.norm(frame.reshape(N, -1), axis=1)]
-    if order >= 1:
-        d1 = np.gradient(frame, s, axis=0)
-        mags.append(np.linalg.norm(d1.reshape(N, -1), axis=1))
-    if order >= 2:
-        d2 = np.gradient(np.gradient(frame, s, axis=0), s, axis=0)
-        mags.append(np.linalg.norm(d2.reshape(N, -1), axis=1))
+def _squares(rows, n_diag, s, order):
+    """Share of a set of frame components in the squared norm of the frame
+    and of its s-derivatives: row p of the result is the share of the p-th
+    derivative, p = 0..order.
+
+    rows holds the components on and above the diagonal, (m, N), the first
+    n_diag of them diagonal; each other one stands for two entries.  One
+    derivative is alive at a time.
+    """
     if order > 2:
         raise ValueError("discrete derivatives available up to order 2")
-    point = np.max(np.vstack(mags), axis=0)
+    out = np.empty((max(order, 0) + 1, rows.shape[1]))
+    for p in range(out.shape[0]):
+        if p:
+            rows = _gradient(rows, s)
+        sq = rows * rows
+        sq[n_diag:] *= 2.0
+        sq.sum(axis=0, out=out[p])
+    return out
+
+
+def _frame_squares(frame, s, order):
+    """_squares of the mixed components (row 0 of the frame) and of the torus block."""
+    k = frame.shape[0] - 1
+    i, j = _torus_pairs(k)
+    return (_squares(frame[0], 1, s, order),
+            _squares(frame[1 + i, 1 + j], k, s, order))
+
+
+def _windows(s, window):
+    """Index bounds of the seminorm window of arclength width `window` at each node."""
+    if np.diff(s).max() > window:
+        raise ValueError("grid too coarse for the seminorm window")
     half = window / 2.0
-    j_lo = np.searchsorted(s, s - half, side="left")
-    j_hi = np.searchsorted(s, s + half, side="right")
-    return _window_max(point, j_lo, j_hi)
+    return (np.searchsorted(s, s - half, side="left"),
+            np.searchsorted(s, s + half, side="right"))
 
 
 def _window_max(values, lo, hi):
@@ -456,6 +529,13 @@ def _window_max(values, lo, hi):
         m = values.size - 2 * w + 1
         table[p, :m] = np.maximum(table[p - 1, :m], table[p - 1, w:w + m])
     return np.maximum(table[level, lo], table[level, hi - (1 << level)])
+
+
+def _sup_star(mixed, torus, windows, w):
+    """(sup, star, local norm): the largest frame norm over the derivative
+    orders, maximized over each window and weighted by 1/w."""
+    local = _window_max(np.sqrt((mixed + torus).max(axis=0)), *windows)
+    return float(local.max()), float((local / w).max()), local
 
 
 def _tensor_s_grid(h: InvariantTensor, background):
@@ -495,20 +575,22 @@ def weighted_norms(h, wf: WeightFunction, order=2,
             local = np.maximum(local, np.linalg.norm(d1.reshape(N, -1), axis=1))
         w = weight(wf, h.r)
         return float(local.max()), float((local / w).max()), local
-    return _tensor_norms(h, wf, order, background, window,
-                         _tensor_s_grid(h, background))
+    s = _tensor_s_grid(h, background)
+    windows = _windows(s, window)
+    frame = _frame(h, *_frame_scales(h.grid, background))
+    return _sup_star(*_frame_squares(frame, s, order), windows,
+                     weight(wf, h.grid.nodes))
 
 
-def _tensor_norms(h: InvariantTensor, wf, order, background, window, s):
-    """weighted_norms of a tensor whose arclength grid s is given."""
-    frame = unit_frame_components(h, background)
-    if np.diff(s).max() > window:
-        raise ValueError("grid too coarse for the seminorm window")
-    local = _local_norms(frame, s, order, window)
-    w = weight(wf, h.grid.nodes)
-    sup = float(local.max())
-    star = float((local / w).max())
-    return sup, star, local
+def _center_split(frame, r, s, wf):
+    """u, c_k and rho of the center-point decomposition of a frame."""
+    ck = int(np.argmin(np.abs(r - wf.center_radius)))
+    k = frame.shape[0] - 1
+    block = frame[1:, 1:, ck]
+    u = block - np.trace(block) / k * np.eye(k)
+    s_boundary = float(np.interp(min(wf.R_k, r[-1]), r, s))
+    rho = rho_cutoff(s - s[0], s_boundary - s[0])
+    return u, ck, rho
 
 
 def double_star_decompose(h: InvariantTensor, wf: WeightFunction,
@@ -520,36 +602,13 @@ def double_star_decompose(h: InvariantTensor, wf: WeightFunction,
     the residue (h - u)(c_k) is orthogonal to that subspace.  rho vanishes
     near the boundary torus and the core.
     """
-    return _decompose(h, wf, background, _tensor_s_grid(h, background))
-
-
-def _decompose(h: InvariantTensor, wf, background, s):
-    """double_star_decompose of a tensor whose arclength grid s is given."""
-    frame = unit_frame_components(h, background)
-    r = h.grid.nodes
-    ck = int(np.argmin(np.abs(r - wf.center_radius)))
-    k = h.grid.n - 1
-    block = frame[ck, 1:, 1:]
-    u = block - np.trace(block) / k * np.eye(k)
-    s_boundary = float(np.interp(min(wf.R_k, r[-1]), r, s))
-    rho = rho_cutoff(s - s[0], s_boundary - s[0])
-    hbar = InvariantTensor(
-        h.grid, h.h11.copy(), h.h1i.copy(),
-        h.hij - _frame_to_coords(u, h.grid, background, rho))
+    s = _tensor_s_grid(h, background)
+    a_r, sq = _frame_scales(h.grid, background)
+    u, ck, rho = _center_split(_frame(h, a_r, sq), h.grid.nodes, s, wf)
+    scale = (sq[:, None] * sq[None, :]).transpose(2, 0, 1)
+    hbar = InvariantTensor(h.grid, h.h11.copy(), h.h1i.copy(),
+                           h.hij - rho[:, None, None] * u[None, :, :] * scale)
     return hbar, TrivialVariation(u), ck, rho
-
-
-def _frame_to_coords(u, grid, background, rho):
-    r = grid.nodes
-    n = grid.n
-    if background == "cusp":
-        diag = np.tile(r**2, (n - 1, 1))
-    else:
-        v = v_profile(n, r)[0]
-        diag = np.vstack([v, np.tile(r**2, (n - 2, 1))])
-    sq = np.sqrt(diag)
-    scale = sq.T[:, :, None] * sq.T[:, None, :]
-    return rho[:, None, None] * u[None, :, :] * scale
 
 
 def double_star_norm(h: InvariantTensor, wf: WeightFunction, order=2,
@@ -558,19 +617,34 @@ def double_star_norm(h: InvariantTensor, wf: WeightFunction, order=2,
 
     The constructive value is ||hbar||_star + |u| for the center-point
     decomposition; the reported double_star is min(star, constructive),
-    the two-candidate infimum, so double_star <= star holds exactly.  The
-    arclength grid is computed once and shared by h and hbar, which live on
-    the same radial grid.
+    the two-candidate infimum, so double_star <= star holds exactly.
+
+    One pass: the arclength grid, weight, windows, frame and center split
+    are computed once.  hbar differs from h only in its torus components,
+    which are formed as (h_ij - rho u_ij scale) / scale, the arithmetic of
+    unit_frame_components(double_star_decompose(h)[0]), and only they are
+    differentiated again; the values equal those of weighted_norms on the
+    decomposed tensor.
     """
     s = _tensor_s_grid(h, background)
-    sup, star, _ = _tensor_norms(h, wf, order, background, window, s)
-    hbar, u, ck, _ = _decompose(h, wf, background, s)
-    _, star_bar, _ = _tensor_norms(hbar, wf, order, background, window, s)
-    constructive = star_bar + u.size
+    windows = _windows(s, window)
+    w = weight(wf, h.grid.nodes)
+    a_r, sq = _frame_scales(h.grid, background)
+    frame = _frame(h, a_r, sq)
+    u, ck, rho = _center_split(frame, h.grid.nodes, s, wf)
+    mixed, torus = _frame_squares(frame, s, order)
+    del frame                      # hbar's pass reads h.hij, not the frame
+    sup, star, _ = _sup_star(mixed, torus, windows, w)
+    k = h.grid.n - 1
+    i, j = _torus_pairs(k)
+    scale = sq[i] * sq[j]
+    bar = (np.moveaxis(h.hij, 0, -1)[i, j] - rho * u[i, j, None] * scale) / scale
+    _, star_bar, _ = _sup_star(mixed, _squares(bar, k, s, order), windows, w)
+    constructive = star_bar + TrivialVariation(u).size
     return NormReport(sup=sup, star=star,
                       double_star=min(star, constructive),
                       double_star_constructive=constructive,
-                      u=u.u, c_k_index=ck)
+                      u=u, c_k_index=ck)
 
 
 # -- decay sweep -----------------------------------------------------------------
@@ -591,6 +665,8 @@ def residual_decay_sweep(n, ells=None, radii=None, r_out_factor=4.0,
         ells = np.asarray(ells, dtype=float)
     else:
         radii = np.asarray(radii, dtype=float)
+        if not np.all(radii < _R_MAX):
+            raise ValueError(f"cap radii R must be finite and below {_R_MAX:.3g}")
         beta = theta_period(n)
         ells = beta * np.sqrt(v_profile(n, radii)[0])
     if ells.size < 3:

@@ -216,3 +216,70 @@ def test_bvp_rejects_nan_and_singular_systems(monkeypatch):
     assert [ab[2, 0], ab[1, 1], ab[0, 2]] == [8.0, 0.0, 0.0]   # row 1
     with pytest.raises(LinAlgError):
         solve_banded((1, 1), ab, rhs)
+
+
+def _harness_loop(n, R, alpha, trials, seed, nodes=1024):
+    """ugly_estimate_harness one trial and one block at a time, each its own
+    tridiagonal solve."""
+    import dehnfill.asymptotics as asy
+    rp = 2.0 ** (1.0 / (n - 1))
+    r_inner = rp + 1.0
+    r = np.exp(np.linspace(np.log(r_inner), np.log(R), nodes))
+    blocks = [EulerODE(float(n), -2.0 * (n - 1)), EulerODE(float(n), -float(n)),
+              EulerODE(float(n), 0.0)]
+    envelope = (r / R) ** 0.1 + r ** (-0.1)
+    denom_tail = r ** (-n + 1.1)
+    worst = 0.0
+    for stream in np.random.SeedSequence(seed).spawn(trials):
+        rng = np.random.Generator(np.random.Philox(stream))
+        c = rng.uniform(-1.0, 1.0, size=3)
+        c /= max(1.0, np.abs(c[:2]).sum() + abs(c[2]))
+        t = (np.log(r) - np.log(r_inner)) / (np.log(R) - np.log(r_inner))
+        phi = alpha * (c[0] * (r / R) ** 0.1 + c[1] * r ** (-0.1)
+                       + c[2] * asy._bump(t) * envelope)
+        b_in, b_out = rng.uniform(-1.0, 1.0, size=2)
+        for ode in blocks:
+            h = solve_euler_bvp(ode, phi, (b_in, b_out), r)
+            ratio = np.abs(h[1:-1]) / (abs(b_out) + alpha + denom_tail[1:-1])
+            worst = max(worst, float(ratio.max()))
+    return worst
+
+
+@pytest.mark.parametrize("n, R, alpha, seed", [
+    (3, 16.0, 0.5, 0), (4, 32.0, 0.5, 3), (4, 32.0, 0.0, 9), (5, 20.0, 0.9, 11),
+    (7, 64.0, 0.3, 5)])
+def test_harness_batch_matches_trial_loop(monkeypatch, n, R, alpha, seed):
+    # the same draws in the same order and one solve per block with a
+    # column per trial: each column's right-hand side and the fitted
+    # constant are the loop's, bit for bit
+    seen = _spy_on_dgtsv(monkeypatch)
+    expected = _harness_loop(n, R, alpha, trials=50, seed=seed)
+    singles = [rhs for _, rhs in seen]
+    seen.clear()
+    assert ugly_estimate_harness(n, R, alpha, trials=50, seed=seed) == expected
+    assert len(seen) == 3
+    for b, (_, rhs) in enumerate(seen):
+        assert rhs.shape == (1024, 50)
+        assert all(np.array_equal(rhs[:, m], singles[3 * m + b]) for m in range(50))
+
+
+def test_bvp_columns_are_single_solves():
+    r = np.geomspace(2.0, 16.0, 300)
+    ode = EulerODE(4.0, -6.0)
+    rng = np.random.default_rng(2)
+    phi = rng.standard_normal((r.size, 7))
+    ends = rng.uniform(-1.0, 1.0, (2, 7))
+    f = solve_euler_bvp(ode, phi, (ends[0], ends[1]), r)
+    assert f.shape == phi.shape
+    for m in range(phi.shape[1]):
+        single = solve_euler_bvp(ode, phi[:, m], (ends[0, m], ends[1, m]), r)
+        assert np.array_equal(f[:, m], single)
+    phi[5, 3] = np.inf
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        solve_euler_bvp(ode, phi, (ends[0], ends[1]), r)
+
+
+@pytest.mark.parametrize("R", [np.inf, np.nan, 1e300, 2.5])
+def test_harness_rejects_out_of_range_radius(R):
+    with pytest.raises(ValueError, match="R must exceed"):
+        ugly_estimate_harness(4, R, 0.5, trials=2)

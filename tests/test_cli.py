@@ -216,3 +216,27 @@ def test_numerical_failure_exits_3(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.startswith("dehnfill: numerical failure: ")
     assert "configuration error" not in err
+
+
+@pytest.mark.parametrize("args, option", [
+    (["solve", "--n", "3", "--ell", "nan"], "ell"),
+    (["solve", "--n", "3", "--ell", "1e300"], "ell"),
+    (["solve", "--n", "3", "--ell", "10", "--tol", "inf"], "tol"),
+    (["glue", "--n", "4", "--ell=-inf"], "ell"),
+    (["estimate", "--n", "4", "--R", "inf"], "R"),
+    (["estimate", "--n", "4", "--R", "1e300"], "R"),
+    (["norms", "--n", "4", "--R", "nan"], "R"),
+    (["norms", "--n", "4", "--R", "inf"], "R"),
+    (["sweep", "--n", "4", "--R", "8,inf,32"], "R"),
+    (["sweep", "--n", "3", "--R", "8,1e300,32"], "R"),
+    (["curvature", "--n", "3", "--r", "2", "nan", "3"], "r_max"),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+def test_non_finite_or_overflowing_option_exits_2(args, option, capsys, recwarn):
+    # rejected where it enters, by name, before any numpy warning
+    from dehnfill import cli
+    assert cli.main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("dehnfill: configuration error: ")
+    assert re.search(rf"\b{option}\b", captured.err)
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]

@@ -206,6 +206,25 @@ def test_radius_for_meridian_is_the_float_root(n):
         assert abs(gap(r)) <= abs(gap(other))
 
 
+@pytest.mark.parametrize("n, ell", [(3, np.nan), (4, np.inf), (3, 1e300),
+                                   (3, 1.5e154 * theta_period(3)),
+                                   (7, 1e60), (5, -1.0)])
+def test_radius_for_meridian_rejects_out_of_range_lengths(n, ell):
+    # (ell / beta)^2 overflows at 1e300 and, at n = 3, just above
+    # ell / beta = 1.34e154, where V up to the bracket is still finite; at
+    # n = 7 the evaluated V overflows (through r^6) long before it reaches
+    # (1e60 / beta)^2, where bisection would have stopped at the overflow
+    # edge instead of the root
+    with pytest.raises(ValueError, match="ell"):
+        radius_for_meridian(n, ell)
+
+
+@pytest.mark.parametrize("n, ell", [(3, 1e150), (7, 1e45)])
+def test_radius_for_meridian_long_lengths(n, ell):
+    R = radius_for_meridian(n, ell)
+    assert v_profile(n, R)[0] == pytest.approx((ell / theta_period(n)) ** 2, rel=1e-14)
+
+
 def test_metric_gap_against_tensor_subtraction():
     # oracle: subtract the coordinate metrics and push into the cusp unit frame
     n, r = 4, 10.0

@@ -6,10 +6,12 @@ from scipy.integrate import quad
 
 from dehnfill.geometry import (ArclengthMap, RadialGrid, r_plus,
                                radius_for_meridian, theta_period, v_profile)
-from dehnfill.gluing import (CutoffSpec, GluedEnd, WeightFunction, _GluedArclength,
-                             _tensor_s_grid, _window_max, cutoff, double_star_decompose,
-                             double_star_norm, glue, residual_decay_sweep,
-                             rho_cutoff, weight, weighted_norms)
+from dehnfill.gluing import (CutoffSpec, GluedEnd, WeightFunction, _bump01,
+                             _bump01_value, _gradient, _GluedArclength,
+                             _tensor_s_grid, _window_max, cutoff,
+                             double_star_decompose, double_star_norm, glue,
+                             residual_decay_sweep, rho_cutoff,
+                             unit_frame_components, weight, weighted_norms)
 from dehnfill.operators import InvariantTensor, einstein_residual
 
 
@@ -286,6 +288,129 @@ def test_double_star_norm_bh_builds_one_map(monkeypatch):
     assert (rep.sup, rep.star, rep.c_k_index) == (sup, star, ck)
     assert rep.double_star_constructive == star_bar + u.size
     assert np.array_equal(rep.u, u.u)
+
+
+def _reference_norms(h, wf, order, background, window=0.5):
+    """weighted_norms the long way: an (N, n, n) frame built entry by entry,
+    np.linalg.norm of it and of its np.gradient along the nodes, and a slice
+    max per window."""
+    r, n = h.grid.nodes, h.grid.n
+    if background == "cusp":
+        g11, diag = r**-2.0, np.tile(r**2, (n - 1, 1))
+    else:
+        v = v_profile(n, r)[0]
+        g11, diag = 1.0 / v, np.vstack([v, np.tile(r**2, (n - 2, 1))])
+    frame = np.empty((r.size, n, n))
+    frame[:, 0, 0] = h.h11 / g11
+    for i in range(n - 1):
+        frame[:, 0, i + 1] = frame[:, i + 1, 0] = h.h1i[i] / np.sqrt(g11 * diag[i])
+        for j in range(n - 1):
+            frame[:, i + 1, j + 1] = h.hij[:, i, j] / np.sqrt(diag[i] * diag[j])
+    s = _tensor_s_grid(h, background)
+    mags = [np.linalg.norm(frame.reshape(r.size, -1), axis=1)]
+    d = frame
+    for _ in range(order):
+        d = np.gradient(d, s, axis=0)
+        mags.append(np.linalg.norm(d.reshape(r.size, -1), axis=1))
+    point = np.max(mags, axis=0)
+    lo = np.searchsorted(s, s - window / 2.0, side="left")
+    hi = np.searchsorted(s, s + window / 2.0, side="right")
+    local = np.array([point[a:b].max() for a, b in zip(lo, hi)])
+    return frame, local.max(), (local / weight(wf, r)).max()
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(3, 6), order=st.integers(0, 2),
+       background=st.sampled_from(["cusp", "bh"]), nodes=st.integers(100, 700),
+       seed=st.integers(0, 2**32 - 1))
+def test_double_star_norm_is_the_composition(n, order, background, nodes, seed):
+    R = 64.0
+    r = np.geomspace(r_plus(n) * 1.01, R, nodes)
+    wf = WeightFunction(n, R)
+    h = _random_tensor(n, r, seed)
+    sup, star, _ = weighted_norms(h, wf, order, background)
+    hbar, u, ck, _ = double_star_decompose(h, wf, background)
+    _, star_bar, _ = weighted_norms(hbar, wf, order, background)
+    rep = double_star_norm(h, wf, order, background)
+    # hbar's frame is formed with the arithmetic of the coordinate round
+    # trip, so the one-pass norm equals the composition at every order
+    assert (rep.sup, rep.star, rep.c_k_index) == (sup, star, ck)
+    assert rep.double_star_constructive == star_bar + u.size
+    assert rep.double_star == min(star, star_bar + u.size)
+    assert np.array_equal(rep.u, u.u)
+    # the frame and the norms against the long way round; the norms sum the
+    # squares in another order, the derivatives are np.gradient's own
+    frame, ref_sup, ref_star = _reference_norms(h, wf, order, background)
+    assert np.allclose(unit_frame_components(h, background), frame,
+                       rtol=1e-15, atol=0.0)
+    assert sup == pytest.approx(ref_sup, rel=1e-14, abs=0.0)
+    assert star == pytest.approx(ref_star, rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("s", [np.log(np.linspace(1.3, 64.0, 500)),
+                               np.arange(40.0) * 3.0, np.array([0.0, 0.5])])
+def test_gradient_is_numpys(s):
+    # nonuniform and evenly spaced grids (np.gradient's two interior rules)
+    f = np.random.default_rng(s.size).standard_normal((5, s.size))
+    assert np.array_equal(_gradient(f, s), np.gradient(f, s, axis=1))
+
+
+def test_unit_frame_components_is_a_node_major_view():
+    n = 5
+    r = np.geomspace(r_plus(n) * 1.01, 40.0, 300)
+    frame = unit_frame_components(_random_tensor(n, r, 3))
+    assert frame.shape == (r.size, n, n)
+    # the component-major array underneath, nodes contiguous
+    assert frame.base.shape == (n, n, r.size) and frame.base.flags.c_contiguous
+    assert np.array_equal(frame, np.swapaxes(frame, 1, 2))
+
+
+def test_double_star_norm_memory_peak():
+    # the frame is built once, hbar's pass reads only its torus rows, and
+    # one derivative is alive at a time: the traced peak of an order-2 call
+    # is about 3.5 frames of (N, n, n) floats
+    import tracemalloc
+    n, R, N = 4, 64.0, 16384
+    h = _random_tensor(n, np.linspace(r_plus(n) * 1.01, R, N), 0)
+    wf = WeightFunction(n, R)
+    double_star_norm(h, wf)
+    tracemalloc.start()
+    try:
+        double_star_norm(h, wf)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.5 * N * n * n * 8
+
+
+def test_bump_value_matches_bump01():
+    t = np.concatenate([np.linspace(-2.0, 3.0, 2001),
+                        [0.0, -0.0, 1e-300, 1e-3, 0.5, 1.0 - 1e-16, 1.0,
+                         np.nextafter(1.0, 2.0), 1e300, -1e300, np.inf, -np.inf,
+                         np.nan]])
+    b = _bump01_value(t)
+    with np.errstate(all="ignore"):     # psi'' at t = 1e-300 overflows
+        assert np.array_equal(b, _bump01(t)[0], equal_nan=True)
+        inside = (t > 0.0) & (t < 1.0)
+        u, v = np.exp(-1.0 / t[inside]), np.exp(-1.0 / (1.0 - t[inside]))
+    assert np.array_equal(b[inside], u / (u + v))
+    assert np.all(b[t <= 0.0] == 0.0) and np.all(b[t >= 1.0] == 1.0)
+    assert np.all(b[np.isnan(t)] == 0.0)
+    # rho_cutoff reads the value alone
+    s = np.linspace(0.0, 6.0, 1001)
+    assert np.array_equal(rho_cutoff(s, 5.0),
+                          np.where(s > 5.0, 0.0,
+                                   _bump01(s - 1.0)[0] * _bump01(5.0 - s)[0]))
+
+
+def test_glued_end_rejects_overflowing_radii():
+    # the closed-form ratios square V ~ r^2, so r_out^4 must be a float
+    with pytest.raises(ValueError, match="outer radius"):
+        GluedEnd(3, 10.0, r_out_factor=1e300)
+    with pytest.raises(ValueError, match="outer radius"):
+        residual_decay_sweep(3, radii=np.array([8.0, 1e77, 32.0]))
+    with pytest.raises(ValueError, match="radii R"):
+        residual_decay_sweep(3, radii=np.array([8.0, np.nan, 32.0]))
 
 
 def test_sweep_builds_one_map_per_radius(monkeypatch):
