@@ -26,17 +26,19 @@ Two stencil families are used:
   the smooth far field and stays second order under refinement.
 
 The discrete operator has one representation: a fixed-width table per
-component.  The ratios of component i at interior node k read at most five
-samples of the underlying array; cols[k-1] lists their columns (-1 pads a
-shorter row) and wd[k-1], wq[k-1] the exact partials of d and q there.
-The tables hold the matched 3-point rows, the 5-point parity-window rows
-and, for the collapsing fiber, the chain rule through g = f_2/s with the
-extrapolated ghost g(0).  The Newton matrix (`jacobian_triples`) and the
-directional derivative (`apply_linearization`) are both read from them, so
-the linearization is the exact derivative of the reported residual.  The
-parity-window sums run left to right in column order rather than through a
-reduction whose order numpy chooses, so the ratios are reproducible to the
-last bit.
+component, indexed by offset.  The ratios of component i at interior node
+k read at most the five samples k-2, ..., k+2, and slot m of the row
+always means sample k+m-2: wd[k-1, m] and wq[k-1, m] are the exact
+partials of d and q with respect to that sample.  Matched 3-point rows
+fill slots 1-3 and parity-window rows slots 0-4; a folded ghost (node 1's
+reflected sample, and for the collapsing fiber the chain rule through
+g = f_2/s with the extrapolated g(0) at nodes 1-2) lands in the slots of
+the samples it folds into.  The Newton matrix (`jacobian_triples`) and
+the directional derivative (`apply_linearization`, over a sliding window
+of the samples) are both read from them, so the linearization is the
+exact derivative of the reported residual.  The parity-window sums run
+left to right in column order rather than through a reduction whose
+order numpy chooses, so the ratios are reproducible to the last bit.
 """
 
 from __future__ import annotations
@@ -47,7 +49,8 @@ from .geometry import _closed_cap
 
 S_ZONE = 2.0
 _Z_CLAMP = 4.0
-_WIDTH = 5          # table slots per row: the widest stencil
+_WIDTH = 5          # table slots per row: samples k-2..k+2 of node k
+_NODE1_SLOTS = [4, 1, 0, 2, 3]   # node 1's local columns [1, 0, 2, 3] by offset
 
 _W1 = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0
 _W2 = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0
@@ -73,8 +76,9 @@ def _c2p(z):
 def matched_ratios(h, delta, partials=False):
     """d = h'/h and q = h''/h at interior nodes by curvature-matched stencils.
 
-    Returns (d, q) and, when requested, the partial derivatives with respect
-    to (h[k-1], h[k], h[k+1]) as arrays of shape (3, N-2).
+    Returns (d, q) and, when requested, their partial derivatives as offset
+    table rows of shape (N-2, 5): with respect to h[k-1], h[k], h[k+1] in
+    slots 1-3, slots 0 and 4 zero.
     """
     a = h[2:]
     b = h[:-2]
@@ -98,9 +102,18 @@ def matched_ratios(h, delta, partials=False):
     dd_a = 1.0 / (2.0 * delta * c * c1) - d * c1r * dz_a
     dd_b = -1.0 / (2.0 * delta * c * c1) - d * c1r * dz_a
     dd_c = -d / c - d * c1r * dz_c
-    pd = np.stack([dd_b, dd_c, dd_a])
-    pq = np.stack([dq_a, dq_c, dq_a])   # symmetric in a <-> b
+    zero = np.zeros_like(d)
+    pd = np.stack([zero, dd_b, dd_c, dd_a, zero], axis=1)
+    pq = np.stack([zero, dq_a, dq_c, dq_a, zero], axis=1)   # symmetric in a <-> b
     return d, q, pd, pq
+
+
+def _windows(v):
+    """Width-5 sliding windows of the samples, zero-padded by one at each end:
+    _windows(v)[..., k-1, m] = v[..., k+m-2] at interior node k (a view)."""
+    pad = np.zeros(v.shape[:-1] + (v.shape[-1] + 2,))
+    pad[..., 1:-1] = v
+    return np.lib.stride_tricks.sliding_window_view(pad, _WIDTH, axis=-1)
 
 
 def _slot_sum(w, v):
@@ -114,9 +127,9 @@ def _slot_sum(w, v):
 def zone_rows(h, delta, kmax):
     """Fourth-order d, q at nodes 1..kmax with even-parity ghosts across 0.
 
-    Returns (d, q, cols, wd, wq): the ratios and their table rows.  Node k
-    reads h at columns |k-2|, ..., k+2; at node 1 the ghost h[-1] = h[1]
-    folds onto the centre column, leaving four columns and one pad.
+    Returns (d, q, wd, wq): the ratios and their offset table rows.  At
+    node 1 the ghost h[-1] = h[1] folds onto the centre slot, and the sums
+    read the columns [1, 0, 2, 3] in that order.
     """
     k = np.arange(1, kmax + 1)
     cols = np.abs(k[:, None] + np.arange(-2, 3))
@@ -129,39 +142,27 @@ def zone_rows(h, delta, kmax):
     hc = h[cols]
     d = _slot_sum(w1, hc) / (delta * h0)
     q = _slot_sum(w2, hc) / (delta * delta * h0)
+    w1[0], w2[0] = w1[0, _NODE1_SLOTS], w2[0, _NODE1_SLOTS]
     wd = w1 / (delta * h0)[:, None]
     wq = w2 / (delta * delta * h0)[:, None]
-    centre = np.where(k == 1, 0, 2)
-    wd[k - 1, centre] -= d / h0
-    wq[k - 1, centre] -= q / h0
-    return d, q, cols, wd, wq
+    wd[:, 2] -= d / h0
+    wq[:, 2] -= q / h0
+    return d, q, wd, wq
 
 
 def plain_component(h, delta, kz=0, partials=False):
     """Ratios of a smooth positive component (f_j, or g off the cap).
 
     Nodes 1..kz use the parity window.  Returns (d, q, table) with
-    table = (cols, wd, wq) of shape (N-2, 5), or None without partials.
+    table = (wd, wq) of shape (N-2, 5), or None without partials.
     """
-    if partials:
-        d, q, pd, pq = matched_ratios(h, delta, partials=True)
-    else:
-        d, q = matched_ratios(h, delta)
+    d, q, *table = matched_ratios(h, delta, partials)
     if kz > 0:
         dz, qz, *zone = zone_rows(h, delta, kz)
         d[:kz], q[:kz] = dz, qz
-    if not partials:
-        return d, q, None
-    nint = h.size - 2
-    cols = np.full((nint, _WIDTH), -1)
-    cols[:, :3] = np.arange(nint)[:, None] + np.arange(3)
-    wd = np.zeros((nint, _WIDTH))
-    wq = np.zeros((nint, _WIDTH))
-    wd[:, :3] = pd.T
-    wq[:, :3] = pq.T
-    if kz > 0:
-        cols[:kz], wd[:kz], wq[:kz] = zone
-    return d, q, (cols, wd, wq)
+        for rows, z in zip(table, zone):     # the partials, if asked for
+            rows[:kz] = z
+    return d, q, (tuple(table) if partials else None)
 
 
 def capped_theta_component(f2, s, delta, kz, partials=False):
@@ -170,7 +171,8 @@ def capped_theta_component(f2, s, delta, kz, partials=False):
     d = 1/s + (Dg)/g and q = 2 (Dg)/(s g) + (D2g)/g; the table is chained
     back to the f_2 samples through dg[c]/df_2[c] = 1/s[c].  g[0] is the
     O(d^6) even extrapolation from g[1..3], so the rows of nodes 1 and 2,
-    which read g[0], pick up its sensitivity on their columns 1..3.
+    which read g[0] in slots 1 and 0, pick up its sensitivity on the slots
+    of samples 1..3; the slot of sample 0 is left zero.
     """
     N = f2.size
     g = np.empty(N)
@@ -182,20 +184,18 @@ def capped_theta_component(f2, s, delta, kz, partials=False):
     q = 2.0 * dg / sm + qg
     if not partials:
         return d, q, None
-    cols, wdg, wqg = table
+    wdg, wqg = table
     wqg = 2.0 * wdg / sm[:, None] + wqg
     inv_s = np.zeros(N)         # g[0] is no sample of f_2: merged below
     inv_s[1:] = 1.0 / s[1:]
-    wd = wdg * inv_s[cols]
-    wq = wqg * inv_s[cols]
+    inv_s = _windows(inv_s)
+    wd = wdg * inv_s
+    wq = wqg * inv_s
     w0 = _G0_COEF / s[1:4]
-    for row in (0, 1):
-        ghost = np.flatnonzero(cols[row] == 0)[0]
-        near = np.isin(cols[row], (1, 2, 3))
-        wd[row, near] += wdg[row, ghost] * w0
-        wq[row, near] += wqg[row, ghost] * w0
-        cols[row, ghost], wd[row, ghost], wq[row, ghost] = -1, 0.0, 0.0
-    return d, q, (cols, wd, wq)
+    for row, ghost in ((0, 1), (1, 0)):
+        wd[row, ghost + 1:ghost + 4] += wdg[row, ghost] * w0
+        wq[row, ghost + 1:ghost + 4] += wqg[row, ghost] * w0
+    return d, q, (wd, wq)
 
 
 def e2_constant(n):
@@ -214,9 +214,9 @@ def reduced_residual(n, d, q, S, s2):
 class DiagonalSystem:
     """Residual of the diagonal Einstein system and its exact linearization.
 
-    With partials, cols, wd and wq hold the tables of all components, each
-    of shape (n-1, N-2, 5): d[i, k-1] has partial wd[i, k-1, m] with
-    respect to f_i[cols[i, k-1, m]], and q likewise with wq.
+    With partials, wd and wq hold the offset tables of all components,
+    each of shape (n-1, N-2, 5): d[i, k-1] has partial wd[i, k-1, m] with
+    respect to f_i[k+m-2], and q likewise with wq.
     """
 
     def __init__(self, n, s, f, partials=False):
@@ -237,7 +237,7 @@ class DiagonalSystem:
         self.S = self.d.sum(axis=0)
         if partials:
             tables = zip(*(c[2] for c in comps))
-            self.cols, self.wd, self.wq = (np.stack(t) for t in tables)
+            self.wd, self.wq = (np.stack(t) for t in tables)
 
     def residual(self):
         """(E1/sqrt(det M) rows, E2) at the interior nodes."""
@@ -247,54 +247,38 @@ class DiagonalSystem:
     def sqrt_det(self):
         return np.prod(self.f[:, 1:-1], axis=0)
 
-    def _gather(self, v):
-        """v[i, cols[i]] for a per-component sample array v of shape (n-1, N)."""
-        return np.take_along_axis(v[:, None, :], self.cols, axis=2)
-
     def apply_linearization(self, delta_w):
         """Directional derivative of (E1n, E2) for delta log f_i = delta_w[i].
 
         delta_w has shape (n-1, N); the derivative is exact for the discrete
         scheme (the tables of the Newton matrix).
         """
-        df = self._gather(delta_w * self.f)
+        df = _windows(delta_w * self.f)
         dd, dq = _slot_sum(self.wd, df), _slot_sum(self.wq, df)
         dS = dd.sum(axis=0)
         de1 = 2.0 * (dq + dd * (self.S - 2.0 * self.d) + self.d * dS)
         de2 = 4.0 * ((self.S - self.d) * dd).sum(axis=0)
         return de1, de2
 
-    def jacobian_triples(self, index):
-        """COO triples of the E1 rows with respect to the log-profile unknowns.
+    def jacobian_triples(self):
+        """Partials of the E1 rows with respect to the log-profile samples.
 
-        index[i, node] is the unknown of the sample f_i[node], or -1 for
-        pinned samples (the cap value of f_2 and Dirichlet nodes).  The row
-        of E1_i at node k is index[i, k].  Returns (rows, cols, vals), each
-        of shape (n-1, M): chunk i holds the triples of the E1_i rows,
-        ordered by column component, node and table slot.  Every E1_i reads
-        the same samples at a node, so cols is one row of column indices
-        broadcast over the chunks (a read-only view).
+        Returns vals of shape (n-1, n-1, 5, N-2): vals[i, j, m, k-1] is the
+        derivative of E1_i at interior node k by log f_j at sample k+m-2
+        (d f = f d log f), zero in the slots a table row leaves empty.
+        E1_i depends on component j through S, and for i = j also through
+        q_j and d_j.  Which samples are unknowns is left to the caller.
         """
         k = self.n - 1
-        unknown = np.take_along_axis(index[:, None, :], self.cols, axis=2)
-        keep = (self.cols >= 0) & (unknown >= 0)    # per (column comp, node, slot)
-        cols = unknown[keep]
-        at = np.flatnonzero(keep) // _WIDTH         # column comp * (N-2) + node
-        node = at % keep.shape[1]
-        wd = self.wd[keep]
-        f_col = self._gather(self.f)[keep]          # d f = f d log f
-        # E1_i depends on column component j through S, and for i = j also
-        # through q_j and d_j
-        vals = np.take(2.0 * self.d, node, axis=1)
-        vals *= wd
+        wd = self.wd.transpose(0, 2, 1)               # (j, slot, node)
+        f_col = _windows(self.f).transpose(0, 2, 1)
+        vals = np.empty((k, k, _WIDTH, self.d.shape[1]))   # node-contiguous
+        np.multiply((2.0 * self.d)[:, None, None, :], wd, out=vals)
         vals *= f_col
-        own = 2.0 * (self.wq[keep] + wd * (self.S - self.d).ravel()[at]) * f_col
-        # the entries of column component i are contiguous
-        bounds = np.searchsorted(at, np.arange(k + 1) * keep.shape[1])
-        for i in range(k):
-            vals[i, bounds[i]:bounds[i + 1]] = own[bounds[i]:bounds[i + 1]]
-        rows = np.take(index[:, 1:-1], node, axis=1)
-        return rows, np.broadcast_to(cols, rows.shape), vals
+        own = np.arange(k)
+        vals[own, own] = 2.0 * (self.wq.transpose(0, 2, 1)
+                                + wd * (self.S - self.d)[:, None, :]) * f_col
+        return vals
 
 
 # -- full torus block (non-diagonal) ------------------------------------------

@@ -162,6 +162,9 @@ def cmd_solve(args):
                           "outer_factor": 4.0, "tol": 1e-8, "mode": "newton",
                           "out": "-", "format": "json"})
     profile = gluing.glue(cfg["n"], cfg["ell"], cfg["outer_factor"], cfg["nodes"])
+    if not gluing.fits_window(profile.r):   # the norms of every iterate need it
+        raise ConfigError(f"--nodes {cfg['nodes']} is too few for the seminorm "
+                          f"window at --ell {cfg['ell']:g}")
     config = solver.SolverConfig(residual_tolerance=cfg["tol"], mode=cfg["mode"])
     final, report = solver.newton_solve(profile, config)
     payload = {
@@ -208,8 +211,11 @@ def cmd_norms(args):
     n, R = cfg["n"], cfg["R"]
     from .geometry import RadialGrid
     from .operators import InvariantTensor
-    rng = np.random.Generator(np.random.Philox(cfg["seed"]))
     r = np.linspace(r_plus(n) * 1.01, R, cfg["nodes"])
+    if not gluing.fits_window(r):
+        raise ConfigError(f"--nodes {cfg['nodes']} is too few for the seminorm "
+                          f"window at --R {R:g}")
+    rng = np.random.Generator(np.random.Philox(cfg["seed"]))
     grid = RadialGrid("r", r, n)
     k = n - 1
     hij = rng.standard_normal((r.size, k, k))

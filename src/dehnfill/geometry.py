@@ -399,10 +399,6 @@ class TrivialVariation:
         return float(np.trace(self.u))
 
     @property
-    def is_einstein(self):
-        return abs(self.trace) < 1e-12
-
-    @property
     def size(self):
         return float(np.linalg.norm(self.u))
 

@@ -505,6 +505,12 @@ def _frame_squares(frame, s, order):
             _squares(frame[1 + i, 1 + j], k, s, order))
 
 
+def fits_window(r, window=0.5):
+    """True when the cusp arclength log r of the radial samples r steps by at
+    most `window`, as the seminorm windows of the norms require."""
+    return bool(np.diff(np.log(r)).max() <= window)
+
+
 def _windows(s, window):
     """Index bounds of the seminorm window of arclength width `window` at each node."""
     if np.diff(s).max() > window:

@@ -97,15 +97,19 @@ class BandedLinearization:
     unknowns, then the evolution rows (E1 normalized) node by node.
 
     The matrix is held once, as the band `ab` in LAPACK layout: A[i, j]
-    sits at ab[u + i - j, j].  It is scattered there straight from the
-    chunks of `DiagonalSystem.jacobian_triples`; no COO triples are kept,
-    and `triples` derives them afresh when a test asks.  The band is
-    LU-factored in place (LAPACK dgbtrf) on the first solve and the
-    factors are held beside it: every later `solve` and every
-    `solve_transpose` (A^T x = b, from the same factors) is a pair of
-    triangular band sweeps.  Both take one right-hand side or a matrix of
-    them, column by column.  `sys` is the system at the profile when the
-    caller already built it with partials.
+    sits at ab[u + i - j, j].  With n-1 unknowns per node, E1_i at node t
+    and f_j at sample t+m-2 always meet on band row u + (2-m)(n-1) + i - j,
+    so each (i, j, slot m) set of the partials of
+    `DiagonalSystem.jacobian_triples` is written there with one strided
+    slice, clipped at the pinned f_2(0) and the Dirichlet node; each
+    sample of the parity rows is one more slice.  The band widths follow
+    from the numbering: l = 3n-4 and u = 4(n-1).  The band is LU-factored
+    in place (LAPACK dgbtrf) on the first solve and the factors are held
+    beside it: every later `solve` and every `solve_transpose` (A^T x = b,
+    from the same factors) is a pair of triangular band sweeps.  Both take
+    one right-hand side or a matrix of them, column by column.  `sys` is
+    the system at the profile when the caller already built it with
+    partials.
     """
 
     def __init__(self, profile: DiagonalMetricProfile, sys=None):
@@ -122,27 +126,25 @@ class BandedLinearization:
         self._assemble()
 
     def _assemble(self):
-        rows, cols, vals = self.sys.jacobian_triples(self.index)
-        prows, pcols, pvals = _parity_triples(self.index, self.sys)
-        off = np.subtract(rows, cols, out=rows)     # the rows are not read again
-        poff = prows - pcols
-        self.l = int(max(0, off.max(), poff.max()))
-        self.u = int(max(0, -off.min(), -poff.min()))
+        n, N, kz, index = self.n, self.N, self.sys.kz, self.index
+        step = n - 1                    # unknowns per node, node-major
+        vals = self.sys.jacobian_triples()
+        # E1_{n-1} at node t reads f_2 at t-2; the parity rows reach node 4
+        self.l, self.u = 3 * n - 4, 4 * step
         ab = np.zeros((self.l + self.u + 1, self.size))
-        # each (row, col) pair occurs once, so a plain scatter fills the band
-        off += self.u
-        ab[off, cols] = vals
-        ab[self.u + poff, pcols] = pvals
+        for i, j, m in np.ndindex(step, step, 5):
+            # the nodes t whose table fills slot m and whose sample t+m-2 is
+            # an unknown: not f_2(0), not the Dirichlet node
+            lo = max(1, 2 - m + (j == 0))
+            hi = min(N - 2, N - m) if 1 <= m <= 3 else min(kz, N - m)
+            c0 = index[j, lo + m - 2]
+            cols = slice(c0, c0 + (hi - lo) * step + 1, step)
+            ab[self.u + index[i, lo] - c0, cols] = vals[i, j, m, lo - 1:hi]
+        # the parity rows f_i'(0) = 0, i >= 1, in the node-0 slots
+        w = _PARITY_W / self.sys.delta
+        for p in range(5):
+            ab[self.u - p * step, index[1:, p]] = w[p] * self.sys.f[1:, p]
         self.ab = ab
-
-    def triples(self):
-        """COO triples (rows, cols, vals) of the matrix, derived afresh from
-        the system: the E1 chunks of `jacobian_triples` in order, then the
-        parity rows.  Each (row, col) pair occurs once.  For tests: no
-        solve reads them."""
-        parts = zip(self.sys.jacobian_triples(self.index),
-                    _parity_triples(self.index, self.sys))
-        return tuple(np.concatenate([chunks.ravel(), parity]) for chunks, parity in parts)
 
     def residual_vector(self):
         """Stacked residual in row order: parity rows, then E1 rows."""
@@ -237,15 +239,6 @@ def _stacked_residual(index, sys):
     for comp in range(1, index.shape[0]):
         out[index[comp, 0]] = (_PARITY_W @ sys.f[comp, :5]) / sys.delta
     return out
-
-
-def _parity_triples(index, sys):
-    """COO triples of the parity rows f_i'(0) = 0, i >= 1, which occupy the
-    node-0 slots."""
-    rows = np.repeat(index[1:, 0], 5)
-    cols = index[1:, :5].ravel()
-    vals = (_PARITY_W / sys.delta * sys.f[1:, :5]).ravel()
-    return rows, cols, vals
 
 
 def assemble_linearization(profile: DiagonalMetricProfile):

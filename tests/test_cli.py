@@ -227,6 +227,8 @@ def test_numerical_failure_exits_3(monkeypatch, capsys):
     (["estimate", "--n", "4", "--R", "1e300"], "R"),
     (["norms", "--n", "4", "--R", "nan"], "R"),
     (["norms", "--n", "4", "--R", "inf"], "R"),
+    (["norms", "--n", "4", "--R", "1e200"], "R"),
+    (["solve", "--n", "3", "--ell", "1e60", "--nodes", "256"], "nodes"),
     (["sweep", "--n", "4", "--R", "8,inf,32"], "R"),
     (["sweep", "--n", "3", "--R", "8,1e300,32"], "R"),
     (["curvature", "--n", "3", "--r", "2", "nan", "3"], "r_max"),

@@ -22,7 +22,17 @@ def ell_for_radius(n, R):
     return theta_period(n) * np.sqrt(v_profile(n, R)[0])
 
 
-@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def dense_matrix(lin):
+    """The matrix held in the band: A[i, j] = ab[u + i - j, j]."""
+    A = np.zeros((lin.size, lin.size))
+    j = np.arange(lin.size)
+    for off in range(-lin.u, lin.l + 1):        # row - col
+        c = j[max(0, -off):lin.size - max(0, off)]
+        A[c + off, c] = lin.ab[lin.u + off, c]
+    return A
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
 def test_matvec_matches_linearized_residual(n):
     # the assembled matrix and the tensor-space linearization share partials;
     # their actions must agree to solver precision on random directions
@@ -82,30 +92,53 @@ glued_ends = dict(n=st.integers(3, 7), ell=st.sampled_from([10.0, 14.0, 20.0]),
 @settings(max_examples=10, deadline=None)
 @given(**glued_ends)
 def test_solve_transpose_is_adjoint_solve(n, ell, nodes, seed):
-    # A^T x, built independently of the band from the stencil triples,
-    # reproduces the right-hand side of the transpose solve
+    # A^T x, from the dense matrix rather than the LU factors, reproduces
+    # the right-hand side of the transpose solve
     lin = assemble_linearization(glue(n, ell, nodes=nodes))
     b = np.random.default_rng(seed).standard_normal(lin.size)
     x = lin.solve_transpose(b)
-    r, c, v = lin.triples()
-    atx = np.bincount(c, weights=v * x[r], minlength=lin.size)
+    atx = dense_matrix(lin).T @ x
     assert np.linalg.norm(atx - b) <= 1e-10 * np.linalg.norm(b)
 
 
 @settings(max_examples=10, deadline=None)
 @given(**glued_ends)
 def test_band_entries_are_unique(n, ell, nodes, seed):
-    # the band is filled by plain assignment, which would drop a repeated
-    # (row, col) pair instead of summing it
+    # the band is written by slices, which would overwrite rather than sum
+    # two partials landing on one (row, col): each partial of E1_i at node
+    # t by a free sample f_j[t+m-2] has a (row, col) of its own, and the
+    # band holds exactly these and the parity rows
     lin = assemble_linearization(glue(n, ell, nodes=nodes))
-    r, c, v = lin.triples()
+    dense = dense_matrix(lin)
+    vals = lin.sys.jacobian_triples()
+    i, j, m, node = np.indices(vals.shape)
+    node += 1
+    # samples -1 and N clip onto the Dirichlet node, no unknown like f_2(0)
+    cols = lin.index[j, np.clip(node + m - 2, -1, lin.N - 1)]
+    keep = cols >= 0
+    r, c = lin.index[i, node][keep], cols[keep]
     assert np.unique(r * lin.size + c).size == r.size
-    assert np.array_equal(lin.ab[lin.u + r - c, c], v)
-    # matvec sums the band diagonal by diagonal, the triples row by row
+    assert np.array_equal(dense[r, c], vals[keep])
+    # matvec sums the band diagonal by diagonal, the dense matrix row by row
     y = np.random.default_rng(seed).standard_normal(lin.size)
-    ref = np.bincount(r, weights=v * y[c], minlength=lin.size)
-    scale = np.bincount(r, weights=np.abs(v * y[c]), minlength=lin.size)
-    assert np.all(np.abs(lin.matvec(y) - ref) <= 1e-14 * scale.max())
+    scale = np.abs(dense) @ np.abs(y)
+    assert np.all(np.abs(lin.matvec(y) - dense @ y) <= 1e-14 * scale.max())
+    dense[r, c] = 0.0
+    p = lin.profile
+    for comp in range(1, n - 1):
+        row = lin.index[comp, 0]
+        assert np.array_equal(dense[row, lin.index[comp, :5]],
+                              solver._PARITY_W / p.spacing * p.f[comp, :5])
+        dense[row] = 0.0
+    assert not dense.any()
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+def test_band_widths_follow_from_the_numbering(n):
+    # E1_{n-1} at node t reads f_2 at t-2; the parity rows reach node 4
+    lin = assemble_linearization(glue(n, 14.0, nodes=256))
+    assert (lin.l, lin.u) == (3 * n - 4, 4 * (n - 1))
+    assert lin.ab[0].any() and lin.ab[-1].any()
 
 
 @settings(max_examples=10, deadline=None)
@@ -350,9 +383,7 @@ def _spectrum_case(case):
 def test_kernel_spectrum_matches_dense_svd(case):
     p, wf = _spectrum_case(case)
     lin = assemble_linearization(p)
-    rows, cols, vals = lin.triples()
-    dense = np.zeros((lin.size, lin.size))
-    np.add.at(dense, (rows, cols), vals)
+    dense = dense_matrix(lin)
     if wf is not None:       # D_r A D_c^{-1} with D_r = D_c = 1/W
         w = solver._unknown_weights(lin, p, wf)
         dense = dense * w[None, :] / w[:, None]
