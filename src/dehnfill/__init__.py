@@ -7,31 +7,23 @@ almost-Einstein profile, and Newton-type solvers that perturb it to a
 discrete Einstein metric.
 """
 
-from .geometry import (ArclengthMap, BlackHoleProfile, BlockMetricProfile,
-                       DiagonalMetricProfile, FlatTorusData, RadialGrid,
-                       TrivialVariation, apply_trivial_variation,
-                       arclength_map, black_hole_profile, boundary_torus_data,
-                       coordinate_curvature_oracle, cusp_profile,
-                       cusp_volume_ratio, metric_gap, r_plus,
-                       radius_for_meridian, sectional_curvatures,
-                       theta_period, torus_diameter_bound, unit_ball_volume,
-                       v_profile)
-from .operators import (EinsteinResidual, GaugeField, InvariantTensor,
-                        bh_kernel_variation, block_variation_of_tensor,
-                        cusp_ode_residual, div_star_radial,
-                        divergence_h1i_residual, einstein_residual,
-                        explicit_kernel_element, gauge_fix_xi,
-                        linearized_residual, sqrtdet_sinh_check,
-                        trace_ode_residual)
+from .geometry import (ArclengthMap, BlockMetricProfile, DiagonalMetricProfile,
+                       RadialGrid, TrivialVariation, black_hole_profile,
+                       coordinate_curvature_oracle, cusp_profile, metric_gap,
+                       r_plus, radius_for_meridian, sectional_curvatures,
+                       theta_period, v_profile)
+from .operators import (EinsteinResidual, InvariantTensor,
+                        bh_kernel_variation, einstein_residual,
+                        linearized_residual, sqrtdet_sinh_check)
 from .asymptotics import (EulerODE, IndicialRoots, ResonanceError,
                           cusp_block_exponents, cusp_kernel_classification,
                           euler_particular_coefficient, indicial_roots,
                           solve_euler_bvp, ugly_estimate_harness)
-from .gluing import (CutoffSpec, GluedEnd, NormReport, WeightFunction,
-                     cutoff, double_star_decompose, double_star_norm, glue,
+from .gluing import (GluedEnd, NormReport, WeightFunction,
+                     double_star_decompose, double_star_norm, glue,
                      residual_decay_sweep, rho_cutoff, unit_frame_components,
                      weight, weighted_norms)
-from .solver import (NewtonReport, SolverConfig, assemble_linearization,
+from .solver import (BandedLinearization, NewtonReport, SolverConfig,
                      kernel_spectrum, newton_solve, rayleigh_quotient,
                      trivial_direction, verify_einstein)
 

@@ -244,9 +244,6 @@ class DiagonalSystem:
         return reduced_residual(self.n, self.d, self.q, self.S,
                                 (self.d * self.d).sum(axis=0))
 
-    def sqrt_det(self):
-        return np.prod(self.f[:, 1:-1], axis=0)
-
     def apply_linearization(self, delta_w):
         """Directional derivative of (E1n, E2) for delta log f_i = delta_w[i].
 

@@ -211,6 +211,8 @@ def cmd_norms(args):
     n, R = cfg["n"], cfg["R"]
     from .geometry import RadialGrid
     from .operators import InvariantTensor
+    if cfg["nodes"] < 3:
+        raise ConfigError(f"--nodes must be at least 3, got {cfg['nodes']}")
     r = np.linspace(r_plus(n) * 1.01, R, cfg["nodes"])
     if not gluing.fits_window(r):
         raise ConfigError(f"--nodes {cfg['nodes']} is too few for the seminorm "
@@ -275,7 +277,7 @@ def build_parser():
 
     p = sub.add_parser("curvature", help="sectional curvatures of the cap metric")
     p.add_argument("--n", type=int)
-    p.add_argument("--r", dest="r_range", nargs=3, type=float,
+    p.add_argument("--r", dest="r_range", nargs=3,
                    metavar=("MIN", "MAX", "SAMPLES"))
     _add_common(p)
     p.set_defaults(func=cmd_curvature)
@@ -332,13 +334,24 @@ def build_parser():
     return ap
 
 
+def _split_r_range(args):
+    """--r MIN MAX SAMPLES: two numbers and a positive integer literal."""
+    lo, hi, samples = args.r_range
+    try:
+        args.r_min, args.r_max, args.samples = float(lo), float(hi), int(samples)
+    except ValueError:
+        args.samples = 0
+    if args.samples < 1:
+        raise ConfigError(f"--r takes two numbers and a positive integer, "
+                          f"got {' '.join(args.r_range)}")
+
+
 def main(argv=None):
     ap = build_parser()
     args = ap.parse_args(argv)
-    if getattr(args, "r_range", None) is not None:
-        args.r_min, args.r_max = args.r_range[0], args.r_range[1]
-        args.samples = int(args.r_range[2])
     try:
+        if getattr(args, "r_range", None) is not None:
+            _split_r_range(args)
         return args.func(args)
     except solver.NumericalError as exc:
         print(f"dehnfill: numerical failure: {exc}", file=sys.stderr)

@@ -15,7 +15,7 @@ ArclengthMap evaluates in log1p/expm1 form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
@@ -26,23 +26,15 @@ __all__ = [
     "v_profile",
     "sectional_curvatures",
     "coordinate_curvature_oracle",
-    "unit_ball_volume",
-    "cusp_volume_ratio",
-    "torus_diameter_bound",
     "radius_for_meridian",
     "metric_gap",
-    "arclength_map",
     "ArclengthMap",
-    "BlackHoleProfile",
     "RadialGrid",
     "DiagonalMetricProfile",
     "BlockMetricProfile",
-    "FlatTorusData",
     "TrivialVariation",
     "black_hole_profile",
     "cusp_profile",
-    "apply_trivial_variation",
-    "boundary_torus_data",
 ]
 
 
@@ -171,31 +163,6 @@ def coordinate_curvature_oracle(metric_diag, n, r0, step=1e-4,
     return K
 
 
-def unit_ball_volume(k):
-    """Volume of the unit ball in R^k via omega_k = omega_{k-2} * 2 pi / k."""
-    if k < 0:
-        raise ValueError("dimension must be >= 0")
-    omega = [1.0, 2.0]
-    for m in range(2, k + 1):
-        omega.append(omega[m - 2] * 2.0 * np.pi / m)
-    return omega[k]
-
-
-def cusp_volume_ratio(n):
-    """Ratio vol(cusp) / vol(boundary torus) for the warped cusp metric."""
-    n = _check_dimension(n)
-    return 1.0 / (n - 1)
-
-
-def torus_diameter_bound(n, volume, inj):
-    """Diameter bound for a flat (n-1)-torus with given volume and injectivity radius."""
-    n = _check_dimension(n)
-    if volume <= 0 or inj <= 0:
-        raise ValueError("volume and injectivity radius must be positive")
-    omega = unit_ball_volume(n - 1)
-    return 2.0 * (volume / (omega * inj ** (n - 1)) + 1.0) * inj
-
-
 def radius_for_meridian(n, ell):
     """Cap radius R solving V(R) = (ell / beta)^2 for a meridian of length ell.
 
@@ -282,14 +249,6 @@ class RadialGrid:
             if self.nodes[0] < r_plus(self.n) * (1.0 - 1e-12):
                 raise ValueError("exterior r-grid must start at or above r_plus")
 
-    @property
-    def spacing(self):
-        return float(self.nodes[1] - self.nodes[0])
-
-    def is_uniform(self, rtol=1e-8):
-        d = np.diff(self.nodes)
-        return bool(np.all(np.abs(d - d[0]) <= rtol * d[0]))
-
 
 @dataclass
 class DiagonalMetricProfile:
@@ -320,10 +279,6 @@ class DiagonalMetricProfile:
     @property
     def has_cap(self):
         return _closed_cap(self.s, self.f)
-
-    @property
-    def grid(self):
-        return RadialGrid("s", self.s, self.n)
 
     @property
     def spacing(self):
@@ -364,22 +319,6 @@ class BlockMetricProfile:
 
 
 @dataclass
-class FlatTorusData:
-    """Lattice basis of the boundary (n-1)-torus and its meridian length."""
-
-    basis: np.ndarray
-    meridian_length: float
-
-    def __post_init__(self):
-        self.basis = np.asarray(self.basis, dtype=float)
-        k = self.basis.shape[0]
-        if self.basis.shape != (k, k) or abs(np.linalg.det(self.basis)) < 1e-14:
-            raise ValueError("lattice basis must be square and nonsingular")
-        if self.meridian_length <= 0:
-            raise ValueError("meridian length must be positive")
-
-
-@dataclass
 class TrivialVariation:
     """Symmetric matrix u acting on the torus block as g -> g + r^2 u_ij dx_i dx_j.
 
@@ -401,27 +340,6 @@ class TrivialVariation:
     @property
     def size(self):
         return float(np.linalg.norm(self.u))
-
-    def is_diagonal(self, tol=0.0):
-        off = self.u - np.diag(np.diag(self.u))
-        return bool(np.all(np.abs(off) <= tol))
-
-
-@dataclass
-class BlackHoleProfile:
-    """Scalar data of the cap metric in dimension n."""
-
-    n: int
-    r_plus: float = field(init=False)
-    beta: float = field(init=False)
-
-    def __post_init__(self):
-        self.n = _check_dimension(self.n)
-        self.r_plus = r_plus(self.n)
-        self.beta = theta_period(self.n)
-
-    def v(self, r):
-        return v_profile(self.n, r)
 
 
 # -- arclength -----------------------------------------------------------------
@@ -478,19 +396,6 @@ class ArclengthMap:
         return np.expm1((2.0 / k) * np.log1p(2.0 * np.sinh(k * s / 4.0) ** 2))
 
 
-def arclength_map(profile: BlackHoleProfile, grid: RadialGrid):
-    """s(r) samples on an exterior r-grid plus the ArclengthMap giving them."""
-    if grid.coordinate != "r":
-        raise ValueError("arclength_map expects an r-grid")
-    if grid.nodes[0] < profile.r_plus * (1.0 - 1e-12):
-        raise ValueError("grid must start at or above r_plus")
-    amap = ArclengthMap(profile.n, float(grid.nodes[-1]))
-    s = amap.s_of_r(grid.nodes)
-    if np.any(np.diff(s) <= 0):
-        raise RuntimeError("arclength quadrature produced a non-monotone map")
-    return s, amap
-
-
 def black_hole_profile(n, r_max, nodes):
     """Cap metric sampled on a uniform arclength grid over r in [r_plus, r_max]."""
     n = _check_dimension(n)
@@ -517,50 +422,3 @@ def cusp_profile(n, s_lo, s_hi, nodes, rate=1.0):
     s = np.linspace(float(s_lo), float(s_hi), nodes)
     f = np.tile(np.exp(rate * s), (n - 1, 1))
     return DiagonalMetricProfile(n, s, f, theta_period(n), r=np.exp(s))
-
-
-def apply_trivial_variation(profile: DiagonalMetricProfile, u: TrivialVariation):
-    """Add r^2 u_ij dx_i dx_j to the torus block of a diagonal profile.
-
-    Diagonal u keeps the profile diagonal; otherwise a BlockMetricProfile
-    is returned.  Raises if the deformed block fails to stay positive
-    definite (in particular if I + u is not positive definite).
-    """
-    if profile.r is None:
-        raise ValueError("profile must carry r-samples to apply a trivial variation")
-    k = profile.n - 1
-    if u.u.shape != (k, k):
-        raise ValueError(f"u must be {k}x{k} for an n={profile.n} profile")
-    if np.any(np.linalg.eigvalsh(np.eye(k) + u.u) <= 0):
-        raise ValueError("I + u must be positive definite")
-    r2 = profile.r**2
-    if u.is_diagonal():
-        f2 = profile.f**2 + np.diag(u.u)[:, None] * r2[None, :]
-        if np.any(f2[:, 1:] <= 0) or (not profile.has_cap and np.any(f2 <= 0)):
-            raise ValueError("deformed torus block is not positive definite")
-        f = np.sqrt(np.maximum(f2, 0.0))
-        if profile.has_cap:
-            f[0, 0] = 0.0
-        return DiagonalMetricProfile(profile.n, profile.s.copy(), f,
-                                     profile.theta_period, r=profile.r.copy(),
-                                     cap_radius=profile.cap_radius)
-    M = profile.torus_block() + r2[:, None, None] * u.u[None, :, :]
-    start = 1 if profile.has_cap else 0
-    if np.any(np.linalg.eigvalsh(M[start:]) <= 0):
-        raise ValueError("deformed torus block is not positive definite")
-    return BlockMetricProfile(profile.n, profile.s.copy(), M,
-                              profile.theta_period, r=profile.r.copy())
-
-
-def boundary_torus_data(n, ell):
-    """Flat torus of the cap boundary: rectangular lattice with the meridian
-    of length ell as its first basis vector.
-
-    The meridian is the theta-circle at r = R, of length beta * sqrt(V(R)) = ell.
-    """
-    n = _check_dimension(n)
-    R = radius_for_meridian(n, ell)
-    basis = np.eye(n - 1)
-    basis[0, 0] = ell
-    basis[1:, 1:] *= R
-    return FlatTorusData(basis, ell), R

@@ -24,8 +24,6 @@ from .geometry import (ArclengthMap, DiagonalMetricProfile,
 from .operators import InvariantTensor
 
 __all__ = [
-    "CutoffSpec",
-    "cutoff",
     "GluedEnd",
     "glue",
     "WeightFunction",
@@ -95,47 +93,10 @@ def _bump01(t):
     return _bump_from_psi(t, u, v), b1, b2
 
 
-@dataclass
-class CutoffSpec:
-    """Smooth transition equal to 1 below center-width and 0 above center."""
-
-    center: float
-    width: float = 1.0
-    order: int = 2
-
-    def __post_init__(self):
-        if self.width <= 0:
-            raise ValueError("cutoff width must be positive")
-
-    def derivative_bounds(self, samples=20001):
-        """Sup of |chi^(k)| for k = 0..order, measured on a dense grid."""
-        r = np.linspace(self.center - self.width, self.center, samples)
-        vals = cutoff(self, r)
-        bounds = [float(np.abs(v).max()) for v in vals[:3]]
-        if self.order > 2:
-            v = vals[2]
-            h = r[1] - r[0]
-            for _ in range(3, self.order + 1):
-                v = np.gradient(v, h)
-                bounds.append(float(np.abs(v).max()))
-        return bounds[: self.order + 1]
-
-
-def cutoff(spec: CutoffSpec, r):
-    """(chi, chi', chi'', ...) at r; chi = 1 for r <= center-width, 0 for r >= center."""
-    r = np.asarray(r, dtype=float)
-    t = (spec.center - r) / spec.width
-    b, b1, b2 = _bump01(t)
-    chi = b
-    chi1 = -b1 / spec.width
-    chi2 = b2 / spec.width**2
-    out = [chi, chi1, chi2]
-    return tuple(out[: max(spec.order, 2) + 1])
-
-
 # -- the glued end -------------------------------------------------------------
 
 _NEWTON_STEPS = 30       # cap on the collar inversion, which takes two or three
+_COLLAR_WIDTH = 1.0      # cap arclength of the interpolation collar
 _R_MAX = np.finfo(float).max ** 0.25     # the closed forms square V ~ r^2
 
 
@@ -163,7 +124,7 @@ class _GluedArclength:
     def __init__(self, end, panels=16, order=16):
         self.end = end
         self._gl = np.polynomial.legendre.leggauss(order)
-        self.t_edges = np.linspace(end.s_R - end.collar_width, end.s_R, panels + 1)
+        self.t_edges = np.linspace(end.s_R - _COLLAR_WIDTH, end.s_R, panels + 1)
         steps = self._integral(self.t_edges[:-1], self.t_edges[1:])
         self.s_edges = self.t_edges[0] + np.concatenate(([0.0], np.cumsum(steps)))
         self.s_R = float(self.s_edges[-1])
@@ -172,7 +133,7 @@ class _GluedArclength:
     def _rate(self, t):
         """ds/dt on the collar."""
         end = self.end
-        chi = _bump01_value((end.s_R - t) / end.collar_width)
+        chi = _bump01_value((end.s_R - t) / _COLLAR_WIDTH)
         y2 = np.tanh(0.5 * (end.n - 1) * t) ** 2
         return np.sqrt(chi + (1.0 - chi) * y2)
 
@@ -230,13 +191,12 @@ class GluedEnd:
     only; it is built on first access, by to_profile.
     """
 
-    def __init__(self, n, ell, r_out_factor=4.0, collar_width=1.0):
+    def __init__(self, n, ell, r_out_factor=4.0):
         self.n = _check_dimension(n)
         self.ell = float(ell)
         self.rp = r_plus(n)
         self.beta = theta_period(n)
         self.R = radius_for_meridian(n, ell)
-        self.collar_width = float(collar_width)
         if r_out_factor <= 1.0:
             raise ValueError("outer factor must exceed 1")
         self.r_out = r_out_factor * self.R
@@ -246,10 +206,10 @@ class GluedEnd:
                 f"outer radius at {self.r_out:g}, beyond {_R_MAX:.3g}, where V^2 overflows")
         self.cap_map = ArclengthMap(n, self.r_out * 1.01)
         self.s_R = float(self.cap_map.s_of_r(self.R))
-        if self.s_R <= collar_width + 0.05:
+        if self.s_R <= _COLLAR_WIDTH + 0.05:
             raise ValueError(
                 f"meridian too short: the boundary torus sits at arclength "
-                f"{self.s_R:.3f} < collar width {collar_width:g} from the core")
+                f"{self.s_R:.3f} < collar width {_COLLAR_WIDTH:g} from the core")
 
     @cached_property
     def amap(self):
@@ -259,7 +219,7 @@ class GluedEnd:
     # metric data ---------------------------------------------------------
 
     def collar_r_range(self):
-        lo = float(self.cap_map.r_of_s(np.array([self.s_R - self.collar_width]))[0])
+        lo = float(self.cap_map.r_of_s(np.array([self.s_R - _COLLAR_WIDTH]))[0])
         return lo, self.R
 
     def chi(self, r):
@@ -267,16 +227,16 @@ class GluedEnd:
         boundary, so dt/dr = -1/sqrt(V)."""
         r = np.asarray(r, dtype=float)
         t = (self.s_R - self.cap_map.s_of_r(np.minimum(r, self.r_out * 1.005))
-             ) / self.collar_width
+             ) / _COLLAR_WIDTH
         b, b1, b2 = _bump01(t)
         v, vp, _ = v_profile(self.n, r)
         sv = np.sqrt(np.maximum(v, 1e-300))
         with np.errstate(invalid="ignore", over="ignore"):
-            dt = -1.0 / (sv * self.collar_width)
+            dt = -1.0 / (sv * _COLLAR_WIDTH)
             chi1 = np.where(b1 != 0.0, b1 * dt, 0.0)
             chi2 = np.where((b1 != 0.0) | (b2 != 0.0),
                             b2 * dt * dt
-                            + b1 * vp / (2.0 * sv**3) / self.collar_width,
+                            + b1 * vp / (2.0 * sv**3) / _COLLAR_WIDTH,
                             0.0)
         return b, chi1, chi2
 
@@ -353,13 +313,16 @@ def glue(n, ell, r_out_factor=4.0, nodes=2048):
 
 # -- weight and norms -----------------------------------------------------------
 
+_WINDOW = 0.5            # arclength width of the seminorm window
+_WEIGHT_EXPONENT = 0.1   # decay rate e of the weight W = (r/R_k)^e + r^(-e)
+
+
 @dataclass
 class WeightFunction:
-    """Decay weight W = (r/R_k)^e + r^(-e) on the filled end, 1 outside."""
+    """Decay weight W = (r/R_k)^0.1 + r^(-0.1) on the filled end, 1 outside."""
 
     n: int
     R_k: float
-    exponent: float = 0.1
 
     def __post_init__(self):
         self.n = _check_dimension(self.n)
@@ -370,14 +333,11 @@ class WeightFunction:
     def center_radius(self):
         return float(np.sqrt(self.R_k))
 
-    def minimum(self):
-        return 2.0 * self.R_k ** (-self.exponent / 2.0)
-
 
 def weight(wf: WeightFunction, r):
     """W(r); the formula applies on the end r <= R_k, outside W = 1."""
     r = np.asarray(r, dtype=float)
-    e = wf.exponent
+    e = _WEIGHT_EXPONENT
     val = np.where(r <= wf.R_k, (r / wf.R_k) ** e + r ** (-e), 1.0)
     return float(val) if val.ndim == 0 else val
 
@@ -505,17 +465,17 @@ def _frame_squares(frame, s, order):
             _squares(frame[1 + i, 1 + j], k, s, order))
 
 
-def fits_window(r, window=0.5):
+def fits_window(r):
     """True when the cusp arclength log r of the radial samples r steps by at
-    most `window`, as the seminorm windows of the norms require."""
-    return bool(np.diff(np.log(r)).max() <= window)
+    most the seminorm window, as the norms require."""
+    return bool(np.diff(np.log(r)).max() <= _WINDOW)
 
 
-def _windows(s, window):
-    """Index bounds of the seminorm window of arclength width `window` at each node."""
-    if np.diff(s).max() > window:
+def _windows(s):
+    """Index bounds of the seminorm window around each node."""
+    if np.diff(s).max() > _WINDOW:
         raise ValueError("grid too coarse for the seminorm window")
-    half = window / 2.0
+    half = _WINDOW / 2.0
     return (np.searchsorted(s, s - half, side="left"),
             np.searchsorted(s, s + half, side="right"))
 
@@ -554,13 +514,12 @@ def _tensor_s_grid(h: InvariantTensor, background):
     return amap.s_of_r(r)
 
 
-def weighted_norms(h, wf: WeightFunction, order=2,
-                   background="cusp", window=0.5):
+def weighted_norms(h, wf: WeightFunction, order=2, background="cusp"):
     """Sup and weighted-sup (star) norms of an invariant tensor.
 
     The local Hoelder seminorm is replaced by the max of the unit-frame
     magnitude and its discrete s-derivatives up to `order` over a window of
-    fixed arclength width.  Accepts an InvariantTensor or an
+    fixed arclength width _WINDOW.  Accepts an InvariantTensor or an
     EinsteinResidual (whose normalized components are already frame-sized).
     """
     from .operators import EinsteinResidual
@@ -582,7 +541,7 @@ def weighted_norms(h, wf: WeightFunction, order=2,
         w = weight(wf, h.r)
         return float(local.max()), float((local / w).max()), local
     s = _tensor_s_grid(h, background)
-    windows = _windows(s, window)
+    windows = _windows(s)
     frame = _frame(h, *_frame_scales(h.grid, background))
     return _sup_star(*_frame_squares(frame, s, order), windows,
                      weight(wf, h.grid.nodes))
@@ -618,7 +577,7 @@ def double_star_decompose(h: InvariantTensor, wf: WeightFunction,
 
 
 def double_star_norm(h: InvariantTensor, wf: WeightFunction, order=2,
-                     background="cusp", window=0.5):
+                     background="cusp"):
     """NormReport with sup, star, and the corrected double-star norms.
 
     The constructive value is ||hbar||_star + |u| for the center-point
@@ -633,7 +592,7 @@ def double_star_norm(h: InvariantTensor, wf: WeightFunction, order=2,
     decomposed tensor.
     """
     s = _tensor_s_grid(h, background)
-    windows = _windows(s, window)
+    windows = _windows(s)
     w = weight(wf, h.grid.nodes)
     a_r, sq = _frame_scales(h.grid, background)
     frame = _frame(h, a_r, sq)
@@ -655,8 +614,7 @@ def double_star_norm(h: InvariantTensor, wf: WeightFunction, order=2,
 
 # -- decay sweep -----------------------------------------------------------------
 
-def residual_decay_sweep(n, ells=None, radii=None, r_out_factor=4.0,
-                         samples=4000):
+def residual_decay_sweep(n, radii, r_out_factor=4.0, samples=4000):
     """Star-weighted glued residual against the cap radius, with slope fit.
 
     The residual is evaluated in closed form (no grid truncation), weighted
@@ -665,18 +623,18 @@ def residual_decay_sweep(n, ells=None, radii=None, r_out_factor=4.0,
     R^(-n+1).
     """
     n = _check_dimension(n)
-    if radii is None:
-        if ells is None:
-            raise ValueError("pass meridian lengths or cap radii")
-        ells = np.asarray(ells, dtype=float)
-    else:
-        radii = np.asarray(radii, dtype=float)
-        if not np.all(radii < _R_MAX):
-            raise ValueError(f"cap radii R must be finite and below {_R_MAX:.3g}")
-        beta = theta_period(n)
-        ells = beta * np.sqrt(v_profile(n, radii)[0])
-    if ells.size < 3:
+    radii = np.asarray(radii, dtype=float)
+    if not np.all(radii < _R_MAX):
+        raise ValueError(f"cap radii R must be finite and below {_R_MAX:.3g}")
+    rp = r_plus(n)
+    if not np.all(radii > rp):
+        raise ValueError(f"cap radii R must exceed r_plus = {rp:.6f}")
+    if radii.size < 3:
         raise ValueError("need at least 3 sweep points")
+    if radii.min() == radii.max():
+        raise ValueError("cap radii R must hold at least two distinct values "
+                         "to fit a slope")
+    ells = theta_period(n) * np.sqrt(v_profile(n, radii)[0])
     out_R, out_res = [], []
     for ell in ells:
         end = GluedEnd(n, float(ell), r_out_factor)
@@ -691,5 +649,5 @@ def residual_decay_sweep(n, ells=None, radii=None, r_out_factor=4.0,
     logR = np.log(out_R)
     logres = np.log(out_res)
     slope = float(np.polyfit(logR, logres, 1)[0])
-    return {"R": np.array(out_R), "ell": np.asarray(ells, dtype=float),
+    return {"R": np.array(out_R), "ell": ells,
             "residual": np.array(out_res), "slope": slope}

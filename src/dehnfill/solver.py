@@ -28,7 +28,6 @@ __all__ = [
     "SolverConfig",
     "NewtonReport",
     "BandedLinearization",
-    "assemble_linearization",
     "newton_solve",
     "verify_einstein",
     "kernel_spectrum",
@@ -40,6 +39,7 @@ _PARITY_W = np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / 12.0
 _STEP_CLIP = 1.0        # bound on each Newton update of log f_i
 _PROBE_TOL = 1e-12      # relative change that stops the spectral probe
 _PROBE_STEPS = 400      # step cap of the spectral probe
+_VERIFY_TOL = 1e-6      # residual below which verify_einstein passes a profile
 
 
 class NumericalError(ValueError):
@@ -241,11 +241,6 @@ def _stacked_residual(index, sys):
     return out
 
 
-def assemble_linearization(profile: DiagonalMetricProfile):
-    """Banded linearization of the discrete system at the profile."""
-    return BandedLinearization(profile)
-
-
 def trivial_direction(profile: DiagonalMetricProfile, u_diag, lin=None):
     """Unknown-vector of a cutoff trace-free trivial variation.
 
@@ -278,8 +273,7 @@ def _cone_angle_ratio(profile):
     return slope * profile.theta_period / (2.0 * np.pi)
 
 
-def newton_solve(g0: DiagonalMetricProfile, cfg: SolverConfig | None = None,
-                 weight_fn: WeightFunction | None = None):
+def newton_solve(g0: DiagonalMetricProfile, cfg: SolverConfig | None = None):
     """Drive the glued profile to a discrete Einstein profile.
 
     Newton mode reassembles the linearization every step; frozen_jacobian
@@ -289,15 +283,15 @@ def newton_solve(g0: DiagonalMetricProfile, cfg: SolverConfig | None = None,
     a step follows.  At most one linearization is alive: a Newton step
     drops the previous one, and the system it was built from, before it
     builds the next, so a step holds one band, its LU factors and one
-    system's stencil tables.  Returns (profile, report).
+    system's stencil tables.  When the profile carries its radii and cap
+    radius, each iterate's perturbation is measured in the star and
+    double-star norms of the weight at the cap radius.  Returns
+    (profile, report).
     """
     cfg = SolverConfig() if cfg is None else cfg
     profile = g0.copy()
-    if g0.r is not None:
-        profile.r = g0.r.copy()
-    profile.cap_radius = g0.cap_radius
-    if weight_fn is None and g0.cap_radius is not None:
-        weight_fn = WeightFunction(g0.n, g0.cap_radius)
+    wf = (WeightFunction(g0.n, g0.cap_radius)
+          if g0.cap_radius is not None and g0.r is not None else None)
     index = _unknown_index(profile.n, profile.s.size)
     free = index >= 0
     lin = None
@@ -314,9 +308,9 @@ def newton_solve(g0: DiagonalMetricProfile, cfg: SolverConfig | None = None,
         res = _stacked_residual(index, sys)
         rnorm = float(np.abs(res[index[:, 1:-1]]).max())
         history.append(rnorm)
-        if weight_fn is not None and g0.r is not None:
+        if wf is not None:
             h = _perturbation_tensor(g0, profile)
-            norms = double_star_norm(h, weight_fn, order=0)
+            norms = double_star_norm(h, wf, order=0)
             stars.append(norms.star)
             dstars.append(norms.double_star)
         if rnorm < cfg.residual_tolerance:
@@ -377,15 +371,16 @@ def _perturbation_tensor(g0, profile):
     return InvariantTensor(grid, None, None, hij)
 
 
-def verify_einstein(profile, tol=1e-6):
-    """Report-only certification of a profile against the reduced system."""
+def verify_einstein(profile):
+    """Report-only certification of a profile against the reduced system,
+    at tolerance _VERIFY_TOL."""
     res = einstein_residual(profile)
     report = {
         "max_e1_normalized": res.max_e1(),
         "max_e2": res.max_e2(),
         "max_e2_relative": res.max_e2_relative(),
-        "tolerance": tol,
-        "passes": res.max_e1() < tol and res.max_e2_relative() < tol,
+        "tolerance": _VERIFY_TOL,
+        "passes": max(res.max_e1(), res.max_e2_relative()) < _VERIFY_TOL,
     }
     if isinstance(profile, DiagonalMetricProfile) and profile.n == 3:
         sys = _stencils.DiagonalSystem(profile.n, profile.s, profile.f)
@@ -419,7 +414,7 @@ def kernel_spectrum(profile, count=1, weight_fn: WeightFunction | None = None,
     measuring both sides in the weighted norm).  Deterministic start block;
     see BandedLinearization.sigma_min.
     """
-    lin = assemble_linearization(profile)
+    lin = BandedLinearization(profile)
     rs = cs = None
     if conjugate:
         if weight_fn is None:
@@ -436,7 +431,7 @@ def _unknown_weights(lin, profile, weight_fn):
 
 def rayleigh_quotient(profile, direction, weight_fn=None, lin=None):
     """||A h|| / ||h|| for one direction, optionally in the weighted scale."""
-    lin = assemble_linearization(profile) if lin is None else lin
+    lin = BandedLinearization(profile) if lin is None else lin
     y = lin.matvec(direction)
     if weight_fn is not None:
         w = _unknown_weights(lin, profile, weight_fn)

@@ -22,7 +22,7 @@ from dehnfill.gluing import (WeightFunction, glue, residual_decay_sweep,
 from dehnfill.operators import (InvariantTensor, bh_kernel_variation,
                                 einstein_residual, linearized_residual,
                                 sqrtdet_sinh_check)
-from dehnfill.solver import (SolverConfig, assemble_linearization,
+from dehnfill.solver import (BandedLinearization, SolverConfig,
                              kernel_spectrum, newton_solve, rayleigh_quotient,
                              trivial_direction, verify_einstein)
 
@@ -233,7 +233,7 @@ def test_criterion_12_weighted_invertibility():
         ell = theta_period(n) * np.sqrt(v_profile(n, R)[0])
         p = glue(n, ell, nodes=nodes)
         wf = WeightFunction(n, R)
-        lin = assemble_linearization(p)
+        lin = BandedLinearization(p)
         vec = trivial_direction(p, np.array([0.0, 0.7, -0.7]), lin)
         plain.append(rayleigh_quotient(p, vec, lin=lin))
         conj.append(float(kernel_spectrum(p, weight_fn=wf, conjugate=True)[0]))

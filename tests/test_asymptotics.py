@@ -133,7 +133,7 @@ def test_bvp_superposition():
 
 def test_harness_zero_data():
     assert ugly_estimate_harness(4, 16.0, 0.0, trials=3, seed=1,
-                                 nodes=200, r_inner=None) >= 0.0
+                                 nodes=200) >= 0.0
     # zero forcing and zero boundary give exactly zero
     import dehnfill.asymptotics as asy
     r = np.geomspace(2.0, 16.0, 200)
@@ -283,3 +283,18 @@ def test_bvp_columns_are_single_solves():
 def test_harness_rejects_out_of_range_radius(R):
     with pytest.raises(ValueError, match="R must exceed"):
         ugly_estimate_harness(4, R, 0.5, trials=2)
+
+
+def test_bvp_rejects_a_right_hand_side_without_columns():
+    # SciPy's dgtsv wrapper corrupts the heap on a right-hand side with no
+    # columns, so the solve refuses before it reaches LAPACK
+    r = np.geomspace(2.0, 16.0, 10)
+    with pytest.raises(ValueError, match="no columns"):
+        solve_euler_bvp(EulerODE(4.0, -6.0), np.zeros((r.size, 0)),
+                        (np.zeros(0), np.zeros(0)), r)
+
+
+@pytest.mark.parametrize("trials", [0, -1])
+def test_harness_rejects_fewer_than_one_trial(trials):
+    with pytest.raises(ValueError, match="trials"):
+        ugly_estimate_harness(4, 16.0, 0.5, trials=trials)

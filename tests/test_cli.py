@@ -170,8 +170,8 @@ def test_import_loads_no_optimize_or_integrate():
     # start-up cost: the package and its CLI import numpy, the top-level
     # scipy package and SciPy's compiled LAPACK wrapper, not the scipy.linalg
     # package with its array-API layer (scipy._lib._util, which pulls in
-    # numpy.ma and unittest); scipy.optimize and scipy.integrate are left to
-    # the library-only functions that need them
+    # numpy.ma and unittest); no module of the package imports
+    # scipy.optimize or scipy.integrate, which only tests use as oracles
     heavy = ("scipy.linalg", "scipy._lib._util", "numpy.ma", "unittest",
              "scipy.optimize", "scipy.integrate")
     code = ("import sys, dehnfill, dehnfill.cli; "
@@ -232,6 +232,14 @@ def test_numerical_failure_exits_3(monkeypatch, capsys):
     (["sweep", "--n", "4", "--R", "8,inf,32"], "R"),
     (["sweep", "--n", "3", "--R", "8,1e300,32"], "R"),
     (["curvature", "--n", "3", "--r", "2", "nan", "3"], "r_max"),
+    (["curvature", "--n", "3", "--r", "1.5", "3", "nan"], "r"),
+    (["curvature", "--n", "3", "--r", "1.5", "3", "inf"], "r"),
+    (["curvature", "--n", "3", "--r", "1.5", "3", "2.9"], "r"),
+    (["curvature", "--n", "3", "--r", "1.5", "3", "1e300"], "r"),
+    (["estimate", "--n", "4", "--R", "16", "--trials", "-1"], "trials"),
+    (["sweep", "--n", "4", "--R", "1,2,3"], "R"),
+    (["sweep", "--n", "4", "--R", "8,8,8"], "R"),
+    (["norms", "--n", "4", "--R", "10", "--nodes", "1"], "nodes"),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
 def test_non_finite_or_overflowing_option_exits_2(args, option, capsys, recwarn):
     # rejected where it enters, by name, before any numpy warning
@@ -242,3 +250,13 @@ def test_non_finite_or_overflowing_option_exits_2(args, option, capsys, recwarn)
     assert captured.err.startswith("dehnfill: configuration error: ")
     assert re.search(rf"\b{option}\b", captured.err)
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+def test_estimate_without_trials_exits_2():
+    # in a child process: SciPy's dgtsv wrapper corrupts the heap on a
+    # right-hand side with no columns, which would abort this interpreter
+    res = run_cli(["estimate", "--n", "4", "--R", "16", "--trials", "0"])
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr.startswith("dehnfill: configuration error: ")
+    assert re.search(r"\btrials\b", res.stderr)

@@ -2,20 +2,11 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.optimize import brentq
-from scipy.special import gamma as gamma_fn
 
-from dehnfill.geometry import (ArclengthMap, BlackHoleProfile, BlockMetricProfile,
-                               DiagonalMetricProfile, RadialGrid,
-                               TrivialVariation, _v_from_offset,
-                               apply_trivial_variation,
-                               arclength_map, black_hole_profile,
-                               boundary_torus_data, coordinate_curvature_oracle,
-                               cusp_profile, cusp_volume_ratio, metric_gap,
-                               r_plus, radius_for_meridian,
-                               sectional_curvatures, theta_period,
-                               torus_diameter_bound, unit_ball_volume,
-                               v_profile)
-from dehnfill.operators import einstein_residual
+from dehnfill.geometry import (ArclengthMap, RadialGrid, _v_from_offset,
+                               black_hole_profile, coordinate_curvature_oracle,
+                               metric_gap, r_plus, radius_for_meridian,
+                               sectional_curvatures, theta_period, v_profile)
 
 
 def test_r_plus_values():
@@ -109,9 +100,9 @@ def test_oracle_reproduces_hyperbolic_space():
 
 
 def test_arclength_n3_closed_form():
-    prof = BlackHoleProfile(3)
     grid = RadialGrid("r", np.linspace(np.sqrt(2), 20.0, 64), 3, exterior=True)
-    s, amap = arclength_map(prof, grid)
+    amap = ArclengthMap(3, float(grid.nodes[-1]))
+    s = amap.s_of_r(grid.nodes)
     # closed form: s = arccosh(r / sqrt(2))
     expected = np.arccosh(grid.nodes / np.sqrt(2.0))
     assert np.abs(s - expected).max() < 1e-11
@@ -253,31 +244,6 @@ def test_metric_gap_asymptotics():
         metric_gap(4, r_plus(4) + 0.5)
 
 
-def test_cusp_volume_ratio():
-    for n in (3, 4, 7):
-        ref, _ = quad(lambda s: np.exp(-(n - 1) * s), 0.0, np.inf)
-        assert cusp_volume_ratio(n) == pytest.approx(ref, abs=1e-10)
-    assert cusp_volume_ratio(3) == 0.5
-    assert cusp_volume_ratio(4) == pytest.approx(1.0 / 3.0, rel=1e-15)
-
-
-def test_unit_ball_volume_against_gamma():
-    for k in range(0, 12):
-        ref = np.pi ** (k / 2.0) / gamma_fn(k / 2.0 + 1.0)
-        assert unit_ball_volume(k) == pytest.approx(ref, rel=1e-13)
-
-
-def test_torus_diameter_bound():
-    d = torus_diameter_bound(3, 1.0, 0.1)
-    assert d == pytest.approx(2.0 * (1.0 / (np.pi * 0.01) + 1.0) * 0.1, rel=1e-14)
-    assert d == pytest.approx(6.5662, abs=5e-5)
-    assert torus_diameter_bound(3, 2.0, 0.1) > d
-    # iota -> 0 at fixed volume blows up like iota^(2-n)
-    small = torus_diameter_bound(5, 1.0, 1e-4)
-    tiny = torus_diameter_bound(5, 1.0, 1e-5)
-    assert tiny > small * 100
-
-
 def test_black_hole_profile_sampling():
     p = black_hole_profile(4, 20.0, 256)
     assert p.has_cap
@@ -290,70 +256,6 @@ def test_black_hole_profile_sampling():
     assert np.abs(p.f[0, 1:] - np.sqrt(v)).max() < 1e-11
 
 
-def test_trivial_variation_identity():
-    p = cusp_profile(4, 0.2, 2.0, 128)
-    u0 = TrivialVariation(np.zeros((3, 3)))
-    q = apply_trivial_variation(p, u0)
-    assert np.array_equal(q.f, p.f)
-
-
-def test_trivial_variation_cusp_stays_einstein():
-    # diagonal traceless u keeps the cusp Einstein to discretization level
-    n = 5
-    p = cusp_profile(n, 0.2, 3.0, 300)
-    eps = 0.3
-    u = TrivialVariation(np.diag([eps, -eps, 0.0, 0.0]))
-    q = apply_trivial_variation(p, u)
-    res = einstein_residual(q)
-    dlt = p.spacing
-    assert res.max_e1() < 10 * dlt**2
-    assert res.max_e2_relative() < 10 * dlt**2
-
-
-def test_trivial_variation_bh_decay():
-    # residual of g + r^2 u decays like |u| r^(-n+1), with a stable constant
-    n = 4
-    u = TrivialVariation(np.diag([0.05, -0.05, 0.0]))
-    cs = []
-    for nodes in (1024, 2048):
-        p = black_hole_profile(n, 40.0, nodes)
-        q = apply_trivial_variation(p, u)
-        res = einstein_residual(q)
-        tail = res.r > r_plus(n) + 1.0
-        envelope = u.size * res.r[tail] ** (1 - n)
-        ratio = np.abs(res.e1[:, tail]).max(axis=0) / envelope
-        cs.append(ratio.max())
-    assert cs[0] == pytest.approx(cs[1], rel=0.5)
-    assert cs[1] < 50.0
-
-
-def test_trivial_variation_rejects_indefinite():
-    p = cusp_profile(3, 0.1, 1.0, 64)
-    with pytest.raises(ValueError):
-        apply_trivial_variation(p, TrivialVariation(np.diag([-1.5, 0.0])))
-
-
-def test_trivial_variation_full_block():
-    n = 4
-    p = cusp_profile(n, 0.2, 2.5, 300)
-    u = np.array([[0.0, 0.2, 0.0], [0.2, 0.0, 0.0], [0.0, 0.0, 0.0]])
-    q = apply_trivial_variation(p, TrivialVariation(u))
-    assert isinstance(q, BlockMetricProfile)
-    res = einstein_residual(q)
-    dlt = p.spacing
-    assert res.max_e1() < 20 * dlt**2
-    assert res.max_e2_relative() < 20 * dlt**2
-
-
-def test_boundary_torus_data():
-    torus, R = boundary_torus_data(4, 12.0)
-    assert torus.meridian_length == 12.0
-    assert R == pytest.approx(radius_for_meridian(4, 12.0))
-    # the meridian circle at r = R has length beta sqrt(V(R)) = ell
-    assert theta_period(4) * np.sqrt(v_profile(4, R)[0]) == pytest.approx(
-        12.0, abs=1e-10)
-
-
 def test_radial_grid_validation():
     with pytest.raises(ValueError):
         RadialGrid("r", np.array([1.0, 2.0]), 4)
@@ -361,5 +263,3 @@ def test_radial_grid_validation():
         RadialGrid("r", np.array([1.0, 1.0, 2.0]), 4)
     with pytest.raises(ValueError):
         RadialGrid("r", np.array([1.0, 1.1, 1.2]), 4, exterior=True)
-    g = RadialGrid("s", np.linspace(0, 1, 11), 4)
-    assert g.is_uniform()

@@ -6,9 +6,9 @@ from scipy.integrate import quad
 
 from dehnfill.geometry import (ArclengthMap, RadialGrid, r_plus,
                                radius_for_meridian, theta_period, v_profile)
-from dehnfill.gluing import (CutoffSpec, GluedEnd, WeightFunction, _bump01,
+from dehnfill.gluing import (_COLLAR_WIDTH, GluedEnd, WeightFunction, _bump01,
                              _bump01_value, _gradient, _GluedArclength,
-                             _tensor_s_grid, _window_max, cutoff,
+                             _tensor_s_grid, _window_max,
                              double_star_decompose, double_star_norm, glue,
                              residual_decay_sweep, rho_cutoff,
                              unit_frame_components, weight, weighted_norms)
@@ -16,26 +16,17 @@ from dehnfill.operators import InvariantTensor, einstein_residual
 
 
 def test_cutoff_basic_shape():
-    spec = CutoffSpec(center=5.0, width=1.0)
     r = np.array([3.0, 3.9999, 5.0, 5.5, 7.0])
-    chi, chi1, chi2 = cutoff(spec, r)
+    chi, chi1, chi2 = _bump01(5.0 - r)
     assert chi[0] == 1.0 and chi1[0] == 0.0 and chi2[0] == 0.0
     assert chi[1] == pytest.approx(1.0, abs=1e-12)
     assert chi[2] == 0.0 and chi[3] == 0.0 and chi[4] == 0.0
     # midpoint symmetry of the bump construction
-    assert cutoff(spec, np.array([4.5]))[0][0] == pytest.approx(0.5, rel=1e-14)
+    assert _bump01(5.0 - np.array([4.5]))[0][0] == pytest.approx(0.5, rel=1e-14)
     # monotone decreasing through the collar
     rr = np.linspace(4.0, 5.0, 200)
-    vals = cutoff(spec, rr)[0]
+    vals = _bump01(5.0 - rr)[0]
     assert np.all(np.diff(vals) <= 1e-15)
-
-
-def test_cutoff_derivative_bounds():
-    spec = CutoffSpec(center=2.0, width=1.0, order=3)
-    bounds = spec.derivative_bounds()
-    assert bounds[0] == pytest.approx(1.0)
-    assert 1.5 < bounds[1] < 3.0       # sup|chi'| of the exp-bump on width 1
-    assert all(np.isfinite(b) for b in bounds)
 
 
 def test_glue_profile_structure():
@@ -104,7 +95,6 @@ def test_weight_values():
     assert weight(wf, 100.0) == pytest.approx(1.0 + 100.0 ** -0.1, rel=1e-14)
     assert weight(wf, 10.0) == pytest.approx(2.0 * 10.0 ** -0.1, rel=1e-14)
     assert weight(wf, 10.0) == pytest.approx(1.5886565, abs=5e-8)
-    assert wf.minimum() == pytest.approx(2.0 * 100.0 ** -0.05, rel=1e-14)
     assert weight(wf, 150.0) == 1.0
     # the minimum sits at sqrt(R) and 1/W never exceeds 1
     r = np.linspace(r_plus(4), 150.0, 4000)
@@ -413,6 +403,18 @@ def test_glued_end_rejects_overflowing_radii():
         residual_decay_sweep(3, radii=np.array([8.0, np.nan, 32.0]))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_sweep_rejects_radii_at_the_core_and_repeated_radii():
+    # rejected before the square root of V < 0 and before a slope is fitted
+    # to a single abscissa
+    with pytest.raises(ValueError, match="exceed r_plus"):
+        residual_decay_sweep(4, radii=np.array([1.0, 2.0, 3.0]))
+    with pytest.raises(ValueError, match="exceed r_plus"):
+        residual_decay_sweep(4, radii=np.array([r_plus(4), 8.0, 16.0]))
+    with pytest.raises(ValueError, match="two distinct"):
+        residual_decay_sweep(4, radii=np.array([8.0, 8.0, 8.0]))
+
+
 def test_sweep_builds_one_map_per_radius(monkeypatch):
     builds = _count_arclength_builds(monkeypatch)
     radii = np.array([6.0, 12.0, 24.0])
@@ -444,7 +446,7 @@ def test_glued_s_max_matches_quadrature_in_r(n, ell):
         return np.sqrt(chi / v_profile(n, r)[0] + (1.0 - chi) / r**2)
 
     collar, _ = quad(integrand, lo, hi, epsabs=1e-300, epsrel=1e-13, limit=200)
-    ref = end.s_R - end.collar_width + collar + np.log(end.r_out / end.R)
+    ref = end.s_R - _COLLAR_WIDTH + collar + np.log(end.r_out / end.R)
     assert end.amap.s_max == pytest.approx(ref, rel=1e-13)
 
 
@@ -453,5 +455,5 @@ def test_collar_r_range_reads_cap_map_only():
     lo, hi = end.collar_r_range()
     assert hi == end.R and lo < hi
     assert float(end.cap_map.s_of_r(lo)) == pytest.approx(
-        end.s_R - end.collar_width, abs=1e-9)
+        end.s_R - _COLLAR_WIDTH, abs=1e-9)
     assert "amap" not in vars(end)

@@ -3,17 +3,11 @@ import itertools
 import numpy as np
 import pytest
 
-from dehnfill.geometry import (BlackHoleProfile, BlockMetricProfile,
-                               DiagonalMetricProfile, RadialGrid,
+from dehnfill.geometry import (BlockMetricProfile, DiagonalMetricProfile,
                                TrivialVariation, black_hole_profile,
                                cusp_profile, r_plus, theta_period, v_profile)
-from dehnfill.operators import (GaugeField, InvariantTensor,
-                                bh_kernel_variation, block_variation_of_tensor,
-                                cusp_ode_residual, div_star_radial,
-                                divergence_h1i_residual, einstein_residual,
-                                explicit_kernel_element, gauge_fix_xi,
-                                linearized_residual, sqrtdet_sinh_check,
-                                trace_ode_residual)
+from dehnfill.operators import (bh_kernel_variation, einstein_residual,
+                                linearized_residual, sqrtdet_sinh_check)
 
 
 def sym_e2(vals):
@@ -177,98 +171,7 @@ def test_linearized_offdiagonal_sector():
     assert slope > 1.9
 
 
-# -- cusp component ODEs --------------------------------------------------------
-
-def test_cusp_ode_block_I_mode():
-    n = 4
-    gamma1 = 0.5 * (-n + 1 + np.sqrt(n**2 + 6 * n - 7))
-    r = np.geomspace(0.5, 8.0, 1500)
-    grid = RadialGrid("r", r, n)
-    h = InvariantTensor.zero(grid)
-    h.h11 = r ** (gamma1 - 2.0)
-    res = cusp_ode_residual(h)
-    scale = np.abs(r[1:-1] ** gamma1).max()
-    dlt = np.diff(np.log(r)).max()
-    assert np.abs(res["I"]).max() / scale < 10 * dlt**2
-
-
-def test_cusp_ode_block_II_mode():
-    n = 5
-    r = np.geomspace(0.5, 6.0, 1200)
-    grid = RadialGrid("r", r, n)
-    h = InvariantTensor.zero(grid)
-    h.h1i = np.tile(2.0 * r + 0.7 * r ** (-float(n)), (n - 1, 1))
-    res = cusp_ode_residual(h)
-    dlt = np.diff(r).max()
-    assert np.abs(res["II"]).max() < 10 * dlt**2 * np.abs(h.h1i).max()
-
-
-def test_cusp_ode_trivial_variation_exact():
-    n = 4
-    r = np.geomspace(0.5, 5.0, 800)
-    grid = RadialGrid("r", r, n)
-    h = InvariantTensor.zero(grid)
-    u = np.diag([0.3, -0.1, -0.2])
-    h.hij = (r**2)[:, None, None] * u[None, :, :]
-    res = cusp_ode_residual(h)
-    assert np.abs(res["I"]).max() < 1e-12
-    assert np.abs(res["II"]).max() < 1e-12
-    assert np.abs(res["III"]).max() < 1e-9
-
-
-def test_cusp_ode_needs_nodes():
-    grid_nodes = np.array([1.0, 2.0, 3.0])
-    with pytest.raises(ValueError):
-        grid = RadialGrid("r", grid_nodes, 4)
-        h = InvariantTensor.zero(grid)
-        cusp_ode_residual(h)
-
-
-def test_trace_identity_discrete():
-    # trace of (I) + (III) assembles to (IV) applied to the metric trace
-    n = 5
-    rng = np.random.Generator(np.random.Philox(9))
-    r = np.geomspace(0.6, 4.0, 400)
-    grid = RadialGrid("r", r, n)
-    h = InvariantTensor.zero(grid)
-    h.h11 = rng.standard_normal(r.size) / r**2
-    k = n - 1
-    blk = rng.standard_normal((r.size, k, k))
-    h.hij = 0.5 * (blk + np.swapaxes(blk, 1, 2))
-    res = cusp_ode_residual(h)
-    q = r**2 * h.h11 + np.trace(h.hij, axis1=1, axis2=2) / r**2
-    lhs = res["I"] + np.trace(res["III"], axis1=1, axis2=2)
-    rhs = trace_ode_residual(q, r, n)
-    scale = np.abs(rhs).max()
-    assert np.abs(lhs - rhs).max() < 1e-10 * scale
-
-
-def test_trace_ode_examples():
-    n = 4
-    gamma2 = 0.5 * (-n + 1 - np.sqrt(n**2 + 6 * n - 7))
-    r = np.geomspace(0.5, 4.0, 1500)
-    res = trace_ode_residual(r**gamma2, r, n)
-    dlt = np.diff(np.log(r)).max()
-    assert np.abs(res).max() < 10 * dlt**2 * np.abs(r**gamma2).max() * 30
-    res_c = trace_ode_residual(np.full(r.size, 3.0), r, n)
-    assert np.allclose(res_c, -2.0 * (n - 1) * 3.0, atol=1e-10)
-    assert np.all(trace_ode_residual(np.zeros(r.size), r, n) == 0.0)
-
-
 # -- divergence and gauge -------------------------------------------------------
-
-def test_divergence_kernel_mode():
-    n = 4
-    rp = r_plus(n)
-    r = np.linspace(rp + 0.05, 6.0, 4000)
-    v = v_profile(n, r)[0]
-    h = 1.0 / (v * r ** (n - 2))
-    res = divergence_h1i_residual(h, n, r)
-    dlt = r[1] - r[0]
-    # the spec grants a lenient 10*delta bound near the degenerate end
-    assert np.abs(res).max() < 10 * dlt * np.abs(h).max()
-    assert np.abs(divergence_h1i_residual(np.zeros_like(r), n, r)).max() == 0.0
-
 
 def test_divergence_kernel_blowup_constant():
     n = 5
@@ -278,46 +181,6 @@ def test_divergence_kernel_blowup_constant():
     v = v_profile(n, r)[0]
     val = (1.0 / (v * r ** (n - 2))) * eps
     assert val[-1] == pytest.approx(1.0 / (2.0 * (n - 1)), rel=1e-4)
-
-
-def test_div_star_examples():
-    n = 4
-    prof = BlackHoleProfile(n)
-    r = np.linspace(prof.r_plus + 1e-3, 4.0, 2000)
-    grid = RadialGrid("r", r, n, exterior=True)
-    v, vp, _ = v_profile(n, r)
-    # xi = V^(-1/2) dr has (DIV* xi)_11 = 0 identically
-    xi = GaugeField(grid, 1.0 / np.sqrt(v))
-    out = div_star_radial(xi, prof, xi1_prime=-0.5 * vp * v ** (-1.5))
-    assert np.abs(out.h11).max() < 1e-12
-    # xi = dr at r = 2: theta-theta component is V V' / 2 = 6.75
-    xi_one = GaugeField(grid, np.ones_like(r))
-    out1 = div_star_radial(xi_one, prof, xi1_prime=np.zeros_like(r))
-    j = np.argmin(np.abs(r - 2.0))
-    assert out1.hij[j, 0, 0] == pytest.approx(0.5 * v[j] * vp[j], rel=1e-12)
-    assert 0.5 * v_profile(4, 2.0)[0] * v_profile(4, 2.0)[1] == 6.75
-
-
-def test_gauge_direction_is_invisible_to_block_variation():
-    # the torus-block variation of DIV* xi vanishes identically: the gauge
-    # reparametrization absorbs it, which is the discrete footprint of
-    # diffeomorphism invariance of the residual
-    n = 4
-    prof = BlackHoleProfile(n)
-    rp = prof.r_plus
-    r = np.linspace(rp, 6.0, 3000)
-    grid = RadialGrid("r", r, n, exterior=True)
-    s0 = 2.0
-    v, vp, _ = v_profile(n, r)
-    bump = np.exp(-((r - s0) ** 2) / 0.1) * (r - rp) ** 2
-    bump_p = bump * (-2.0 * (r - s0) / 0.1 + 2.0 / np.maximum(r - rp, 1e-12))
-    xi = GaugeField(grid, bump)
-    t = div_star_radial(xi, prof, xi1_prime=bump_p)
-    dM = block_variation_of_tensor(t, prof)
-    # cancellation down to the node-level quadrature error, seven orders
-    # below the tensor scale
-    assert np.abs(dM).max() < 2e-8 * np.abs(t.hij).max()
-
 
 def test_gauge_invariance_divided_difference():
     # adding t * DIV* xi to the cap metric moves the residual only at O(t^2)
@@ -371,72 +234,7 @@ def test_gauge_invariance_divided_difference():
     # quadratic in t: halving t cuts the change by about 4
     assert outs[1] < 0.35 * outs[0]
 
-
-def test_gauge_fix_xi_round_trip():
-    n = 4
-    prof = BlackHoleProfile(n)
-    rp = prof.r_plus
-    r = np.concatenate([[rp], rp + np.geomspace(1e-8, 5.0, 4095)])
-    grid = RadialGrid("r", r, n, exterior=True)
-    assert np.abs(gauge_fix_xi(np.zeros_like(r), prof, grid)[0].xi1).max() == 0.0
-    # round trip: xi_hat smooth with sqrt(V) xi_hat -> 0 at the core
-    v, vp, _ = v_profile(n, r)
-    xi_hat = np.tanh(r - rp) ** 2 / (1.0 + r)
-    sech2 = 1.0 / np.cosh(r - rp) ** 2
-    xi_hat_p = (2.0 * np.tanh(r - rp) * sech2 / (1.0 + r)
-                - np.tanh(r - rp) ** 2 / (1.0 + r) ** 2)
-    t = div_star_radial(GaugeField(grid, xi_hat), prof, xi1_prime=xi_hat_p)
-    h11 = -t.h11
-    h11[0] = -(xi_hat_p[0] + 0.0)  # V'/(2V) xi vanishes like (r-rp) here
-    xi, c_fit = gauge_fix_xi(h11, prof, grid, decay_check=False)
-    assert np.abs(xi.xi1[1:] - xi_hat[1:]).max() < 1e-8
-    assert np.isfinite(c_fit)
-
-
-def test_gauge_fix_edge_bound():
-    n = 4
-    prof = BlackHoleProfile(n)
-    rp = prof.r_plus
-    r = np.concatenate([[rp], rp + np.geomspace(1e-8, 3.0, 2047)])
-    grid = RadialGrid("r", r, n, exterior=True)
-    h11 = r ** (-n - 1.0)
-    xi, c_fit = gauge_fix_xi(h11, prof, grid)
-    v = v_profile(n, r)[0]
-    edge = (r > rp) & (r < rp + 0.5)
-    ratio = np.sqrt(v[edge]) * np.abs(xi.xi1[edge]) / np.sqrt(r[edge] - rp)
-    assert ratio.max() < 2.0 * c_fit + 1e-12
-    assert c_fit < 1.0
-
-
-# -- kernel element and sinh law -------------------------------------------------
-
-def test_explicit_kernel_reduces_for_traceless():
-    n = 5
-    r = np.linspace(r_plus(n) + 0.1, 6.0, 100)
-    grid = RadialGrid("r", r, n, exterior=True)
-    u = TrivialVariation(np.diag([0.5, -0.2, -0.3]))
-    h = explicit_kernel_element(n, u, grid)
-    assert np.abs(h.h11).max() == 0.0
-    assert np.abs(h.hij[:, 0, 0]).max() == 0.0
-    expected = (r**2)[:, None, None] * u.u[None, :, :]
-    assert np.abs(h.hij[:, 1:, 1:] - expected).max() < 1e-12
-
-
-def test_explicit_kernel_decay_rates():
-    n = 5
-    r = np.geomspace(10.0, 200.0, 50)
-    grid = RadialGrid("r", r, n, exterior=True)
-    u = TrivialVariation(np.diag([1.0, 1.0, 1.0]))
-    h = explicit_kernel_element(n, u, grid)
-    # off-trace torus entries decay like r^(3-n) after removing r^2 u
-    pure = h.hij[:, 1, 1] - r**2 * u.u[0, 0]
-    slope = np.polyfit(np.log(r), np.log(np.abs(pure)), 1)[0]
-    assert slope == pytest.approx(3 - n, abs=0.05)
-    # coordinate dr^2 component decays like r^(-n-1) * (r^2/V)
-    v = v_profile(n, r)[0]
-    comp = np.abs(h.h11) / (r ** (-n - 1.0) * r**2 / v)
-    assert comp.std() / comp.mean() < 1e-10
-
+# -- sinh law -------------------------------------------------------------------
 
 def test_sqrtdet_sinh_bh():
     p = black_hole_profile(3, 20.0, 2048)
@@ -456,39 +254,6 @@ def test_sqrtdet_sinh_bh():
 def test_sqrtdet_sinh_rejects_non_einstein():
     with pytest.raises(ValueError):
         sqrtdet_sinh_check(cusp_profile(4, 0.1, 2.0, 300, rate=1.2))
-
-
-def test_kernel_element_is_gauge_plus_rescaling():
-    # h + DIV*(tr u / r dr) equals the exact lattice rescaling
-    # r^2 (u_ij + tr u delta_ij) on the flat block: three code paths agree
-    n = 5
-    rp = r_plus(n)
-    r = np.linspace(rp + 0.05, 8.0, 1200)
-    grid = RadialGrid("r", r, n, exterior=True)
-    u = TrivialVariation(np.diag([0.6, 0.3, -0.2]))
-    h = explicit_kernel_element(n, u, grid)
-    prof = BlackHoleProfile(n)
-    xi = GaugeField(grid, u.trace / r)
-    gauge = div_star_radial(xi, prof, xi1_prime=-u.trace / r**2)
-    total_blk = h.hij + gauge.hij
-    expected = (r**2)[:, None, None] * np.pad(
-        u.u + u.trace * np.eye(n - 2), ((1, 0), (1, 0)))[None, :, :]
-    assert np.abs(h.h11 + gauge.h11).max() < 1e-12 * np.abs(h.h11).max()
-    assert np.abs(total_blk - expected).max() < 1e-10 * (r[-1] ** 2)
-
-
-def test_kernel_reparametrization_closed_form():
-    # d/ds of the closed form reproduces (1/2) V h11 with the kernel h11
-    from dehnfill.operators import kernel_reparametrization
-    n = 4
-    r = np.linspace(r_plus(n) + 0.2, 6.0, 9)
-    v, _, _ = v_profile(n, r)
-    eps = 1e-6
-    dds = (kernel_reparametrization(n, r + eps) -
-           kernel_reparametrization(n, r - eps)) / (2 * eps) * np.sqrt(v)
-    expected = 0.5 * v * (-(n - 1) / (v * r ** (n - 1)))
-    assert np.abs(dds - expected).max() < 1e-7
-
 
 def test_cone_family_solves_system():
     # f2 = A sinh(s), f3 = B cosh(s) solves the n=3 system for any A, B
