@@ -142,6 +142,9 @@ def cusp_kernel_classification(n, growth_floor=-0.1, growth_ceil=0.1,
     return modes, dim
 
 
+MIN_NODES = 5       # fewest grid nodes of a two-point solve
+
+
 def solve_euler_bvp(ode: EulerODE, phi, boundary, r):
     """Two-point Dirichlet solve of r^2 f'' + a r f' + b f = phi.
 
@@ -153,8 +156,8 @@ def solve_euler_bvp(ode: EulerODE, phi, boundary, r):
     """
     r = np.asarray(r, dtype=float)
     phi = np.asarray(phi, dtype=float)
-    if r.size < 5 or np.any(np.diff(r) <= 0) or r[0] <= 0:
-        raise ValueError("need an increasing positive grid with >= 5 nodes")
+    if r.size < MIN_NODES or np.any(np.diff(r) <= 0) or r[0] <= 0:
+        raise ValueError(f"need an increasing positive grid with >= {MIN_NODES} nodes")
     if phi.ndim == 2 and phi.shape[1] == 0:
         # SciPy's dgtsv wrapper corrupts the heap on a right-hand side with
         # no columns

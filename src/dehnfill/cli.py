@@ -122,12 +122,17 @@ def cmd_curvature(args):
         raise ConfigError("empty radial range")
     if cfg["r_min"] < r_plus(n):
         raise ConfigError(f"r must start at or above r_plus = {r_plus(n):.6f}")
-    r = np.linspace(cfg["r_min"], cfg["r_max"], cfg["samples"])
-    k12, k1i, kij = sectional_curvatures(n, r)
-    v, vp, _ = v_profile(n, r)
-    rows = zip(r, np.atleast_1d(k12), np.atleast_1d(k1i), np.atleast_1d(kij),
-               np.atleast_1d(v), np.atleast_1d(vp))
-    _write_output(cfg["out"], _csv(cfg, ["r", "K12", "K1i", "Kij", "V", "Vp"], rows))
+    try:
+        r = np.linspace(cfg["r_min"], cfg["r_max"], cfg["samples"])
+        k12, k1i, kij = sectional_curvatures(n, r)
+        v, vp, _ = v_profile(n, r)
+        rows = zip(r, np.atleast_1d(k12), np.atleast_1d(k1i), np.atleast_1d(kij),
+                   np.atleast_1d(v), np.atleast_1d(vp))
+        text = _csv(cfg, ["r", "K12", "K1i", "Kij", "V", "Vp"], rows)
+    except MemoryError:
+        raise ConfigError(f"--r asks for {cfg['samples']} samples, more than "
+                          f"fit in memory")
+    _write_output(cfg["out"], text)
     return 0
 
 
@@ -147,10 +152,21 @@ def _profile_csv(cfg, profile):
                                 f"# cap_radius={_fmt(profile.cap_radius or 0.0)}"])
 
 
+def _check_nodes(cfg, least):
+    if cfg["nodes"] < least:
+        raise ConfigError(f"--nodes must be at least {least}, got {cfg['nodes']}")
+
+
+def _glued(cfg):
+    """The glued profile of glue and solve."""
+    _check_nodes(cfg, gluing.MIN_NODES)
+    return gluing.glue(cfg["n"], cfg["ell"], cfg["outer_factor"], cfg["nodes"])
+
+
 def cmd_glue(args):
     cfg = _resolve(args, {"n": None, "ell": None, "nodes": 2048,
                           "outer_factor": 4.0, "out": "-", "format": "csv"})
-    profile = gluing.glue(cfg["n"], cfg["ell"], cfg["outer_factor"], cfg["nodes"])
+    profile = _glued(cfg)
     _write_output(cfg["out"], _profile_csv(cfg, profile))
     if getattr(args, "residuals", None):
         _write_output(args.residuals, _residual_csv(cfg, profile))
@@ -161,7 +177,7 @@ def cmd_solve(args):
     cfg = _resolve(args, {"n": None, "ell": None, "nodes": 2048,
                           "outer_factor": 4.0, "tol": 1e-8, "mode": "newton",
                           "out": "-", "format": "json"})
-    profile = gluing.glue(cfg["n"], cfg["ell"], cfg["outer_factor"], cfg["nodes"])
+    profile = _glued(cfg)
     if not gluing.fits_window(profile.r):   # the norms of every iterate need it
         raise ConfigError(f"--nodes {cfg['nodes']} is too few for the seminorm "
                           f"window at --ell {cfg['ell']:g}")
@@ -211,8 +227,7 @@ def cmd_norms(args):
     n, R = cfg["n"], cfg["R"]
     from .geometry import RadialGrid
     from .operators import InvariantTensor
-    if cfg["nodes"] < 3:
-        raise ConfigError(f"--nodes must be at least 3, got {cfg['nodes']}")
+    _check_nodes(cfg, 3)
     r = np.linspace(r_plus(n) * 1.01, R, cfg["nodes"])
     if not gluing.fits_window(r):
         raise ConfigError(f"--nodes {cfg['nodes']} is too few for the seminorm "
@@ -254,6 +269,7 @@ def cmd_estimate(args):
     cfg = _resolve(args, {"n": None, "R": None, "alpha": 0.5, "trials": 50,
                           "seed": 0, "nodes": 1024, "out": "-", "format": "json"},
                    casts={"R": float})
+    _check_nodes(cfg, asymptotics.MIN_NODES)
     c_fit = asymptotics.ugly_estimate_harness(cfg["n"], cfg["R"], cfg["alpha"],
                                               trials=cfg["trials"],
                                               seed=cfg["seed"],

@@ -98,6 +98,7 @@ def _bump01(t):
 _NEWTON_STEPS = 30       # cap on the collar inversion, which takes two or three
 _COLLAR_WIDTH = 1.0      # cap arclength of the interpolation collar
 _R_MAX = np.finfo(float).max ** 0.25     # the closed forms square V ~ r^2
+MIN_NODES = 66           # fewest samples of a glued profile: 64 interior nodes
 
 
 def _panel(edges, v):
@@ -284,8 +285,8 @@ class GluedEnd:
 
     def to_profile(self, nodes):
         """Sample on a uniform arclength grid over [r_+, r_out]."""
-        if nodes < 66:
-            raise ValueError("need at least 64 interior nodes")
+        if nodes < MIN_NODES:
+            raise ValueError(f"need at least {MIN_NODES - 2} interior nodes")
         s = np.linspace(0.0, self.amap.s_max, nodes)
         x = self.amap.offset_of_s(s)
         r = self.rp * (1.0 + x)

@@ -104,12 +104,15 @@ class BandedLinearization:
     slice, clipped at the pinned f_2(0) and the Dirichlet node; each
     sample of the parity rows is one more slice.  The band widths follow
     from the numbering: l = 3n-4 and u = 4(n-1).  The band is LU-factored
-    in place (LAPACK dgbtrf) on the first solve and the factors are held
-    beside it: every later `solve` and every `solve_transpose` (A^T x = b,
-    from the same factors) is a pair of triangular band sweeps.  Both take
-    one right-hand side or a matrix of them, column by column.  `sys` is
-    the system at the profile when the caller already built it with
-    partials.
+    in place (LAPACK dgbtrf) on the first `solve` and the factors are held
+    beside it.  `solve_transpose` (A^T x = b) factors A^T, the band with
+    the widths swapped, on its first call and holds those factors too:
+    a forward sweep on them is faster than dgbtrs's transpose sweep on A's
+    factors, which makes one small matrix-vector product per column.  A
+    Newton solve never factors A^T.  Every later solve is a pair of
+    triangular band sweeps, on one right-hand side or a matrix of them,
+    column by column.  `sys` is the system at the profile when the caller
+    already built it with partials.
     """
 
     def __init__(self, profile: DiagonalMetricProfile, sys=None):
@@ -122,7 +125,7 @@ class BandedLinearization:
                     if sys is None else sys)
         self.index = _unknown_index(n, N)
         self.size = int(self.index.max()) + 1
-        self._lu = self._piv = None
+        self._lu = self._piv = self._lu_t = self._piv_t = None
         self._assemble()
 
     def _assemble(self):
@@ -150,36 +153,56 @@ class BandedLinearization:
         """Stacked residual in row order: parity rows, then E1 rows."""
         return _stacked_residual(self.index, self.sys)
 
-    def _factor(self):
+    def _factor(self, transpose=False):
+        """LU-factor A, or A^T when transpose, and hold the factors."""
         if not np.isfinite(self.ab).all():
             raise NumericalError("the Newton matrix holds infs or NaNs")
+        l, u = (self.u, self.l) if transpose else (self.l, self.u)
         # dgbtrf needs l spare rows for fill-in; in Fortran order it factors
         # the work array in place rather than a copy of it
-        work = np.zeros((2 * self.l + self.u + 1, self.size), order="F")
-        work[self.l:] = self.ab
-        lu, piv, info = dgbtrf(work, self.l, self.u, overwrite_ab=True)
+        work = np.zeros((2 * l + u + 1, self.size), order="F")
+        if transpose:
+            # A^T[i, j] = A[j, i], with (l, u) now the widths of A^T: row k
+            # of its band is row l+u-k of ab, shifted by k-u columns
+            for k, src in enumerate(self.ab[::-1]):
+                shift = k - u
+                if shift >= 0:
+                    work[l + k, :self.size - shift] = src[shift:]
+                else:
+                    work[l + k, -shift:] = src[:shift]
+        else:
+            work[l:] = self.ab
+        lu, piv, info = dgbtrf(work, l, u, overwrite_ab=True)
         check_info(info, "dgbtrf")
-        self._lu, self._piv = lu, piv
+        if transpose:
+            self._lu_t, self._piv_t = lu, piv
+        else:
+            self._lu, self._piv = lu, piv
 
-    def _band_solve(self, rhs, trans):
+    def _band_solve(self, rhs, transpose):
         rhs = np.asarray(rhs, dtype=float)
         if rhs.ndim not in (1, 2) or rhs.shape[0] != self.size:
             raise ValueError("right-hand side does not match the matrix")
         if not np.isfinite(rhs).all():
             raise NumericalError("right-hand side holds infs or NaNs")
-        if self._lu is None:
-            self._factor()
-        x, info = dgbtrs(self._lu, self.l, self.u, rhs, self._piv, trans=trans)
+        if transpose:
+            if self._lu_t is None:
+                self._factor(transpose=True)
+            x, info = dgbtrs(self._lu_t, self.u, self.l, rhs, self._piv_t)
+        else:
+            if self._lu is None:
+                self._factor()
+            x, info = dgbtrs(self._lu, self.l, self.u, rhs, self._piv)
         check_info(info, "dgbtrs")
         return x
 
     def solve(self, rhs):
         """A x = rhs for a vector or for each column of a matrix."""
-        return self._band_solve(rhs, 0)
+        return self._band_solve(rhs, False)
 
     def solve_transpose(self, rhs):
         """A^T x = rhs for a vector or for each column of a matrix."""
-        return self._band_solve(rhs, 1)
+        return self._band_solve(rhs, True)
 
     def matvec(self, x):
         """A x, one band diagonal at a time."""
@@ -197,9 +220,10 @@ class BandedLinearization:
 
         Each step applies (B^T B)^{-1} to the block, re-orthonormalizes it
         by QR, and estimates the largest eigenvalues of (B^T B)^{-1} as the
-        singular values of R; for one column that is the norm of the iterate.
-        Unlike the diagonal of R, these converge at the gap to the first
-        eigenvalue outside the block, even where two inside nearly coincide.
+        singular values of R.  Unlike the diagonal of R, these converge at
+        the gap to the first eigenvalue outside the block, even where two
+        inside nearly coincide.  One column needs neither factorization:
+        its estimate is the norm of the iterate, which is then divided by it.
         The loop stops when no estimate moves by more than _PROBE_TOL
         relative, or after _PROBE_STEPS steps.
         """
@@ -212,8 +236,12 @@ class BandedLinearization:
         for _ in range(_PROBE_STEPS):
             Y = self.solve_transpose(cs * X) / rs    # B^{-T} X = D_r^{-1} A^{-T} D_c X
             Y = cs * self.solve(Y / rs)              # B^{-1} Y = D_c A^{-1} D_r^{-1} Y
-            X, R = np.linalg.qr(Y)
-            lam_new = np.linalg.svd(R, compute_uv=False)    # descending
+            if count == 1:
+                norm = np.linalg.norm(Y)
+                X, lam_new = Y / norm, np.array([norm])
+            else:
+                X, R = np.linalg.qr(Y)
+                lam_new = np.linalg.svd(R, compute_uv=False)    # descending
             done = np.all(np.abs(lam_new - lam) <= _PROBE_TOL * lam_new)
             lam = lam_new
             if done:

@@ -260,3 +260,20 @@ def test_estimate_without_trials_exits_2():
     assert res.stdout == ""
     assert res.stderr.startswith("dehnfill: configuration error: ")
     assert re.search(r"\btrials\b", res.stderr)
+
+
+@pytest.mark.parametrize("args, option", [
+    (["curvature", "--n", "3", "--r", "1.5", "3", "100000000000"], "--r "),
+    (["glue", "--n", "3", "--ell", "10", "--nodes", "10"], "--nodes "),
+    (["solve", "--n", "3", "--ell", "10", "--nodes", "65"], "--nodes "),
+    (["estimate", "--n", "4", "--R", "16", "--nodes", "3"], "--nodes "),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+def test_count_out_of_range_exits_2_naming_its_option(args, option):
+    # a sample count too large to allocate, or fewer nodes than the command
+    # needs, is a configuration error that names the flag, with no traceback
+    res = run_cli(args)
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr.startswith("dehnfill: configuration error: ")
+    assert option in res.stderr
+    assert "Traceback" not in res.stderr

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.linalg import LinAlgError, solve_banded
 
 from dehnfill import _stencils, solver
+from dehnfill._lapack import check_info, dgbtrs
 from dehnfill.geometry import (BlockMetricProfile, TrivialVariation,
                                black_hole_profile, cusp_profile, r_plus,
                                theta_period, v_profile)
@@ -242,6 +243,53 @@ def test_newton_step_frees_the_previous_matrix(monkeypatch):
     assert alive == [0] * len(refs)
 
 
+def test_transpose_factored_once_and_never_by_newton(monkeypatch):
+    # A^T is factored on the first transpose solve of a linearization and
+    # held; a Newton solve, in either mode, runs no transpose solve
+    factored = []
+    factor = solver.BandedLinearization._factor
+
+    def counting_factor(self, transpose=False):
+        factored.append((self, transpose))
+        factor(self, transpose)
+
+    monkeypatch.setattr(solver.BandedLinearization, "_factor", counting_factor)
+    for mode in ("newton", "frozen_jacobian"):
+        newton_solve(glue(3, 10.0, nodes=256), SolverConfig(mode=mode))
+    assert factored and not any(t for _, t in factored)
+    factored.clear()
+    p = glue(4, 20.0, nodes=256)
+    kernel_spectrum(p, count=3)
+    kernel_spectrum(p, weight_fn=WeightFunction(4, p.cap_radius), conjugate=True)
+    # two linearizations (held in factored, so their ids stay distinct),
+    # each factoring A and A^T once
+    pairs = [(id(lin), t) for lin, t in factored]
+    assert len(pairs) == len(set(pairs)) == 4
+
+
+def test_transpose_solve_holds_two_factors_and_the_band():
+    # the band of A^T is built into the work array that dgbtrf factors in
+    # place, so its factors are the only matrix-sized array the first
+    # transpose solve adds, and nothing else matrix-sized stays behind
+    lin = BandedLinearization(glue(4, 20.0, nodes=2048))
+    rhs = np.ones(lin.size)
+    lin.solve(rhs)
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        lin.solve_transpose(rhs)
+        end, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    lu_t = lin._lu_t.nbytes
+    assert lin._lu_t.shape == (2 * lin.u + lin.l + 1, lin.size)
+    assert end - start <= 1.1 * lu_t
+    assert peak - start <= 1.5 * lu_t
+    held = {name for name, v in vars(lin).items()
+            if isinstance(v, np.ndarray) and v.nbytes > 4 * rhs.nbytes}
+    assert held == {"ab", "_lu", "_lu_t"}
+
+
 def test_trivial_direction_in_discrete_kernel():
     # cutoff trace-free trivial variation: evolution rows vanish to
     # discretization order away from the cutoff transitions
@@ -409,6 +457,51 @@ def test_kernel_spectrum_stops_when_converged(monkeypatch):
     monkeypatch.setattr(solver.BandedLinearization, "solve", counted)
     kernel_spectrum(black_hole_profile(4, 15.0, 256), count=3)
     assert 0 < len(calls) < 50
+
+
+def _qr_probe(lin, scale, seed):
+    """The one-column probe of D A D^{-1}, D = diag(scale), as it stepped
+    with QR and SVD, its A^T solves by dgbtrs's transpose sweep on A's
+    factors; returns (value, steps)."""
+    d = scale[:, None]
+    rng = np.random.Generator(np.random.Philox(seed))
+    X, _ = np.linalg.qr(rng.standard_normal((lin.size, 1)))
+    lin.solve(X)                # factors A
+    lam = np.zeros(1)
+    for step in range(1, solver._PROBE_STEPS + 1):
+        Y, info = dgbtrs(lin._lu, lin.l, lin.u, d * X, lin._piv, trans=1)
+        check_info(info, "dgbtrs")
+        Y = d * lin.solve(Y / d / d)
+        X, R = np.linalg.qr(Y)
+        lam_new = np.linalg.svd(R, compute_uv=False)
+        done = np.all(np.abs(lam_new - lam) <= solver._PROBE_TOL * lam_new)
+        lam = lam_new
+        if done:
+            break
+    return 1.0 / np.sqrt(lam[0]), step
+
+
+@pytest.mark.parametrize("conjugate", [False, True])
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_one_column_probe_matches_the_qr_step(conjugate, seed):
+    p = glue(4, 20.0, nodes=256) if conjugate else glue(3, 10.0, nodes=256)
+    lin = BandedLinearization(p)
+    scale = np.ones(lin.size)
+    if conjugate:
+        scale = 1.0 / solver._unknown_weights(lin, p, WeightFunction(4, p.cap_radius))
+    old, steps = _qr_probe(lin, scale, seed)
+    calls = []
+    solve = lin.solve
+
+    def counted(rhs):
+        calls.append(1)
+        return solve(rhs)
+
+    lin.solve = counted
+    new = lin.sigma_min(1, scale, scale, seed)
+    assert new.shape == (1,)
+    assert new[0] == pytest.approx(old, rel=1e-10)
+    assert len(calls) == steps
 
 
 def test_weighted_conjugation_direction_of_effect():
