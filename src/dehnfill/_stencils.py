@@ -25,10 +25,11 @@ Two stencil families are used:
   truncation is pushed to fourth order so the global error is governed by
   the smooth far field and stays second order under refinement.
 
-The discrete operator has one representation: a fixed-width table per
-component, indexed by offset.  The ratios of component i at interior node
-k read at most the five samples k-2, ..., k+2, and slot m of the row
-always means sample k+m-2: wd[k-1, m] and wq[k-1, m] are the exact
+The discrete operator has one representation: one fixed-width table,
+indexed by component, node and offset, built for all components in one
+pass over their stacked samples.  The ratios of component i at interior
+node k read at most the five samples k-2, ..., k+2, and slot m of the row
+always means sample k+m-2: wd[i, k-1, m] and wq[i, k-1, m] are the exact
 partials of d and q with respect to that sample.  Matched 3-point rows
 fill slots 1-3 and parity-window rows slots 0-4; a folded ghost (node 1's
 reflected sample, and for the collapsing fiber the chain rule through
@@ -50,10 +51,15 @@ from .geometry import _closed_cap
 S_ZONE = 2.0
 _Z_CLAMP = 4.0
 _WIDTH = 5          # table slots per row: samples k-2..k+2 of node k
-_NODE1_SLOTS = [4, 1, 0, 2, 3]   # node 1's local columns [1, 0, 2, 3] by offset
 
 _W1 = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0
 _W2 = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0
+# node 1 reads its reflected ghost h[-1] = h[1] on the centre column: its
+# weights over the columns [1, 0, 2, 3] (and a zero), and their offset slots
+_NODE1_COLS = [1, 0, 2, 3, -1]
+_NODE1_SLOTS = [4, 1, 0, 2, 3]
+_W1_NODE1 = np.array([_W1[0] + _W1[2], _W1[1], _W1[3], _W1[4], 0.0])
+_W2_NODE1 = np.array([_W2[0] + _W2[2], _W2[1], _W2[3], _W2[4], 0.0])
 _G0_COEF = np.array([1.5, -0.6, 0.1])   # g(0) from g(1..3), even extension, O(d^6)
 
 
@@ -76,13 +82,14 @@ def _c2p(z):
 def matched_ratios(h, delta, partials=False):
     """d = h'/h and q = h''/h at interior nodes by curvature-matched stencils.
 
-    Returns (d, q) and, when requested, their partial derivatives as offset
-    table rows of shape (N-2, 5): with respect to h[k-1], h[k], h[k+1] in
-    slots 1-3, slots 0 and 4 zero.
+    h holds samples along its last axis, (..., N).  Returns (d, q), each
+    (..., N-2), and, when requested, their partial derivatives as offset
+    table rows of shape (..., N-2, 5): with respect to h[k-1], h[k], h[k+1]
+    in slots 1-3, slots 0 and 4 zero.
     """
-    a = h[2:]
-    b = h[:-2]
-    c = h[1:-1]
+    a = h[..., 2:]
+    b = h[..., :-2]
+    c = h[..., 1:-1]
     z_raw = (a + b - 2.0 * c) / c
     z = np.clip(z_raw, -_Z_CLAMP, _Z_CLAMP)
     live = (z_raw > -_Z_CLAMP) & (z_raw < _Z_CLAMP)
@@ -96,15 +103,15 @@ def matched_ratios(h, delta, partials=False):
     dz_a = np.where(live, 1.0 / c, 0.0)
     dz_c = np.where(live, -(z_raw + 2.0) / c, 0.0)
     inv = 1.0 / (delta * delta * c2)
-    # q = z_raw / (d^2 c2(z)); z enters both numerator and the correction
-    dq_a = inv * (1.0 / c) - q * c2r * dz_a
-    dq_c = inv * (-(z_raw + 2.0) / c) - q * c2r * dz_c
-    dd_a = 1.0 / (2.0 * delta * c * c1) - d * c1r * dz_a
-    dd_b = -1.0 / (2.0 * delta * c * c1) - d * c1r * dz_a
-    dd_c = -d / c - d * c1r * dz_c
-    zero = np.zeros_like(d)
-    pd = np.stack([zero, dd_b, dd_c, dd_a, zero], axis=1)
-    pq = np.stack([zero, dq_a, dq_c, dq_a, zero], axis=1)   # symmetric in a <-> b
+    pd = np.zeros(d.shape + (_WIDTH,))
+    pq = np.zeros(d.shape + (_WIDTH,))
+    # q = z_raw / (d^2 c2(z)); z enters both numerator and the correction;
+    # q is symmetric in a <-> b
+    pq[..., 1] = pq[..., 3] = inv * (1.0 / c) - q * c2r * dz_a
+    pq[..., 2] = inv * (-(z_raw + 2.0) / c) - q * c2r * dz_c
+    pd[..., 3] = 1.0 / (2.0 * delta * c * c1) - d * c1r * dz_a
+    pd[..., 1] = -1.0 / (2.0 * delta * c * c1) - d * c1r * dz_a
+    pd[..., 2] = -d / c - d * c1r * dz_c
     return d, q, pd, pq
 
 
@@ -124,78 +131,41 @@ def _slot_sum(w, v):
     return acc
 
 
-def zone_rows(h, delta, kmax):
+def _zone_table(w, w_node1, kmax):
+    """Parity-window weights by offset slot at nodes 1..kmax, (kmax, 5)."""
+    table = np.tile(w, (kmax, 1))
+    table[0] = w_node1[_NODE1_SLOTS]
+    return table
+
+
+def zone_rows(h, delta, kmax, partials=False):
     """Fourth-order d, q at nodes 1..kmax with even-parity ghosts across 0.
 
-    Returns (d, q, wd, wq): the ratios and their offset table rows.  At
-    node 1 the ghost h[-1] = h[1] folds onto the centre slot, and the sums
-    read the columns [1, 0, 2, 3] in that order.
+    h holds samples along its last axis.  Returns (d, q) and, when
+    requested, their offset table rows (wd, wq).  At node 1 the ghost
+    h[-1] = h[1] folds onto the centre slot, and its sums read the columns
+    [1, 0, 2, 3] in that order; every other node's sum is one shifted
+    slice of the samples per slot.
     """
-    k = np.arange(1, kmax + 1)
-    cols = np.abs(k[:, None] + np.arange(-2, 3))
-    w1 = np.tile(_W1, (kmax, 1))
-    w2 = np.tile(_W2, (kmax, 1))
-    cols[0] = [1, 0, 2, 3, -1]
-    w1[0] = [_W1[0] + _W1[2], _W1[1], _W1[3], _W1[4], 0.0]
-    w2[0] = [_W2[0] + _W2[2], _W2[1], _W2[3], _W2[4], 0.0]
-    h0 = h[1:kmax + 1]
-    hc = h[cols]
-    d = _slot_sum(w1, hc) / (delta * h0)
-    q = _slot_sum(w2, hc) / (delta * delta * h0)
-    w1[0], w2[0] = w1[0, _NODE1_SLOTS], w2[0, _NODE1_SLOTS]
-    wd = w1 / (delta * h0)[:, None]
-    wq = w2 / (delta * delta * h0)[:, None]
-    wd[:, 2] -= d / h0
-    wq[:, 2] -= q / h0
-    return d, q, wd, wq
-
-
-def plain_component(h, delta, kz=0, partials=False):
-    """Ratios of a smooth positive component (f_j, or g off the cap).
-
-    Nodes 1..kz use the parity window.  Returns (d, q, table) with
-    table = (wd, wq) of shape (N-2, 5), or None without partials.
-    """
-    d, q, *table = matched_ratios(h, delta, partials)
-    if kz > 0:
-        dz, qz, *zone = zone_rows(h, delta, kz)
-        d[:kz], q[:kz] = dz, qz
-        for rows, z in zip(table, zone):     # the partials, if asked for
-            rows[:kz] = z
-    return d, q, (tuple(table) if partials else None)
-
-
-def capped_theta_component(f2, s, delta, kz, partials=False):
-    """Ratios of the collapsing fiber via the even variable g = f_2/s.
-
-    d = 1/s + (Dg)/g and q = 2 (Dg)/(s g) + (D2g)/g; the table is chained
-    back to the f_2 samples through dg[c]/df_2[c] = 1/s[c].  g[0] is the
-    O(d^6) even extrapolation from g[1..3], so the rows of nodes 1 and 2,
-    which read g[0] in slots 1 and 0, pick up its sensitivity on the slots
-    of samples 1..3; the slot of sample 0 is left zero.
-    """
-    N = f2.size
-    g = np.empty(N)
-    g[1:] = f2[1:] / s[1:]
-    g[0] = _G0_COEF @ g[1:4]
-    dg, qg, table = plain_component(g, delta, kz=kz, partials=partials)
-    sm = s[1:-1]
-    d = 1.0 / sm + dg
-    q = 2.0 * dg / sm + qg
+    h0 = h[..., 1:kmax + 1]
+    sums = []
+    for w, w_node1 in ((_W1, _W1_NODE1), (_W2, _W2_NODE1)):
+        acc = np.empty(h0.shape)
+        acc[..., 0] = _slot_sum(w_node1, h[..., _NODE1_COLS])
+        rest = acc[..., 1:]         # nodes 2..kmax read samples k-2..k+2
+        np.multiply(w[0], h[..., :kmax - 1], out=rest)
+        for m in range(1, _WIDTH):
+            rest += w[m] * h[..., m:kmax - 1 + m]
+        sums.append(acc)
+    d = sums[0] / (delta * h0)
+    q = sums[1] / (delta * delta * h0)
     if not partials:
-        return d, q, None
-    wdg, wqg = table
-    wqg = 2.0 * wdg / sm[:, None] + wqg
-    inv_s = np.zeros(N)         # g[0] is no sample of f_2: merged below
-    inv_s[1:] = 1.0 / s[1:]
-    inv_s = _windows(inv_s)
-    wd = wdg * inv_s
-    wq = wqg * inv_s
-    w0 = _G0_COEF / s[1:4]
-    for row, ghost in ((0, 1), (1, 0)):
-        wd[row, ghost + 1:ghost + 4] += wdg[row, ghost] * w0
-        wq[row, ghost + 1:ghost + 4] += wqg[row, ghost] * w0
-    return d, q, (wd, wq)
+        return d, q
+    wd = _zone_table(_W1, _W1_NODE1, kmax) / (delta * h0)[..., None]
+    wq = _zone_table(_W2, _W2_NODE1, kmax) / (delta * delta * h0)[..., None]
+    wd[..., 2] -= d / h0
+    wq[..., 2] -= q / h0
+    return d, q, wd, wq
 
 
 def e2_constant(n):
@@ -214,9 +184,13 @@ def reduced_residual(n, d, q, S, s2):
 class DiagonalSystem:
     """Residual of the diagonal Einstein system and its exact linearization.
 
-    With partials, wd and wq hold the offset tables of all components,
-    each of shape (n-1, N-2, 5): d[i, k-1] has partial wd[i, k-1, m] with
-    respect to f_i[k+m-2], and q likewise with wq.
+    All n-1 components are evaluated in one pass over an (n-1, N) stack of
+    samples whose row 0 holds g = f_2/s when the profile is capped: the
+    parity window on nodes 1..kz and the matched stencils beyond it each
+    run once on the stack, and row 0 is then mapped back to f_2.  With
+    partials, wd and wq hold the offset tables, each of shape
+    (n-1, N-2, 5): d[i, k-1] has partial wd[i, k-1, m] with respect to
+    f_i[k+m-2], and q likewise with wq.
     """
 
     def __init__(self, n, s, f, partials=False):
@@ -226,18 +200,52 @@ class DiagonalSystem:
         self.delta = float(s[1] - s[0])
         self.capped = _closed_cap(s, f)
         self.kz = 0
+        h = f
         if self.capped:
             self.kz = int(np.clip(np.searchsorted(s, S_ZONE), 3, s.size - 3))
-        comps = [capped_theta_component(f[0], s, self.delta, self.kz, partials)
-                 if self.capped and i == 0 else
-                 plain_component(f[i], self.delta, self.kz, partials)
-                 for i in range(n - 1)]
-        self.d = np.vstack([c[0] for c in comps])
-        self.q = np.vstack([c[1] for c in comps])
-        self.S = self.d.sum(axis=0)
+            h = f.copy()    # row 0 becomes g = f_2/s, g[0] its even extension
+            h[0, 1:] /= s[1:]
+            h[0, 0] = _G0_COEF @ h[0, 1:4]
+        # matched stencils beyond the parity window, nodes kz+1..N-2
+        parts = matched_ratios(h[:, self.kz:], self.delta, partials)
+        if self.kz:
+            zone = zone_rows(h, self.delta, self.kz, partials)
+            parts = [np.concatenate(pair, axis=1) for pair in zip(zone, parts)]
+        d, q, *tables = parts
+        if self.capped:
+            self._theta_from_g(d, q, *tables)
+        self.d, self.q = d, q
+        self.S = d.sum(axis=0)
         if partials:
-            tables = zip(*(c[2] for c in comps))
-            self.wd, self.wq = (np.stack(t) for t in tables)
+            self.wd, self.wq = tables
+
+    def _theta_from_g(self, d, q, wd=None, wq=None):
+        """Map row 0 from the ratios of g = f_2/s to those of f_2, in place.
+
+        d = 1/s + (Dg)/g and q = 2 (Dg)/(s g) + (D2g)/g; the table is chained
+        back to the f_2 samples through dg[c]/df_2[c] = 1/s[c].  The rows of
+        nodes 1 and 2, which read g[0] in slots 1 and 0, pick up its
+        sensitivity on the slots of samples 1..3; the slot of sample 0 is
+        left zero.
+        """
+        s = self.s
+        sm = s[1:-1]
+        q[0] = 2.0 * d[0] / sm + q[0]
+        d[0] = 1.0 / sm + d[0]
+        if wd is None:
+            return
+        wdg, wqg = wd[0], 2.0 * wd[0] / sm[:, None] + wq[0]
+        ghosts = [(row, ghost, wdg[row, ghost], wqg[row, ghost])
+                  for row, ghost in ((0, 1), (1, 0))]
+        inv_s = np.zeros(s.size)      # g[0] is no sample of f_2: merged below
+        inv_s[1:] = 1.0 / s[1:]
+        inv_s = _windows(inv_s)
+        np.multiply(wdg, inv_s, out=wd[0])
+        np.multiply(wqg, inv_s, out=wq[0])
+        w0 = _G0_COEF / s[1:4]
+        for row, ghost, gd, gq in ghosts:
+            wd[0, row, ghost + 1:ghost + 4] += gd * w0
+            wq[0, row, ghost + 1:ghost + 4] += gq * w0
 
     def residual(self):
         """(E1/sqrt(det M) rows, E2) at the interior nodes."""

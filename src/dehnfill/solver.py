@@ -13,6 +13,7 @@ rows it propagates automatically and is monitored as drift.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,7 +21,7 @@ import numpy as np
 from . import _stencils
 from ._lapack import check_info, dgbtrf, dgbtrs
 from .geometry import DiagonalMetricProfile, RadialGrid
-from .gluing import WeightFunction, double_star_norm
+from .gluing import WeightFunction, _NormPlan
 from .operators import InvariantTensor, einstein_residual
 
 __all__ = [
@@ -48,6 +49,17 @@ class NumericalError(ValueError):
     callers catching ValueError still catch it."""
 
 
+def _is_count(value, least):
+    """True for an integer (not a bool) of at least `least`."""
+    return (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            and value >= least)
+
+
+def _check_count(count):
+    if not _is_count(count, 1):
+        raise ValueError(f"count must be an integer >= 1, got {count!r}")
+
+
 @dataclass
 class SolverConfig:
     """Newton driver settings.
@@ -65,8 +77,13 @@ class SolverConfig:
     mode: str = "newton"
 
     def __post_init__(self):
-        if self.residual_tolerance <= 0:
-            raise ValueError("tolerance must be positive")
+        if not _is_count(self.max_iterations, 0):
+            raise ValueError(f"max_iterations must be an integer >= 0, "
+                             f"got {self.max_iterations!r}")
+        tol = self.residual_tolerance
+        if not (isinstance(tol, numbers.Real) and np.isfinite(tol) and tol > 0):
+            raise ValueError(f"residual_tolerance must be finite and positive, "
+                             f"got {tol!r}")
         if self.mode not in ("newton", "frozen_jacobian"):
             raise ValueError("mode must be 'newton' or 'frozen_jacobian'")
 
@@ -227,6 +244,7 @@ class BandedLinearization:
         The loop stops when no estimate moves by more than _PROBE_TOL
         relative, or after _PROBE_STEPS steps.
         """
+        _check_count(count)
         rs = np.ones(self.size) if row_scale is None else np.asarray(row_scale)
         cs = np.ones(self.size) if col_scale is None else np.asarray(col_scale)
         rs, cs = rs[:, None], cs[:, None]
@@ -311,15 +329,19 @@ def newton_solve(g0: DiagonalMetricProfile, cfg: SolverConfig | None = None):
     a step follows.  At most one linearization is alive: a Newton step
     drops the previous one, and the system it was built from, before it
     builds the next, so a step holds one band, its LU factors and one
-    system's stencil tables.  When the profile carries its radii and cap
-    radius, each iterate's perturbation is measured in the star and
-    double-star norms of the weight at the cap radius.  Returns
-    (profile, report).
+    system's stencil tables; a residual-only step builds no tables.  When
+    the profile carries its radii and cap radius, each iterate's
+    perturbation is measured in the star and double-star norms of the
+    weight at the cap radius, through one norm plan and one radial grid
+    built per solve: the values of double_star_norm(order=0), without its
+    grid work at every iterate.  Returns (profile, report).
     """
     cfg = SolverConfig() if cfg is None else cfg
     profile = g0.copy()
-    wf = (WeightFunction(g0.n, g0.cap_radius)
-          if g0.cap_radius is not None and g0.r is not None else None)
+    grid = plan = None
+    if g0.cap_radius is not None and g0.r is not None:
+        grid = RadialGrid("r", g0.r, g0.n, exterior=True)
+        plan = _NormPlan(grid, WeightFunction(g0.n, g0.cap_radius), order=0)
     index = _unknown_index(profile.n, profile.s.size)
     free = index >= 0
     lin = None
@@ -336,9 +358,8 @@ def newton_solve(g0: DiagonalMetricProfile, cfg: SolverConfig | None = None):
         res = _stacked_residual(index, sys)
         rnorm = float(np.abs(res[index[:, 1:-1]]).max())
         history.append(rnorm)
-        if wf is not None:
-            h = _perturbation_tensor(g0, profile)
-            norms = double_star_norm(h, wf, order=0)
+        if plan is not None:
+            norms = plan.double_star(_perturbation_tensor(grid, g0, profile))
             stars.append(norms.star)
             dstars.append(norms.double_star)
         if rnorm < cfg.residual_tolerance:
@@ -389,9 +410,9 @@ def _fit_orders(history, floor=1e-12):
     return orders
 
 
-def _perturbation_tensor(g0, profile):
-    """Accumulated perturbation as an invariant tensor (torus block only)."""
-    grid = RadialGrid("r", g0.r, g0.n, exterior=True)
+def _perturbation_tensor(grid, g0, profile):
+    """Accumulated perturbation as an invariant tensor (torus block only) on
+    the radial grid of g0."""
     k = g0.n - 1
     hij = np.zeros((g0.r.size, k, k))
     dfsq = profile.f**2 - g0.f**2
@@ -442,6 +463,7 @@ def kernel_spectrum(profile, count=1, weight_fn: WeightFunction | None = None,
     measuring both sides in the weighted norm).  Deterministic start block;
     see BandedLinearization.sigma_min.
     """
+    _check_count(count)
     lin = BandedLinearization(profile)
     rs = cs = None
     if conjugate:

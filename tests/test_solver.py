@@ -9,10 +9,10 @@ from scipy.linalg import LinAlgError, solve_banded
 
 from dehnfill import _stencils, solver
 from dehnfill._lapack import check_info, dgbtrs
-from dehnfill.geometry import (BlockMetricProfile, TrivialVariation,
-                               black_hole_profile, cusp_profile, r_plus,
-                               theta_period, v_profile)
-from dehnfill.gluing import WeightFunction, glue
+from dehnfill.geometry import (BlockMetricProfile, RadialGrid,
+                               TrivialVariation, black_hole_profile,
+                               cusp_profile, r_plus, theta_period, v_profile)
+from dehnfill.gluing import WeightFunction, double_star_norm, glue
 from dehnfill.operators import einstein_residual, linearized_residual
 from dehnfill.solver import (BandedLinearization, SolverConfig,
                              kernel_spectrum, newton_solve, rayleigh_quotient,
@@ -376,6 +376,53 @@ def test_cone_defect_scales_like_inverse_power_of_radius(n):
         defects.append(abs(rep.cone_angle_ratio - 1.0))
     slope = np.polyfit(np.log(radii), np.log(defects), 1)[0]
     assert abs(slope + (n - 1)) <= 0.1
+
+
+@pytest.mark.parametrize("mode", ["newton", "frozen_jacobian"])
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+def test_norm_histories_measure_each_iterate(n, mode):
+    # the solve evaluates every iterate through one norm plan; its histories
+    # equal, exactly, a fresh double_star_norm of each replayed iterate
+    g0 = glue(n, ell_for_radius(n, 8.0), nodes=256)
+    _, rep = newton_solve(g0, SolverConfig(mode=mode))
+    assert len(rep.star_history) == len(rep.double_star_history) == rep.iterations + 1
+    grid = RadialGrid("r", g0.r, n, exterior=True)
+    wf = WeightFunction(n, g0.cap_radius)
+    for m in range(rep.iterations + 1):
+        p, _ = newton_solve(g0, SolverConfig(mode=mode, max_iterations=m))
+        norms = double_star_norm(solver._perturbation_tensor(grid, g0, p), wf, order=0)
+        assert rep.star_history[m] == norms.star
+        assert rep.double_star_history[m] == norms.double_star
+
+
+@pytest.mark.parametrize("kwargs, field", [
+    ({"max_iterations": -1}, "max_iterations"),
+    ({"max_iterations": 2.5}, "max_iterations"),
+    ({"max_iterations": True}, "max_iterations"),
+    ({"residual_tolerance": float("nan")}, "residual_tolerance"),
+    ({"residual_tolerance": float("inf")}, "residual_tolerance"),
+    ({"residual_tolerance": 0.0}, "residual_tolerance"),
+    ({"residual_tolerance": -1e-8}, "residual_tolerance"),
+    ({"mode": "frozen"}, "mode"),
+])
+def test_config_rejects_what_the_solver_cannot_run(kwargs, field):
+    with pytest.raises(ValueError, match=field):
+        SolverConfig(**kwargs)
+
+
+def test_config_accepts_numpy_scalars_and_zero_iterations():
+    cfg = SolverConfig(max_iterations=np.int64(0), residual_tolerance=np.float32(1e-6))
+    _, rep = newton_solve(glue(3, 10.0, nodes=256), cfg)
+    assert rep.iterations == 0 and rep.message == "maximum iterations reached"
+
+
+@pytest.mark.parametrize("count", [-1, 0, 1.0])
+def test_spectrum_rejects_a_count_below_one(count):
+    p = black_hole_profile(4, 15.0, 128)
+    with pytest.raises(ValueError, match="count"):
+        kernel_spectrum(p, count=count)
+    with pytest.raises(ValueError, match="count"):
+        BandedLinearization(p).sigma_min(count)
 
 
 def test_newton_respects_iteration_budget():
