@@ -34,10 +34,13 @@ partials of d and q with respect to that sample.  Matched 3-point rows
 fill slots 1-3 and parity-window rows slots 0-4; a folded ghost (node 1's
 reflected sample, and for the collapsing fiber the chain rule through
 g = f_2/s with the extrapolated g(0) at nodes 1-2) lands in the slots of
-the samples it folds into.  The Newton matrix (`jacobian_triples`) and
-the directional derivative (`apply_linearization`, over a sliding window
-of the samples) are both read from them, so the linearization is the
-exact derivative of the reported residual.  The parity-window sums run
+the samples it folds into.  The Newton matrix and the directional
+derivative (`apply_linearization`, over a sliding window of the samples)
+are both read from them, so the linearization is the exact derivative of
+the reported residual.  The matrix entries come from one per-slot product,
+`DiagonalSystem.jacobian_writer`: the solver writes each (component,
+component, slot) of it straight into its band, and `jacobian_triples`
+collects the same products into one table.  The parity-window sums run
 left to right in column order rather than through a reduction whose
 order numpy chooses, so the ratios are reproducible to the last bit.
 """
@@ -265,24 +268,45 @@ class DiagonalSystem:
         de2 = 4.0 * ((self.S - self.d) * dd).sum(axis=0)
         return de1, de2
 
-    def jacobian_triples(self):
-        """Partials of the E1 rows with respect to the log-profile samples.
+    def jacobian_writer(self):
+        """The partials of the E1 rows by the log-profile samples, one
+        (i, j, slot) at a time.
 
-        Returns vals of shape (n-1, n-1, 5, N-2): vals[i, j, m, k-1] is the
-        derivative of E1_i at interior node k by log f_j at sample k+m-2
-        (d f = f d log f), zero in the slots a table row leaves empty.
-        E1_i depends on component j through S, and for i = j also through
-        q_j and d_j.  Which samples are unknowns is left to the caller.
+        Returns write(i, j, m, nodes, out), which stores in out the
+        derivative of E1_i at the interior nodes k with k-1 in the slice
+        `nodes` by log f_j at sample k+m-2 (d f = f d log f).  E1_i depends
+        on component j through S, and for i = j also through q_j and d_j:
+        the products are (2 d_i wd_j[m]) f_j off the diagonal and
+        2 (wq_i[m] + wd_i[m] (S - d_i)) f_i on it, in that order, so an
+        entry is the same double whatever slice it is written with.  out
+        may be a strided view, such as a diagonal of a band matrix.
         """
+        two_d, s_less_d = 2.0 * self.d, self.S - self.d
+        f_col = _windows(self.f)
+        wd, wq = self.wd, self.wq
+
+        def write(i, j, m, nodes, out):
+            if i == j:
+                np.multiply(wd[i, nodes, m], s_less_d[i, nodes], out=out)
+                out += wq[i, nodes, m]
+                out *= 2.0
+            else:
+                np.multiply(two_d[i, nodes], wd[j, nodes, m], out=out)
+            out *= f_col[j, nodes, m]
+
+        return write
+
+    def jacobian_triples(self):
+        """All partials of `jacobian_writer`, as vals of shape
+        (n-1, n-1, 5, N-2): vals[i, j, m, k-1] is the derivative of E1_i at
+        interior node k by log f_j at sample k+m-2, zero in the slots a
+        table row leaves empty.  Which samples are unknowns is left to the
+        caller."""
         k = self.n - 1
-        wd = self.wd.transpose(0, 2, 1)               # (j, slot, node)
-        f_col = _windows(self.f).transpose(0, 2, 1)
-        vals = np.empty((k, k, _WIDTH, self.d.shape[1]))   # node-contiguous
-        np.multiply((2.0 * self.d)[:, None, None, :], wd, out=vals)
-        vals *= f_col
-        own = np.arange(k)
-        vals[own, own] = 2.0 * (self.wq.transpose(0, 2, 1)
-                                + wd * (self.S - self.d)[:, None, :]) * f_col
+        vals = np.empty((k, k, _WIDTH, self.d.shape[1]))
+        write = self.jacobian_writer()
+        for i, j, m in np.ndindex(k, k, _WIDTH):
+            write(i, j, m, slice(None), vals[i, j, m])
         return vals
 
 

@@ -177,6 +177,8 @@ def cmd_solve(args):
     cfg = _resolve(args, {"n": None, "ell": None, "nodes": 2048,
                           "outer_factor": 4.0, "tol": 1e-8, "mode": "newton",
                           "out": "-", "format": "json"})
+    if not cfg["tol"] > 0:
+        raise ConfigError(f"--tol must be positive, got {cfg['tol']:g}")
     profile = _glued(cfg)
     if not gluing.fits_window(profile.r):   # the norms of every iterate need it
         raise ConfigError(f"--nodes {cfg['nodes']} is too few for the seminorm "

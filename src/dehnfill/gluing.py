@@ -100,6 +100,20 @@ _COLLAR_WIDTH = 1.0      # cap arclength of the interpolation collar
 _R_MAX = np.finfo(float).max ** 0.25     # the closed forms square V ~ r^2
 MIN_NODES = 66           # fewest samples of a glued profile: 64 interior nodes
 
+# The 16-point Gauss-Legendre rule, numpy.polynomial.legendre.leggauss(16),
+# whose nodes and weights are symmetric about 0: held as constants, since
+# computing it imports all of numpy.polynomial on the first glue
+_GL16_NODES = np.array([
+    0.09501250983763744, 0.2816035507792589, 0.45801677765722737,
+    0.6178762444026438, 0.755404408355003, 0.8656312023878318,
+    0.9445750230732326, 0.9894009349916499])
+_GL16_WEIGHTS = np.array([
+    0.18945061045506864, 0.18260341504492364, 0.16915651939500265,
+    0.1495959888165767, 0.12462897125553407, 0.0951585116824926,
+    0.062253523938647456, 0.027152459411754176])
+_GAUSS_LEGENDRE_16 = (np.concatenate((-_GL16_NODES[::-1], _GL16_NODES)),
+                      np.concatenate((_GL16_WEIGHTS[::-1], _GL16_WEIGHTS)))
+
 
 def _panel(edges, v):
     """Index of the panel between consecutive edges holding each v."""
@@ -116,15 +130,15 @@ class _GluedArclength:
 
         ds/dt = sqrt(chi + (1 - chi) V/r^2),   V/r^2 = tanh^2((n-1) t/2),
 
-    is smooth and lies in (0, 1].  It is taken by `panels` Gauss-Legendre
-    panels of `order` nodes; s inside a panel is one more rule of the same
-    order from the panel's edge.  The inverse on the collar is Newton in t,
-    whose derivative is the integrand itself.
+    is smooth and lies in (0, 1].  It is taken by `panels` panels of a
+    Gauss-Legendre `rule`, (nodes, weights) on [-1, 1]; s inside a panel is
+    one more application of the rule from the panel's edge.  The inverse on
+    the collar is Newton in t, whose derivative is the integrand itself.
     """
 
-    def __init__(self, end, panels=16, order=16):
+    def __init__(self, end, panels=16, rule=_GAUSS_LEGENDRE_16):
         self.end = end
-        self._gl = np.polynomial.legendre.leggauss(order)
+        self._gl = rule
         self.t_edges = np.linspace(end.s_R - _COLLAR_WIDTH, end.s_R, panels + 1)
         steps = self._integral(self.t_edges[:-1], self.t_edges[1:])
         self.s_edges = self.t_edges[0] + np.concatenate(([0.0], np.cumsum(steps)))

@@ -111,25 +111,34 @@ class BandedLinearization:
     Rows/columns are node-major over the free unknowns: all components at
     node 0 except the pinned theta fiber, then nodes 1..N-2 (the Dirichlet
     node N-1 is eliminated).  Row slots: parity rows for the node-0
-    unknowns, then the evolution rows (E1 normalized) node by node.
+    unknowns, then the evolution rows (E1 normalized) node by node.  The
+    band widths follow from the numbering: l = 3n-4 and u = 4(n-1).
 
-    The matrix is held once, as the band `ab` in LAPACK layout: A[i, j]
-    sits at ab[u + i - j, j].  With n-1 unknowns per node, E1_i at node t
-    and f_j at sample t+m-2 always meet on band row u + (2-m)(n-1) + i - j,
-    so each (i, j, slot m) set of the partials of
-    `DiagonalSystem.jacobian_triples` is written there with one strided
-    slice, clipped at the pinned f_2(0) and the Dirichlet node; each
-    sample of the parity rows is one more slice.  The band widths follow
-    from the numbering: l = 3n-4 and u = 4(n-1).  The band is LU-factored
-    in place (LAPACK dgbtrf) on the first `solve` and the factors are held
-    beside it.  `solve_transpose` (A^T x = b) factors A^T, the band with
-    the widths swapped, on its first call and holds those factors too:
-    a forward sweep on them is faster than dgbtrs's transpose sweep on A's
-    factors, which makes one small matrix-vector product per column.  A
-    Newton solve never factors A^T.  Every later solve is a pair of
-    triangular band sweeps, on one right-hand side or a matrix of them,
-    column by column.  `sys` is the system at the profile when the caller
-    already built it with partials.
+    The matrix is written once, by `_band`, straight into the array that
+    LAPACK's dgbtrf factors in place: a Fortran-ordered (2l+u+1, size)
+    array whose first l rows are spare for the fill-in and whose rows
+    l.. hold the band, A[i, j] at row l + u + i - j of column j.  With
+    n-1 unknowns per node, E1_i at node t and f_j at sample t+m-2 always
+    meet on band row u + (2-m)(n-1) + i - j, so each (i, j, slot m) of
+    the partials is written there, by `DiagonalSystem.jacobian_writer`,
+    into one strided slice, clipped at the pinned f_2(0) and the Dirichlet
+    node; each sample of the parity rows is one more slice.  No table of
+    the partials and no copy of the band is made.  The first `solve`
+    factors that array in place and `_lu` holds the factors from then on;
+    until then `ab`, the band rows, is a view of it, and afterwards `ab`
+    and `matvec` write the band anew from `sys`.
+
+    `solve_transpose` (A^T x = b) factors A^T, the band with the widths
+    swapped, on its first call and holds those factors too: a forward
+    sweep on them is faster than dgbtrs's transpose sweep on A's factors,
+    which makes one small matrix-vector product per column.  `_band`
+    writes A^T from `sys` by the same loop, each slice on the mirrored
+    band row and along the rows of A, into a work array of its own, so
+    the transposed factor reads neither `ab` nor A's factors.  A Newton
+    solve never factors A^T.  Every later solve is a pair of triangular
+    band sweeps, on one right-hand side or a matrix of them, column by
+    column.  `sys` is the system at the profile when the caller already
+    built it with partials.
     """
 
     def __init__(self, profile: DiagonalMetricProfile, sys=None):
@@ -142,54 +151,64 @@ class BandedLinearization:
                     if sys is None else sys)
         self.index = _unknown_index(n, N)
         self.size = int(self.index.max()) + 1
-        self._lu = self._piv = self._lu_t = self._piv_t = None
-        self._assemble()
-
-    def _assemble(self):
-        n, N, kz, index = self.n, self.N, self.sys.kz, self.index
-        step = n - 1                    # unknowns per node, node-major
-        vals = self.sys.jacobian_triples()
         # E1_{n-1} at node t reads f_2 at t-2; the parity rows reach node 4
-        self.l, self.u = 3 * n - 4, 4 * step
-        ab = np.zeros((self.l + self.u + 1, self.size))
+        self.l, self.u = 3 * n - 4, 4 * (n - 1)
+        self._lu = self._band()          # factored in place by the first solve
+        self._piv = self._lu_t = self._piv_t = None
+
+    def _band(self, transpose=False):
+        """A's band, or A^T's, under the fill rows of a dgbtrf work array."""
+        n, N, kz, index = self.n, self.N, self.sys.kz, self.index
+        l, u = self.l, self.u
+        step = n - 1                    # unknowns per node, node-major
+        fill = u if transpose else l
+        work = np.zeros((fill + l + u + 1, self.size), order="F")
+
+        def diagonal(band_row, rows, cols):
+            # the entries A[rows, cols], all on band row band_row of A
+            if transpose:               # A^T[c, r] = A[r, c]
+                return work[fill + l + u - band_row, rows]
+            return work[fill + band_row, cols]
+
+        write = self.sys.jacobian_writer()
         for i, j, m in np.ndindex(step, step, 5):
             # the nodes t whose table fills slot m and whose sample t+m-2 is
             # an unknown: not f_2(0), not the Dirichlet node
             lo = max(1, 2 - m + (j == 0))
             hi = min(N - 2, N - m) if 1 <= m <= 3 else min(kz, N - m)
-            c0 = index[j, lo + m - 2]
-            cols = slice(c0, c0 + (hi - lo) * step + 1, step)
-            ab[self.u + index[i, lo] - c0, cols] = vals[i, j, m, lo - 1:hi]
+            r0, c0 = index[i, lo], index[j, lo + m - 2]
+            span = (hi - lo) * step + 1
+            out = diagonal(u + r0 - c0, slice(r0, r0 + span, step),
+                           slice(c0, c0 + span, step))
+            write(i, j, m, slice(lo - 1, hi), out)
         # the parity rows f_i'(0) = 0, i >= 1, in the node-0 slots
         w = _PARITY_W / self.sys.delta
+        rows = slice(index[1, 0], index[-1, 0] + 1)
         for p in range(5):
-            ab[self.u - p * step, index[1:, p]] = w[p] * self.sys.f[1:, p]
-        self.ab = ab
+            cols = slice(index[1, p], index[-1, p] + 1)
+            diagonal(u - p * step, rows, cols)[:] = w[p] * self.sys.f[1:, p]
+        return work
+
+    @property
+    def ab(self):
+        """A's band in LAPACK layout, A[i, j] at ab[u + i - j, j]: a view of
+        the array the first solve factors, or, once it is factored, the
+        band written anew from `sys`."""
+        return (self._lu if self._piv is None else self._band())[self.l:]
 
     def residual_vector(self):
         """Stacked residual in row order: parity rows, then E1 rows."""
         return _stacked_residual(self.index, self.sys)
 
     def _factor(self, transpose=False):
-        """LU-factor A, or A^T when transpose, and hold the factors."""
-        if not np.isfinite(self.ab).all():
-            raise NumericalError("the Newton matrix holds infs or NaNs")
+        """LU-factor A, or A^T when transpose, in place, and hold the factors."""
         l, u = (self.u, self.l) if transpose else (self.l, self.u)
-        # dgbtrf needs l spare rows for fill-in; in Fortran order it factors
-        # the work array in place rather than a copy of it
-        work = np.zeros((2 * l + u + 1, self.size), order="F")
-        if transpose:
-            # A^T[i, j] = A[j, i], with (l, u) now the widths of A^T: row k
-            # of its band is row l+u-k of ab, shifted by k-u columns
-            for k, src in enumerate(self.ab[::-1]):
-                shift = k - u
-                if shift >= 0:
-                    work[l + k, :self.size - shift] = src[shift:]
-                else:
-                    work[l + k, -shift:] = src[:shift]
-        else:
-            work[l:] = self.ab
+        work = self._band(transpose) if transpose else self._lu
+        if not np.isfinite(work[l:]).all():
+            raise NumericalError("the Newton matrix holds infs or NaNs")
         lu, piv, info = dgbtrf(work, l, u, overwrite_ab=True)
+        if info and not transpose:
+            self._lu = self._band()     # dgbtrf has overwritten the band
         check_info(info, "dgbtrf")
         if transpose:
             self._lu_t, self._piv_t = lu, piv
@@ -207,7 +226,7 @@ class BandedLinearization:
                 self._factor(transpose=True)
             x, info = dgbtrs(self._lu_t, self.u, self.l, rhs, self._piv_t)
         else:
-            if self._lu is None:
+            if self._piv is None:
                 self._factor()
             x, info = dgbtrs(self._lu, self.l, self.u, rhs, self._piv)
         check_info(info, "dgbtrs")
@@ -223,11 +242,12 @@ class BandedLinearization:
 
     def matvec(self, x):
         """A x, one band diagonal at a time."""
+        ab = self.ab
         out = np.zeros(self.size)
         for band_row in range(self.l + self.u + 1):
             off = band_row - self.u          # row - col on this diagonal
             lo, hi = max(0, -off), min(self.size, self.size - off)
-            out[lo + off:hi + off] += self.ab[band_row, lo:hi] * x[lo:hi]
+            out[lo + off:hi + off] += ab[band_row, lo:hi] * x[lo:hi]
         return out
 
     def sigma_min(self, count=1, row_scale=None, col_scale=None, seed=7):

@@ -171,10 +171,14 @@ def test_import_loads_no_optimize_or_integrate():
     # scipy package and SciPy's compiled LAPACK wrapper, not the scipy.linalg
     # package with its array-API layer (scipy._lib._util, which pulls in
     # numpy.ma and unittest); no module of the package imports
-    # scipy.optimize or scipy.integrate, which only tests use as oracles
+    # scipy.optimize or scipy.integrate, which only tests use as oracles;
+    # and a solve, which glues, holds its quadrature rule as constants
+    # rather than importing numpy.polynomial to compute it
     heavy = ("scipy.linalg", "scipy._lib._util", "numpy.ma", "unittest",
-             "scipy.optimize", "scipy.integrate")
-    code = ("import sys, dehnfill, dehnfill.cli; "
+             "scipy.optimize", "scipy.integrate", "numpy.polynomial")
+    code = ("import os, sys, dehnfill, dehnfill.cli; "
+            "dehnfill.cli.main(['solve', '--n', '3', '--ell', '10', "
+            "'--nodes', '256', '--out', os.devnull]); "
             f"print(sorted(m for m in {heavy!r} if m in sys.modules))")
     assert _run_python(code) == "[]"
 
@@ -222,6 +226,8 @@ def test_numerical_failure_exits_3(monkeypatch, capsys):
     (["solve", "--n", "3", "--ell", "nan"], "ell"),
     (["solve", "--n", "3", "--ell", "1e300"], "ell"),
     (["solve", "--n", "3", "--ell", "10", "--tol", "inf"], "tol"),
+    (["solve", "--n", "3", "--ell", "10", "--tol", "0"], "tol"),
+    (["solve", "--n", "3", "--ell", "10", "--tol=-1"], "tol"),
     (["glue", "--n", "4", "--ell=-inf"], "ell"),
     (["estimate", "--n", "4", "--R", "inf"], "R"),
     (["estimate", "--n", "4", "--R", "1e300"], "R"),

@@ -9,8 +9,9 @@ from scipy.integrate import quad
 from dehnfill.geometry import (ArclengthMap, RadialGrid, r_plus,
                                radius_for_meridian, theta_period, v_profile)
 from dehnfill.gluing import (_COLLAR_WIDTH, GluedEnd, WeightFunction, _bump01,
-                             _bump01_value, _gradient, _GluedArclength,
-                             _tensor_s_grid, _window_max, _window_spans,
+                             _GAUSS_LEGENDRE_16, _bump01_value, _gradient,
+                             _GluedArclength, _tensor_s_grid, _window_max,
+                             _window_spans,
                              double_star_decompose, double_star_norm, glue,
                              residual_decay_sweep, rho_cutoff,
                              unit_frame_components, weight, weighted_norms)
@@ -430,11 +431,17 @@ def test_sweep_builds_one_map_per_radius(monkeypatch):
 def test_glued_arclength_matches_panel_refinement(n, ell):
     p = glue(n, ell, nodes=2048)
     end = p.source
-    fine = _GluedArclength(end, panels=256, order=24)
+    fine = _GluedArclength(end, panels=256,
+                           rule=np.polynomial.legendre.leggauss(24))
     assert abs(end.amap.s_max - fine.s_max) <= 1e-14 * fine.s_max
     assert np.array_equal(p.s, np.linspace(0.0, end.amap.s_max, 2048))
     r_fine = end.rp * (1.0 + fine.offset_of_s(p.s))
     assert np.all(np.abs(p.r - r_fine) <= 1e-14 * r_fine)
+
+
+def test_held_rule_is_numpys_16_point_gauss_legendre():
+    for held, computed in zip(_GAUSS_LEGENDRE_16, np.polynomial.legendre.leggauss(16)):
+        np.testing.assert_array_max_ulp(held, computed, maxulp=1)
 
 
 @pytest.mark.parametrize("n, ell", [(3, 10.0), (5, 20.0), (7, 12.0)])

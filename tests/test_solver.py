@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 import weakref
 
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.linalg import LinAlgError, solve_banded
 
 from dehnfill import _stencils, solver
-from dehnfill._lapack import check_info, dgbtrs
+from dehnfill._lapack import check_info, dgbtrf, dgbtrs
 from dehnfill.geometry import (BlockMetricProfile, RadialGrid,
                                TrivialVariation, black_hole_profile,
                                cusp_profile, r_plus, theta_period, v_profile)
@@ -142,6 +143,113 @@ def test_band_widths_follow_from_the_numbering(n):
     assert lin.ab[0].any() and lin.ab[-1].any()
 
 
+def _table_triples(sys):
+    """The partials as one pass over the whole tables, as jacobian_triples
+    computed them before it went through the per-slot writer."""
+    k = sys.n - 1
+    wd = sys.wd.transpose(0, 2, 1)
+    f_col = _stencils._windows(sys.f).transpose(0, 2, 1)
+    vals = np.empty((k, k, 5, sys.d.shape[1]))
+    np.multiply((2.0 * sys.d)[:, None, None, :], wd, out=vals)
+    vals *= f_col
+    own = np.arange(k)
+    vals[own, own] = 2.0 * (sys.wq.transpose(0, 2, 1)
+                            + wd * (sys.S - sys.d)[:, None, :]) * f_col
+    return vals
+
+
+def _sliced_band(lin):
+    """A's band in a C-ordered array of its own, each (i, j, slot) of the
+    table of partials copied there by one strided slice."""
+    n, N, kz, index = lin.n, lin.N, lin.sys.kz, lin.index
+    step, vals = n - 1, _table_triples(lin.sys)
+    ab = np.zeros((lin.l + lin.u + 1, lin.size))
+    for i, j, m in np.ndindex(step, step, 5):
+        lo = max(1, 2 - m + (j == 0))
+        hi = min(N - 2, N - m) if 1 <= m <= 3 else min(kz, N - m)
+        c0 = index[j, lo + m - 2]
+        cols = slice(c0, c0 + (hi - lo) * step + 1, step)
+        ab[lin.u + index[i, lo] - c0, cols] = vals[i, j, m, lo - 1:hi]
+    w = solver._PARITY_W / lin.sys.delta
+    for p in range(5):
+        ab[lin.u - p * step, index[1:, p]] = w[p] * lin.sys.f[1:, p]
+    return ab
+
+
+def _copied_factors(lin):
+    """LU factors of A and of A^T from copies of the band of _sliced_band:
+    (lu, piv, lu_t, piv_t)."""
+    ab, l, u, size = _sliced_band(lin), lin.l, lin.u, lin.size
+    work = np.zeros((2 * l + u + 1, size), order="F")
+    work[l:] = ab
+    # A^T[i, j] = A[j, i]: row k of its band, of widths (u, l), is row
+    # l+u-k of ab, shifted by k-l columns
+    work_t = np.zeros((2 * u + l + 1, size), order="F")
+    for k, row in enumerate(ab[::-1]):
+        shift = k - l
+        if shift >= 0:
+            work_t[u + k, :size - shift] = row[shift:]
+        else:
+            work_t[u + k, -shift:] = row[:shift]
+    factors = []
+    for band, widths in ((work, (l, u)), (work_t, (u, l))):
+        lu, piv, info = dgbtrf(band, *widths)
+        check_info(info, "dgbtrf")
+        factors += [lu, piv]
+    return factors
+
+
+@pytest.mark.parametrize("solved", [False, True])
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+def test_band_written_in_place_equals_the_sliced_table(n, solved):
+    # every entry is the same product of the same doubles, whether written
+    # slot by slot into the factor array or copied from a whole table
+    p = glue(n, ell_for_radius(n, 8.0), nodes=256)
+    if solved:
+        p, _ = newton_solve(p)
+    lin = BandedLinearization(p)
+    assert np.array_equal(lin.sys.jacobian_triples(), _table_triples(lin.sys))
+    assert np.array_equal(lin.ab, _sliced_band(lin))
+    lin.solve_transpose(np.ones(lin.size))
+    lu, piv, lu_t, piv_t = _copied_factors(lin)
+    assert np.array_equal(lin._lu_t, lu_t) and np.array_equal(lin._piv_t, piv_t)
+    lin.solve(np.ones(lin.size))
+    assert np.array_equal(lin._lu, lu) and np.array_equal(lin._piv, piv)
+
+
+@pytest.mark.parametrize("calls", list(itertools.permutations(
+    ["solve", "solve_transpose", "matvec", "ab"])), ids=" then ".join)
+def test_solves_matvec_and_band_agree_in_any_call_order(calls):
+    # before A is factored, ab is a view of the array to be factored; after,
+    # it is written anew, and A^T is written from the system either way
+    p = glue(4, 14.0, nodes=256)
+    lin, ref = BandedLinearization(p), BandedLinearization(p)
+    b = np.random.default_rng(5).standard_normal(lin.size)
+    got = {call: lin.ab.copy() if call == "ab" else getattr(lin, call)(b)
+           for call in calls}
+    assert np.array_equal(got["ab"], _sliced_band(ref))
+    assert np.array_equal(got["matvec"], ref.matvec(b))
+    assert np.array_equal(got["solve"], ref.solve(b))
+    assert np.array_equal(got["solve_transpose"], ref.solve_transpose(b))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+@pytest.mark.parametrize("conjugate", [False, True])
+def test_spectrum_on_copied_factors_is_bit_identical(conjugate, seed):
+    # the probe on the factors of the band written in place returns what it
+    # returns on factors of a band copied from the whole table
+    if conjugate:
+        p, count = glue(4, 20.0, nodes=2048), 1
+        wf = WeightFunction(4, p.cap_radius)
+    else:
+        p, count, wf = glue(3, 10.0, nodes=2048), 3, None
+    got = kernel_spectrum(p, count, wf, conjugate, seed)
+    ref = BandedLinearization(p)
+    ref._lu, ref._piv, ref._lu_t, ref._piv_t = _copied_factors(ref)
+    scale = 1.0 / solver._unknown_weights(ref, p, wf) if conjugate else None
+    assert np.array_equal(got, ref.sigma_min(count, scale, scale, seed))
+
+
 @settings(max_examples=10, deadline=None)
 @given(**glued_ends)
 def test_solves_match_column_solves_and_solve_banded(n, ell, nodes, seed):
@@ -179,6 +287,8 @@ def test_non_finite_and_singular_bands_raise():
     lin.ab[:, 7] = 0.0
     with pytest.raises(LinAlgError):
         lin.solve(np.ones(lin.size))
+    # dgbtrf overwrote the band it failed on: the band is written anew
+    assert np.array_equal(lin.ab, BandedLinearization(lin.profile).ab)
 
 
 @pytest.mark.parametrize("mode", ["newton", "frozen_jacobian"])
@@ -204,8 +314,9 @@ def test_matrix_assembled_and_factored_only_for_steps(monkeypatch, mode):
 
 
 def test_assembly_and_solve_hold_one_matrix():
-    # one band and one set of LU factors survive a solve, and assembly
-    # builds them with no copy of the matrix in another form
+    # assembly writes the band straight into the array dgbtrf factors, with
+    # no table of the partials and no copy of the band, and the first solve
+    # factors that array in place: one band-sized array survives both
     p = glue(4, 20.0, nodes=2048)
     sys = _stencils.DiagonalSystem(p.n, p.s, p.f, partials=True)
     rhs = np.ones(int(solver._unknown_index(p.n, p.s.size).max()) + 1)
@@ -213,6 +324,7 @@ def test_assembly_and_solve_hold_one_matrix():
     try:
         start, _ = tracemalloc.get_traced_memory()
         lin = solver.BandedLinearization(p, sys)
+        work = lin._lu
         assembled, assembly_peak = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
         lin.solve(rhs)
@@ -220,11 +332,10 @@ def test_assembly_and_solve_hold_one_matrix():
     finally:
         tracemalloc.stop()
     lu = lin._lu.nbytes
-    assert end - start <= 2.0 * lu
-    assert max(assembly_peak, solve_peak) - start <= 3.5 * lu
-    # dgbtrf factors its work array in place, so the factors are the only
-    # matrix-sized allocation of the first solve
-    assert solve_peak - assembled <= 1.5 * lu
+    assert lin._lu is work
+    assert end - start <= 1.1 * lu
+    assert max(assembly_peak, solve_peak) - start <= 1.25 * lu
+    assert solve_peak - assembled <= 0.2 * lu
 
 
 def test_newton_step_frees_the_previous_matrix(monkeypatch):
@@ -267,10 +378,11 @@ def test_transpose_factored_once_and_never_by_newton(monkeypatch):
     assert len(pairs) == len(set(pairs)) == 4
 
 
-def test_transpose_solve_holds_two_factors_and_the_band():
-    # the band of A^T is built into the work array that dgbtrf factors in
-    # place, so its factors are the only matrix-sized array the first
-    # transpose solve adds, and nothing else matrix-sized stays behind
+def test_transpose_solve_holds_two_factors():
+    # the band of A^T is written from the system into the work array that
+    # dgbtrf factors in place, so its factors are the only matrix-sized
+    # array the first transpose solve adds, and the factors of A and A^T
+    # are all that a linearization holds
     lin = BandedLinearization(glue(4, 20.0, nodes=2048))
     rhs = np.ones(lin.size)
     lin.solve(rhs)
@@ -284,10 +396,10 @@ def test_transpose_solve_holds_two_factors_and_the_band():
     lu_t = lin._lu_t.nbytes
     assert lin._lu_t.shape == (2 * lin.u + lin.l + 1, lin.size)
     assert end - start <= 1.1 * lu_t
-    assert peak - start <= 1.5 * lu_t
+    assert peak - start <= 1.25 * lu_t
     held = {name for name, v in vars(lin).items()
             if isinstance(v, np.ndarray) and v.nbytes > 4 * rhs.nbytes}
-    assert held == {"ab", "_lu", "_lu_t"}
+    assert held == {"_lu", "_lu_t"}
 
 
 def test_trivial_direction_in_discrete_kernel():
