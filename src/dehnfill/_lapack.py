@@ -1,5 +1,7 @@
-"""The three LAPACK routines the solvers call: banded LU (`dgbtrf`), banded
-solve from its factors (`dgbtrs`) and the tridiagonal solve (`dgtsv`).
+"""The LAPACK routines the solvers call: banded LU (`dgbtrf`), banded solve
+from its factors (`dgbtrs`), the tridiagonal solve (`dgtsv`), and for the
+spectral probe dense Householder QR (`dgeqrf`), applying its Q^T
+(`dormqr`) and the triangular band solve (`dtbtrs`).
 
 They come from SciPy's compiled wrapper `scipy.linalg._flapack`, loaded
 straight from its file.  The `scipy.linalg` package itself never runs, nor
@@ -42,6 +44,7 @@ def _load_flapack():
 
 _flapack = _load_flapack()
 dgbtrf, dgbtrs, dgtsv = _flapack.dgbtrf, _flapack.dgbtrs, _flapack.dgtsv
+dgeqrf, dormqr, dtbtrs = _flapack.dgeqrf, _flapack.dormqr, _flapack.dtbtrs
 
 
 def check_info(info, routine):

@@ -478,7 +478,7 @@ def fits_window(r):
     return bool(np.diff(np.log(r)).max() <= _WINDOW)
 
 
-def _windows(s):
+def _window_bounds(s):
     """Index bounds of the seminorm window around each node."""
     if np.diff(s).max() > _WINDOW:
         raise ValueError("grid too coarse for the seminorm window")
@@ -548,7 +548,7 @@ class _NormPlan:
 
     def __init__(self, grid, wf: WeightFunction, order=2, background="cusp"):
         self.s = _tensor_s_grid(grid, background)
-        self.spans = _window_spans(*_windows(self.s))
+        self.spans = _window_spans(*_window_bounds(self.s))
         self.w = weight(wf, grid.nodes)
         self.a_r, self.sq = _frame_scales(grid, background)
         self.order = order

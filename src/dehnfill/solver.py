@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _stencils
-from ._lapack import check_info, dgbtrf, dgbtrs
+from ._lapack import check_info, dgbtrf, dgbtrs, dgeqrf, dormqr, dtbtrs
 from .geometry import DiagonalMetricProfile, RadialGrid
 from .gluing import WeightFunction, _NormPlan
 from .operators import InvariantTensor, einstein_residual
@@ -40,6 +40,8 @@ _PARITY_W = np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / 12.0
 _STEP_CLIP = 1.0        # bound on each Newton update of log f_i
 _PROBE_TOL = 1e-12      # relative change that stops the spectral probe
 _PROBE_STEPS = 400      # step cap of the spectral probe
+_PANEL = 48             # columns per panel of the probe's banded QR
+_FINITE_BLOCK = 512     # columns per finiteness check of a band
 _VERIFY_TOL = 1e-6      # residual below which verify_einstein passes a profile
 
 
@@ -58,6 +60,22 @@ def _is_count(value, least):
 def _check_count(count):
     if not _is_count(count, 1):
         raise ValueError(f"count must be an integer >= 1, got {count!r}")
+
+
+def _check_finite(band):
+    """Raise NumericalError unless every entry of the band is finite; checked
+    a block of columns at a time, so no band-sized temporary is made."""
+    for c in range(0, band.shape[1], _FINITE_BLOCK):
+        if not np.isfinite(band[:, c:c + _FINITE_BLOCK]).all():
+            raise NumericalError("the Newton matrix holds infs or NaNs")
+
+
+def _diagonals(band, row, col, shape):
+    """The view V[i, j] = band[row + i - j, col + j] of a band array, with
+    matrix rows and columns.  Off the band, V addresses other memory of the
+    array's base: the caller masks it and keeps every address in the base."""
+    s0, s1 = band.strides
+    return np.lib.stride_tricks.as_strided(band[row, col:], shape, (s0, s1 - s0))
 
 
 @dataclass
@@ -123,22 +141,15 @@ class BandedLinearization:
     the partials is written there, by `DiagonalSystem.jacobian_writer`,
     into one strided slice, clipped at the pinned f_2(0) and the Dirichlet
     node; each sample of the parity rows is one more slice.  No table of
-    the partials and no copy of the band is made.  The first `solve`
-    factors that array in place and `_lu` holds the factors from then on;
-    until then `ab`, the band rows, is a view of it, and afterwards `ab`
-    and `matvec` write the band anew from `sys`.
+    the partials and no copy of the band is made.  The first solve, in
+    either direction, factors that array in place and `_lu` holds the
+    factors from then on; until then `ab`, the band rows, is a view of it,
+    and afterwards `ab` and `matvec` write the band anew from `sys`.
 
-    `solve_transpose` (A^T x = b) factors A^T, the band with the widths
-    swapped, on its first call and holds those factors too: a forward
-    sweep on them is faster than dgbtrs's transpose sweep on A's factors,
-    which makes one small matrix-vector product per column.  `_band`
-    writes A^T from `sys` by the same loop, each slice on the mirrored
-    band row and along the rows of A, into a work array of its own, so
-    the transposed factor reads neither `ab` nor A's factors.  A Newton
-    solve never factors A^T.  Every later solve is a pair of triangular
-    band sweeps, on one right-hand side or a matrix of them, column by
-    column.  `sys` is the system at the profile when the caller already
-    built it with partials.
+    `solve` and `solve_transpose` (A^T x = b) sweep A's factors, on one
+    right-hand side or a matrix of them.  `sigma_min` factors no LU: it
+    reads the band into the R of a banded QR and sweeps R.  `sys` is the
+    system at the profile when the caller already built it with partials.
     """
 
     def __init__(self, profile: DiagonalMetricProfile, sys=None):
@@ -154,22 +165,14 @@ class BandedLinearization:
         # E1_{n-1} at node t reads f_2 at t-2; the parity rows reach node 4
         self.l, self.u = 3 * n - 4, 4 * (n - 1)
         self._lu = self._band()          # factored in place by the first solve
-        self._piv = self._lu_t = self._piv_t = None
+        self._piv = None
 
-    def _band(self, transpose=False):
-        """A's band, or A^T's, under the fill rows of a dgbtrf work array."""
+    def _band(self):
+        """A's band under the fill rows of a dgbtrf work array."""
         n, N, kz, index = self.n, self.N, self.sys.kz, self.index
         l, u = self.l, self.u
         step = n - 1                    # unknowns per node, node-major
-        fill = u if transpose else l
-        work = np.zeros((fill + l + u + 1, self.size), order="F")
-
-        def diagonal(band_row, rows, cols):
-            # the entries A[rows, cols], all on band row band_row of A
-            if transpose:               # A^T[c, r] = A[r, c]
-                return work[fill + l + u - band_row, rows]
-            return work[fill + band_row, cols]
-
+        work = np.zeros((2 * l + u + 1, self.size), order="F")
         write = self.sys.jacobian_writer()
         for i, j, m in np.ndindex(step, step, 5):
             # the nodes t whose table fills slot m and whose sample t+m-2 is
@@ -178,15 +181,13 @@ class BandedLinearization:
             hi = min(N - 2, N - m) if 1 <= m <= 3 else min(kz, N - m)
             r0, c0 = index[i, lo], index[j, lo + m - 2]
             span = (hi - lo) * step + 1
-            out = diagonal(u + r0 - c0, slice(r0, r0 + span, step),
-                           slice(c0, c0 + span, step))
+            out = work[l + u + r0 - c0, c0:c0 + span:step]
             write(i, j, m, slice(lo - 1, hi), out)
         # the parity rows f_i'(0) = 0, i >= 1, in the node-0 slots
         w = _PARITY_W / self.sys.delta
-        rows = slice(index[1, 0], index[-1, 0] + 1)
         for p in range(5):
             cols = slice(index[1, p], index[-1, p] + 1)
-            diagonal(u - p * step, rows, cols)[:] = w[p] * self.sys.f[1:, p]
+            work[l + u - p * step, cols] = w[p] * self.sys.f[1:, p]
         return work
 
     @property
@@ -200,45 +201,34 @@ class BandedLinearization:
         """Stacked residual in row order: parity rows, then E1 rows."""
         return _stacked_residual(self.index, self.sys)
 
-    def _factor(self, transpose=False):
-        """LU-factor A, or A^T when transpose, in place, and hold the factors."""
-        l, u = (self.u, self.l) if transpose else (self.l, self.u)
-        work = self._band(transpose) if transpose else self._lu
-        if not np.isfinite(work[l:]).all():
-            raise NumericalError("the Newton matrix holds infs or NaNs")
-        lu, piv, info = dgbtrf(work, l, u, overwrite_ab=True)
-        if info and not transpose:
+    def _factor(self):
+        """LU-factor A in place and hold the factors."""
+        _check_finite(self._lu[self.l:])
+        lu, piv, info = dgbtrf(self._lu, self.l, self.u, overwrite_ab=True)
+        if info:
             self._lu = self._band()     # dgbtrf has overwritten the band
         check_info(info, "dgbtrf")
-        if transpose:
-            self._lu_t, self._piv_t = lu, piv
-        else:
-            self._lu, self._piv = lu, piv
+        self._lu, self._piv = lu, piv
 
-    def _band_solve(self, rhs, transpose):
+    def _band_solve(self, rhs, trans):
         rhs = np.asarray(rhs, dtype=float)
         if rhs.ndim not in (1, 2) or rhs.shape[0] != self.size:
             raise ValueError("right-hand side does not match the matrix")
         if not np.isfinite(rhs).all():
             raise NumericalError("right-hand side holds infs or NaNs")
-        if transpose:
-            if self._lu_t is None:
-                self._factor(transpose=True)
-            x, info = dgbtrs(self._lu_t, self.u, self.l, rhs, self._piv_t)
-        else:
-            if self._piv is None:
-                self._factor()
-            x, info = dgbtrs(self._lu, self.l, self.u, rhs, self._piv)
+        if self._piv is None:
+            self._factor()
+        x, info = dgbtrs(self._lu, self.l, self.u, rhs, self._piv, trans=trans)
         check_info(info, "dgbtrs")
         return x
 
     def solve(self, rhs):
         """A x = rhs for a vector or for each column of a matrix."""
-        return self._band_solve(rhs, False)
+        return self._band_solve(rhs, 0)
 
     def solve_transpose(self, rhs):
         """A^T x = rhs for a vector or for each column of a matrix."""
-        return self._band_solve(rhs, True)
+        return self._band_solve(rhs, 1)
 
     def matvec(self, x):
         """A x, one band diagonal at a time."""
@@ -255,9 +245,12 @@ class BandedLinearization:
         ascending, by block power iteration on (B^T B)^{-1} from a seeded
         start block.
 
-        Each step applies (B^T B)^{-1} to the block, re-orthonormalizes it
-        by QR, and estimates the largest eigenvalues of (B^T B)^{-1} as the
-        singular values of R.  Unlike the diagonal of R, these converge at
+        B = QR is factored once, keeping only R (`_r_factor`): each step
+        applies (B^T B)^{-1} = R^{-1} R^{-T} by two triangular band sweeps,
+        with no pivots, and without squaring the condition number as a
+        Cholesky factor of B^T B would.  It re-orthonormalizes the block by QR and
+        estimates the largest eigenvalues of (B^T B)^{-1} as the singular
+        values of that QR's triangle; unlike its diagonal, these converge at
         the gap to the first eigenvalue outside the block, even where two
         inside nearly coincide.  One column needs neither factorization:
         its estimate is the norm of the iterate, which is then divided by it.
@@ -267,13 +260,15 @@ class BandedLinearization:
         _check_count(count)
         rs = np.ones(self.size) if row_scale is None else np.asarray(row_scale)
         cs = np.ones(self.size) if col_scale is None else np.asarray(col_scale)
-        rs, cs = rs[:, None], cs[:, None]
+        r = self._r_factor(rs, cs)
         rng = np.random.Generator(np.random.Philox(seed))
         X, _ = np.linalg.qr(rng.standard_normal((self.size, count)))
         lam = np.zeros(count)
         for _ in range(_PROBE_STEPS):
-            Y = self.solve_transpose(cs * X) / rs    # B^{-T} X = D_r^{-1} A^{-T} D_c X
-            Y = cs * self.solve(Y / rs)              # B^{-1} Y = D_c A^{-1} D_r^{-1} Y
+            Y, info = dtbtrs(r, X, trans="T")          # R^{-T} X
+            check_info(info, "dtbtrs")
+            Y, info = dtbtrs(r, Y, overwrite_b=True)   # R^{-1} R^{-T} X
+            check_info(info, "dtbtrs")
             if count == 1:
                 norm = np.linalg.norm(Y)
                 X, lam_new = Y / norm, np.array([norm])
@@ -285,6 +280,46 @@ class BandedLinearization:
             if done:
                 break
         return 1.0 / np.sqrt(lam)
+
+    def _r_factor(self, rs, cs):
+        """R of the Householder QR of B = diag(rs) A diag(cs)^{-1}, banded
+        with kd = l + u, in LAPACK 'U' band storage (R[i, j] at
+        r[kd + i - j, j]); Q is never formed.  The panel at column k holds
+        rows k..k+_PANEL+l-1 in columns k..k+_PANEL+kd-1, all their entries.
+        Its first l rows carry over, transformed, from the last panel; the
+        rest are read from the band by a strided view, masked and scaled.
+        dgeqrf factors its first _PANEL columns and dormqr applies Q^T to
+        the others; its first _PANEL rows are R's, its last l carry on.
+        Rows and columns past the matrix are zero and leave R unchanged."""
+        l, u, size, b = self.l, self.u, self.size, _PANEL
+        kd = l + u
+        ab = self.ab
+        _check_finite(ab)
+        i, j = np.indices((b + l, b + kd))
+        in_band, in_r = (i - j <= l) & (j - i <= u), (j >= i) & (j - i <= kd)
+        panel = np.zeros((b + l, b + kd), order="F")
+        r = np.zeros((kd + 1, size), order="F")
+        for k in range(0, size, b):
+            first = l if k else 0           # rows carried from the last panel
+            m, w = min(b + l, size - k), min(b + kd, size - k)
+            if k:
+                panel[:l, :kd] = panel[b:, b:]
+                panel[:l, kd:] = panel[l:] = 0.0
+            if m > first:
+                fresh = panel[first:m, :w]
+                np.copyto(fresh, _diagonals(ab, u + first, k, fresh.shape),
+                          where=in_band[first:m, :w])
+                fresh *= rs[k + first:k + m, None]
+                fresh /= cs[k:k + w]
+            _, tau, _, info = dgeqrf(panel[:, :b], overwrite_a=True)
+            check_info(info, "dgeqrf")
+            _, _, info = dormqr("L", "T", panel[:, :b], tau, panel[:, b:], kd,
+                                overwrite_c=True)
+            check_info(info, "dormqr")
+            rows = min(b, size - k)
+            np.copyto(_diagonals(r, kd, k, (rows, w)), panel[:rows, :w],
+                      where=in_r[:rows, :w])
+        return r
 
 
 def _unknown_index(n, N):
@@ -480,8 +515,9 @@ def kernel_spectrum(profile, count=1, weight_fn: WeightFunction | None = None,
 
     With conjugate=True the operator is D A D^{-1} with D the diagonal of
     inverse weights 1/W at each unknown's node (the discrete shadow of
-    measuring both sides in the weighted norm).  Deterministic start block;
-    see BandedLinearization.sigma_min.
+    measuring both sides in the weighted norm).  The matrix is assembled
+    and never LU-factored: the probe reads its band into the R of a banded
+    QR.  Deterministic start block; see BandedLinearization.sigma_min.
     """
     _check_count(count)
     lin = BandedLinearization(profile)

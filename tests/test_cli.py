@@ -192,7 +192,8 @@ def test_lapack_routines_are_scipys(first, second):
             "import scipy.linalg.lapack as S; "
             "print(L._flapack is S._flapack is sys.modules[L._NAME], "
             "all(getattr(L, f) is getattr(S, f) "
-            "for f in ('dgbtrf', 'dgbtrs', 'dgtsv')))")
+            "for f in ('dgbtrf', 'dgbtrs', 'dgtsv', 'dgeqrf', 'dormqr', "
+            "'dtbtrs')))")
     assert _run_python(code) == "True True"
 
 

@@ -4,7 +4,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import LinAlgError, solve_banded
 
@@ -176,27 +176,19 @@ def _sliced_band(lin):
     return ab
 
 
+def _copied_work(lin, fill=0.0):
+    """A dgbtrf work array holding a copy of the band of _sliced_band under
+    fill rows set to fill."""
+    work = np.full((2 * lin.l + lin.u + 1, lin.size), fill, order="F")
+    work[lin.l:] = _sliced_band(lin)
+    return work
+
+
 def _copied_factors(lin):
-    """LU factors of A and of A^T from copies of the band of _sliced_band:
-    (lu, piv, lu_t, piv_t)."""
-    ab, l, u, size = _sliced_band(lin), lin.l, lin.u, lin.size
-    work = np.zeros((2 * l + u + 1, size), order="F")
-    work[l:] = ab
-    # A^T[i, j] = A[j, i]: row k of its band, of widths (u, l), is row
-    # l+u-k of ab, shifted by k-l columns
-    work_t = np.zeros((2 * u + l + 1, size), order="F")
-    for k, row in enumerate(ab[::-1]):
-        shift = k - l
-        if shift >= 0:
-            work_t[u + k, :size - shift] = row[shift:]
-        else:
-            work_t[u + k, -shift:] = row[:shift]
-    factors = []
-    for band, widths in ((work, (l, u)), (work_t, (u, l))):
-        lu, piv, info = dgbtrf(band, *widths)
-        check_info(info, "dgbtrf")
-        factors += [lu, piv]
-    return factors
+    """LU factors (lu, piv) of A from a copy of the band of _sliced_band."""
+    lu, piv, info = dgbtrf(_copied_work(lin), lin.l, lin.u)
+    check_info(info, "dgbtrf")
+    return lu, piv
 
 
 @pytest.mark.parametrize("solved", [False, True])
@@ -210,18 +202,24 @@ def test_band_written_in_place_equals_the_sliced_table(n, solved):
     lin = BandedLinearization(p)
     assert np.array_equal(lin.sys.jacobian_triples(), _table_triples(lin.sys))
     assert np.array_equal(lin.ab, _sliced_band(lin))
-    lin.solve_transpose(np.ones(lin.size))
-    lu, piv, lu_t, piv_t = _copied_factors(lin)
-    assert np.array_equal(lin._lu_t, lu_t) and np.array_equal(lin._piv_t, piv_t)
-    lin.solve(np.ones(lin.size))
+    # R read from the array to be factored, from the band written anew after
+    # the factor, and from a copy of the sliced band are one array
+    ones = np.ones(lin.size)
+    r = lin._r_factor(ones, ones)
+    lin.solve(ones)
+    lu, piv = _copied_factors(lin)
     assert np.array_equal(lin._lu, lu) and np.array_equal(lin._piv, piv)
+    assert np.array_equal(lin._r_factor(ones, ones), r)
+    ref = BandedLinearization(p)
+    ref._lu = _copied_work(ref)
+    assert np.array_equal(ref._r_factor(ones, ones), r)
 
 
 @pytest.mark.parametrize("calls", list(itertools.permutations(
     ["solve", "solve_transpose", "matvec", "ab"])), ids=" then ".join)
 def test_solves_matvec_and_band_agree_in_any_call_order(calls):
     # before A is factored, ab is a view of the array to be factored; after,
-    # it is written anew, and A^T is written from the system either way
+    # it is written anew, and both solves sweep the one factor of A
     p = glue(4, 14.0, nodes=256)
     lin, ref = BandedLinearization(p), BandedLinearization(p)
     b = np.random.default_rng(5).standard_normal(lin.size)
@@ -236,8 +234,9 @@ def test_solves_matvec_and_band_agree_in_any_call_order(calls):
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 @pytest.mark.parametrize("conjugate", [False, True])
 def test_spectrum_on_copied_factors_is_bit_identical(conjugate, seed):
-    # the probe on the factors of the band written in place returns what it
-    # returns on factors of a band copied from the whole table
+    # the probe on the R factor of the band written in place returns what it
+    # returns on the R factor of a band copied from the whole table, under
+    # fill rows of NaN that the masked panel reads never take in
     if conjugate:
         p, count = glue(4, 20.0, nodes=2048), 1
         wf = WeightFunction(4, p.cap_radius)
@@ -245,9 +244,58 @@ def test_spectrum_on_copied_factors_is_bit_identical(conjugate, seed):
         p, count, wf = glue(3, 10.0, nodes=2048), 3, None
     got = kernel_spectrum(p, count, wf, conjugate, seed)
     ref = BandedLinearization(p)
-    ref._lu, ref._piv, ref._lu_t, ref._piv_t = _copied_factors(ref)
+    ref._lu = _copied_work(ref, np.nan)
     scale = 1.0 / solver._unknown_weights(ref, p, wf) if conjugate else None
     assert np.array_equal(got, ref.sigma_min(count, scale, scale, seed))
+
+
+def _dense_r(r):
+    """The upper triangular matrix held in 'U' band storage r."""
+    kd, size = r.shape[0] - 1, r.shape[1]
+    R = np.zeros((size, size))
+    j = np.arange(size)
+    for off in range(kd + 1):                   # col - row
+        R[j[off:] - off, j[off:]] = r[kd - off, off:]
+    return R
+
+
+@settings(max_examples=12, deadline=None)
+@given(n=st.integers(3, 7), nodes=st.one_of(st.integers(128, 512), st.integers(8, 24)),
+       seed=st.integers(0, 2**32 - 1), scaled=st.booleans(), full=st.booleans())
+@example(n=6, nodes=78, seed=0, scaled=True, full=True)    # 384 unknowns: 8 panels
+@example(n=3, nodes=8, seed=1, scaled=False, full=True)    # 13: under one panel
+def test_r_factor_is_the_banded_qr_of_the_scaled_matrix(n, nodes, seed, scaled, full):
+    # R^T R = C^T C for C = diag(rs) A diag(cs)^{-1}: R is the triangular
+    # factor of C's QR up to row signs, upper banded with kd = l + u.  A's
+    # outer band rows are sparse, so R's top rows stay zero; a full random
+    # band, corners of the band storage included, fills all of them
+    p = glue(n, 14.0, nodes=nodes) if nodes >= 128 else black_hole_profile(n, 15.0, nodes)
+    lin = BandedLinearization(p)
+    rng = np.random.default_rng(seed)
+    if full:
+        lin.ab[:] = rng.standard_normal(lin.ab.shape)
+    rs, cs = (np.exp(rng.uniform(-3.0, 3.0, (2, lin.size))) if scaled
+              else np.ones((2, lin.size)))
+    r = lin._r_factor(rs, cs)
+    kd = lin.l + lin.u
+    assert r.shape == (kd + 1, lin.size)
+    # the corner of the band storage above R's first rows holds nothing
+    k, j = np.indices(r.shape)
+    assert not r[k + j < kd].any()
+    C = rs[:, None] * dense_matrix(lin) / cs
+    R = _dense_r(r)
+    gram = C.T @ C
+    assert np.abs(R.T @ R - gram).max() <= 1e-13 * np.abs(gram).max()
+
+
+def test_r_factor_reads_only_the_band():
+    # the strided panel reads also address memory outside the band: the fill
+    # rows and neighbouring columns; masked, a NaN there leaves R unchanged
+    lin = BandedLinearization(glue(7, 14.0, nodes=256))
+    scale = np.exp(np.random.default_rng(2).uniform(-3.0, 3.0, lin.size))
+    r = lin._r_factor(scale, scale)
+    lin._lu[:lin.l] = np.nan
+    assert np.array_equal(lin._r_factor(scale, scale), r)
 
 
 @settings(max_examples=10, deadline=None)
@@ -279,12 +327,24 @@ def test_non_finite_and_singular_bands_raise():
         newton_solve(p)
     with pytest.raises(solver.NumericalError, match="Newton matrix"):
         lin.solve(np.ones(lin.size))
+    with pytest.raises(solver.NumericalError, match="Newton matrix"):
+        kernel_spectrum(p)
     lin = BandedLinearization(glue(4, 10.0, nodes=128))
     with pytest.raises(ValueError, match="infs or NaNs"):
         lin.solve(np.full(lin.size, np.inf))
     with pytest.raises(solver.NumericalError, match="right-hand side"):
         lin.solve_transpose(np.full(lin.size, np.nan))
+    # the band is checked a block of columns at a time, up to its last
+    big = BandedLinearization(glue(4, 10.0, nodes=512))
+    big.ab[0, -1] = np.inf
+    with pytest.raises(solver.NumericalError, match="Newton matrix"):
+        big.sigma_min()
+    with pytest.raises(solver.NumericalError, match="Newton matrix"):
+        big.solve(np.ones(big.size))
     lin.ab[:, 7] = 0.0
+    # a zero column of A is a zero on R's diagonal, which dtbtrs reports
+    with pytest.raises(LinAlgError):
+        lin.sigma_min()
     with pytest.raises(LinAlgError):
         lin.solve(np.ones(lin.size))
     # dgbtrf overwrote the band it failed on: the band is written anew
@@ -335,7 +395,7 @@ def test_assembly_and_solve_hold_one_matrix():
     assert lin._lu is work
     assert end - start <= 1.1 * lu
     assert max(assembly_peak, solve_peak) - start <= 1.25 * lu
-    assert solve_peak - assembled <= 0.2 * lu
+    assert solve_peak - assembled <= 0.07 * lu
 
 
 def test_newton_step_frees_the_previous_matrix(monkeypatch):
@@ -354,35 +414,43 @@ def test_newton_step_frees_the_previous_matrix(monkeypatch):
     assert alive == [0] * len(refs)
 
 
-def test_transpose_factored_once_and_never_by_newton(monkeypatch):
-    # A^T is factored on the first transpose solve of a linearization and
-    # held; a Newton solve, in either mode, runs no transpose solve
-    factored = []
-    factor = solver.BandedLinearization._factor
+def _count_calls(monkeypatch, owner, name):
+    """Patch owner.name to record its calls; returns the record."""
+    calls, fn = [], getattr(owner, name)
 
-    def counting_factor(self, transpose=False):
-        factored.append((self, transpose))
-        factor(self, transpose)
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return fn(*args, **kwargs)
 
-    monkeypatch.setattr(solver.BandedLinearization, "_factor", counting_factor)
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_probe_factors_no_lu_and_newton_builds_no_r(monkeypatch):
+    # the spectral probe builds R and makes no dgbtrf call; a Newton solve,
+    # in either mode, factors A and never builds R; A is factored once for
+    # its solves in both directions, in either order
+    lu = _count_calls(monkeypatch, solver, "dgbtrf")
+    qr = _count_calls(monkeypatch, solver.BandedLinearization, "_r_factor")
     for mode in ("newton", "frozen_jacobian"):
         newton_solve(glue(3, 10.0, nodes=256), SolverConfig(mode=mode))
-    assert factored and not any(t for _, t in factored)
-    factored.clear()
+    assert lu and not qr
+    lu.clear()
     p = glue(4, 20.0, nodes=256)
     kernel_spectrum(p, count=3)
     kernel_spectrum(p, weight_fn=WeightFunction(4, p.cap_radius), conjugate=True)
-    # two linearizations (held in factored, so their ids stay distinct),
-    # each factoring A and A^T once
-    pairs = [(id(lin), t) for lin, t in factored]
-    assert len(pairs) == len(set(pairs)) == 4
+    assert not lu and len(qr) == 2
+    b = np.ones(BandedLinearization(p).size)
+    for first, second in (("solve", "solve_transpose"), ("solve_transpose", "solve")):
+        lin = BandedLinearization(p)
+        getattr(lin, first)(b)
+        getattr(lin, second)(b)
+    assert len(lu) == 2
 
 
-def test_transpose_solve_holds_two_factors():
-    # the band of A^T is written from the system into the work array that
-    # dgbtrf factors in place, so its factors are the only matrix-sized
-    # array the first transpose solve adds, and the factors of A and A^T
-    # are all that a linearization holds
+def test_transpose_solve_holds_one_factor():
+    # the transpose solve sweeps the held factors of A: it adds no
+    # matrix-sized array, and A's factors are all a linearization holds
     lin = BandedLinearization(glue(4, 20.0, nodes=2048))
     rhs = np.ones(lin.size)
     lin.solve(rhs)
@@ -393,13 +461,34 @@ def test_transpose_solve_holds_two_factors():
         end, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    lu_t = lin._lu_t.nbytes
-    assert lin._lu_t.shape == (2 * lin.u + lin.l + 1, lin.size)
-    assert end - start <= 1.1 * lu_t
-    assert peak - start <= 1.25 * lu_t
+    assert end - start <= 0.1 * rhs.nbytes
+    assert peak - start <= 1.1 * rhs.nbytes
     held = {name for name, v in vars(lin).items()
             if isinstance(v, np.ndarray) and v.nbytes > 4 * rhs.nbytes}
-    assert held == {"_lu", "_lu_t"}
+    assert held == {"_lu"}
+
+
+def test_probe_holds_r_and_no_factor():
+    # the conjugated probe adds R, the block and its panel buffers, and
+    # keeps nothing: it factors no LU and holds no R afterwards
+    kernel_spectrum(glue(3, 10.0, nodes=256), count=2)    # numpy's lazy imports
+    p = glue(4, 20.0, nodes=2048)
+    lin = BandedLinearization(p)
+    scale = 1.0 / solver._unknown_weights(lin, p, WeightFunction(4, p.cap_radius))
+    r_bytes = (lin.l + lin.u + 1) * lin.size * 8
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        lin.sigma_min(1, scale, scale)
+        end, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - start <= 1.25 * r_bytes
+    assert end - start <= 0.01 * r_bytes
+    assert lin._piv is None
+    held = {name for name, v in vars(lin).items()
+            if isinstance(v, np.ndarray) and v.nbytes > 4 * scale.nbytes}
+    assert held == {"_lu"}
 
 
 def test_trivial_direction_in_discrete_kernel():
@@ -606,16 +695,10 @@ def test_kernel_spectrum_matches_dense_svd(case):
 
 
 def test_kernel_spectrum_stops_when_converged(monkeypatch):
-    calls = []
-    solve = solver.BandedLinearization.solve
-
-    def counted(self, rhs):
-        calls.append(1)
-        return solve(self, rhs)
-
-    monkeypatch.setattr(solver.BandedLinearization, "solve", counted)
+    # each step is two triangular band sweeps on R
+    calls = _count_calls(monkeypatch, solver, "dtbtrs")
     kernel_spectrum(black_hole_profile(4, 15.0, 256), count=3)
-    assert 0 < len(calls) < 50
+    assert 0 < len(calls) < 100 and len(calls) % 2 == 0
 
 
 def _qr_probe(lin, scale, seed):
@@ -642,25 +725,20 @@ def _qr_probe(lin, scale, seed):
 
 @pytest.mark.parametrize("conjugate", [False, True])
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
-def test_one_column_probe_matches_the_qr_step(conjugate, seed):
+def test_one_column_probe_matches_the_qr_step(monkeypatch, conjugate, seed):
+    # the probe on R, normalizing by the norm, takes the steps of the probe
+    # on the LU factors of A that stepped by QR and SVD, to the same value
     p = glue(4, 20.0, nodes=256) if conjugate else glue(3, 10.0, nodes=256)
     lin = BandedLinearization(p)
     scale = np.ones(lin.size)
     if conjugate:
         scale = 1.0 / solver._unknown_weights(lin, p, WeightFunction(4, p.cap_radius))
     old, steps = _qr_probe(lin, scale, seed)
-    calls = []
-    solve = lin.solve
-
-    def counted(rhs):
-        calls.append(1)
-        return solve(rhs)
-
-    lin.solve = counted
+    calls = _count_calls(monkeypatch, solver, "dtbtrs")
     new = lin.sigma_min(1, scale, scale, seed)
     assert new.shape == (1,)
     assert new[0] == pytest.approx(old, rel=1e-10)
-    assert len(calls) == steps
+    assert len(calls) == 2 * steps
 
 
 def test_weighted_conjugation_direction_of_effect():
