@@ -1,0 +1,132 @@
+"""Golden CLI corpus: a fixed list of commands, run in process through
+`dehnfill.cli.main`, with the exit code and the SHA-256 of stderr and of
+every output of each recorded in `manifest.json`.  Outputs under
+SMALL_BYTES, and every non-empty stderr, are committed under `outputs/`,
+so that a mismatch can be diffed.
+
+Record (rewrites the manifest and the committed outputs):
+
+    PYTHONPATH=src python tests/golden/corpus.py
+
+Re-record only for a stated reason: the corpus is the check that a change
+leaves every CLI output byte for byte as it was.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import platform
+import sys
+import warnings
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+MANIFEST = HERE / "manifest.json"
+OUTPUTS = HERE / "outputs"
+SMALL_BYTES = 16 * 1024
+
+# "{dir}" in an argument stands for the directory the outputs go to
+_SOLVES = [(3, 10, 2048), (4, 20, 2048), (4, 20, 8192), (6, 12, 1024),
+           (7, 14, 512)]
+COMMANDS = {}
+for _n, _ell, _nodes in _SOLVES:
+    for _mode in ("newton", "frozen_jacobian"):
+        _name = f"solve_{_mode}_n{_n}_ell{_ell}_{_nodes}"
+        COMMANDS[_name] = ["solve", "--n", str(_n), "--ell", str(_ell),
+                           "--nodes", str(_nodes), "--mode", _mode,
+                           "--out", f"{{dir}}/{_name}.json",
+                           "--residuals", f"{{dir}}/{_name}_residuals.csv"]
+for _n, _ell, _nodes in [(3, 10, 2048), (7, 14, 512)]:
+    _name = f"glue_n{_n}_ell{_ell}_{_nodes}"
+    COMMANDS[_name] = ["glue", "--n", str(_n), "--ell", str(_ell),
+                       "--nodes", str(_nodes), "--out", f"{{dir}}/{_name}.csv",
+                       "--residuals", f"{{dir}}/{_name}_residuals.csv"]
+COMMANDS.update({
+    "norms_n4_R64_4096": ["norms", "--n", "4", "--R", "64", "--nodes", "4096"],
+    "norms_n3_R100_seed5": ["norms", "--n", "3", "--R", "100", "--seed", "5",
+                            "--out", "{dir}/norms_n3_R100_seed5.json"],
+    "sweep_csv": ["sweep", "--n", "4", "--R", "8,16,32,64"],
+    "sweep_json": ["sweep", "--n", "3", "--R", "10,20,40", "--format", "json",
+                   "--out", "{dir}/sweep_json.json"],
+    "estimate": ["estimate", "--n", "4", "--R", "16", "--trials", "5"],
+    "kernel": ["kernel", "--n", "5"],
+    "curvature": ["curvature", "--n", "4", "--r", "1.5", "6", "50"],
+})
+# the exit-2 commands of CI's console-script loop
+REJECTED = ["solve --n 3 --ell nan", "norms --n 4 --R 1e200",
+            "solve --n 3 --ell 1e60 --nodes 256",
+            "solve --n 3 --ell 10 --nodes 256 --tol 0",
+            "estimate --n 4 --R 16 --trials 0",
+            "curvature --n 3 --r 1.5 3 nan", "sweep --n 4 --R 1,2,3",
+            "curvature --n 3 --r 1.5 3 100000000000",
+            "glue --n 3 --ell 10 --nodes 10",
+            "estimate --n 4 --R 16 --nodes 3"]
+for _i, _cmd in enumerate(REJECTED):
+    COMMANDS[f"rejected_{_i:02d}_{_cmd.split()[0]}"] = _cmd.split()
+
+
+def fingerprint():
+    """The environment the recorded bytes hold for."""
+    import numpy
+    import scipy
+    return {"python": platform.python_version(), "numpy": numpy.__version__,
+            "scipy": scipy.__version__, "machine": platform.machine()}
+
+
+def _sha(data):
+    return hashlib.sha256(data).hexdigest()
+
+
+def run(argv, out_dir):
+    """Run one command in process, with RuntimeWarning raised as an error as
+    CI's console-script loop raises it; (exit code, stderr bytes, {output
+    name: bytes}), stdout under the name "stdout" when anything is written
+    to it."""
+    from dehnfill import cli
+    out_dir = Path(out_dir)
+    args = [a.replace("{dir}", str(out_dir)) for a in argv]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr), \
+            warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            code = cli.main(args)
+        except SystemExit as exc:       # argparse rejects before main's handlers
+            code = exc.code
+    outputs = {}
+    if stdout.getvalue():
+        outputs["stdout"] = stdout.getvalue().encode("utf-8")
+    for a in argv:
+        if a.startswith("{dir}/"):
+            name = a[len("{dir}/"):]
+            outputs[name] = (out_dir / name).read_bytes()
+    return code, stderr.getvalue().encode("utf-8"), outputs
+
+
+def record():
+    import tempfile
+    OUTPUTS.mkdir(exist_ok=True)
+    for old in OUTPUTS.iterdir():
+        old.unlink()
+    entries = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, argv in COMMANDS.items():
+            code, err, outputs = run(argv, tmp)
+            entries[name] = {"argv": argv, "exit": code, "stderr": _sha(err),
+                             "outputs": {k: _sha(v) for k, v in outputs.items()}}
+            small = {f"{name}.stdout" if k == "stdout" else k: v
+                     for k, v in outputs.items() if len(v) < SMALL_BYTES}
+            if err:
+                small[f"{name}.stderr"] = err
+            for target, data in small.items():
+                (OUTPUTS / target).write_bytes(data)
+    doc = {"fingerprint": fingerprint(), "commands": entries}
+    MANIFEST.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    print(f"recorded {len(entries)} commands in {MANIFEST}")
+
+
+if __name__ == "__main__":
+    sys.exit(record())
