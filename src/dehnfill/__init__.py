@@ -7,8 +7,8 @@ almost-Einstein profile, and Newton-type solvers that perturb it to a
 discrete Einstein metric.
 """
 
-from .geometry import (ArclengthMap, BlockMetricProfile, DiagonalMetricProfile,
-                       RadialGrid, TrivialVariation, black_hole_profile,
+from .geometry import (ArclengthMap, DiagonalMetricProfile, RadialGrid,
+                       TrivialVariation, black_hole_profile,
                        coordinate_curvature_oracle, cusp_profile, metric_gap,
                        r_plus, radius_for_meridian, sectional_curvatures,
                        theta_period, v_profile)

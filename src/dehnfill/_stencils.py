@@ -52,6 +52,7 @@ import numpy as np
 from .geometry import _closed_cap
 
 S_ZONE = 2.0
+MIN_NODES = 66      # fewest samples the residual takes: 64 interior nodes
 _Z_CLAMP = 4.0
 _WIDTH = 5          # table slots per row: samples k-2..k+2 of node k
 

@@ -101,31 +101,31 @@ _BLOCK_WEIGHTS = {"I": 0.0, "II": 0.0, "III": -2.0}
 # block I already solves for r^2 h11 (weight 0), II for h1i (0), III carries
 # r^2, so the frame-weighted exponent is gamma - 2.
 
+# the growth window of the weight W = (r/R)^0.1 + r^(-0.1); it contains 0
+# and, since cusp_block_exponents asserts gamma1(I) > 0.1, no indicial root
+_GROWTH_FLOOR, _GROWTH_CEIL = -0.1, 0.1
 
-def cusp_kernel_classification(n, growth_floor=-0.1, growth_ceil=0.1,
-                               strict=False):
-    """Invariant kernel elements compatible with a growth window.
+
+def cusp_kernel_classification(n, strict=False):
+    """Invariant kernel elements compatible with the growth window.
 
     A mode r^gamma of a block is admissible when its unit-frame magnitude
     r^(gamma + w) fits the bound r^ceil + r^floor on (0, infinity), i.e.
-    floor <= gamma + w <= ceil.  With strict=True the bound is the two-sided
-    min(r^floor, r^ceil), which no power satisfies for floor < ceil.
+    floor <= gamma + w <= ceil, with floor = -0.1 and ceil = 0.1.  With
+    strict=True the bound is the two-sided min(r^floor, r^ceil), which no
+    power satisfies.
 
-    Returns (description dict, dimension).  For the default window the
-    admissible space is exactly the trace-free constant torus deformations,
-    of dimension n(n-1)/2 - 1.
+    Returns (description dict, dimension).  The admissible space is exactly
+    the trace-free constant torus deformations, of dimension n(n-1)/2 - 1.
     """
     n = _check_dimension(n)
     exps = cusp_block_exponents(n)
-    g1, _ = exps["I"]
-    if not (growth_floor < 0.0 < growth_ceil < g1):
-        raise ValueError("growth window must contain 0 and avoid the indicial roots")
 
     def admissible(gamma, weight):
         e = gamma + weight
         if strict:
-            return growth_ceil <= e <= growth_floor   # empty for floor < ceil
-        return growth_floor <= e <= growth_ceil
+            return _GROWTH_CEIL <= e <= _GROWTH_FLOOR   # empty: floor < ceil
+        return _GROWTH_FLOOR <= e <= _GROWTH_CEIL
 
     # per admissible exponent: block I is one scalar (r^2 h11; the trace
     # rides the same equation), block II has n-1 mixed components, block III

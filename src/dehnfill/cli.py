@@ -235,7 +235,7 @@ def cmd_norms(args):
         raise ConfigError(f"--nodes {cfg['nodes']} is too few for the seminorm "
                           f"window at --R {R:g}")
     rng = np.random.Generator(np.random.Philox(cfg["seed"]))
-    grid = RadialGrid("r", r, n)
+    grid = RadialGrid(r, n)
     k = n - 1
     hij = rng.standard_normal((r.size, k, k))
     hij = 0.5 * (hij + np.swapaxes(hij, 1, 2)) * (r**2)[:, None, None]

@@ -31,7 +31,6 @@ __all__ = [
     "ArclengthMap",
     "RadialGrid",
     "DiagonalMetricProfile",
-    "BlockMetricProfile",
     "TrivialVariation",
     "black_hole_profile",
     "cusp_profile",
@@ -229,25 +228,21 @@ def metric_gap(n, r):
 
 @dataclass
 class RadialGrid:
-    """Sample points in the radial coordinate, either r or arclength s."""
+    """Sample points in the radial coordinate r."""
 
-    coordinate: str
     nodes: np.ndarray
     n: int
-    exterior: bool = False   # when True, r-grids must not dip below r_plus
+    exterior: bool = False   # when True, the grid must not dip below r_plus
 
     def __post_init__(self):
         self.n = _check_dimension(self.n)
-        if self.coordinate not in ("r", "s"):
-            raise ValueError("coordinate must be 'r' or 's'")
         self.nodes = np.asarray(self.nodes, dtype=float)
         if self.nodes.size < 3:
             raise ValueError("need at least 3 nodes")
         if np.any(np.diff(self.nodes) <= 0):
             raise ValueError("nodes must be strictly increasing")
-        if self.coordinate == "r" and self.exterior:
-            if self.nodes[0] < r_plus(self.n) * (1.0 - 1e-12):
-                raise ValueError("exterior r-grid must start at or above r_plus")
+        if self.exterior and self.nodes[0] < r_plus(self.n) * (1.0 - 1e-12):
+            raise ValueError("exterior r-grid must start at or above r_plus")
 
 
 @dataclass
@@ -296,26 +291,6 @@ class DiagonalMetricProfile:
         return DiagonalMetricProfile(
             self.n, self.s.copy(), self.f.copy(), self.theta_period,
             None if self.r is None else self.r.copy(), self.cap_radius)
-
-
-@dataclass
-class BlockMetricProfile:
-    """Torus-invariant metric ds^2 + M(s) with a full symmetric torus block."""
-
-    n: int
-    s: np.ndarray
-    M: np.ndarray
-    theta_period: float
-    r: np.ndarray | None = None
-
-    def __post_init__(self):
-        self.n = _check_dimension(self.n)
-        self.s = np.asarray(self.s, dtype=float)
-        self.M = np.asarray(self.M, dtype=float)
-        if self.M.shape != (self.s.size, self.n - 1, self.n - 1):
-            raise ValueError("M must have shape (len(s), n-1, n-1)")
-        if np.any(np.abs(self.M - np.swapaxes(self.M, 1, 2)) > 1e-12):
-            raise ValueError("torus block must be symmetric")
 
 
 @dataclass

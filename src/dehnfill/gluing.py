@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._stencils import e2_constant, reduced_residual
+from ._stencils import MIN_NODES, e2_constant, reduced_residual
 from .geometry import (ArclengthMap, DiagonalMetricProfile,
                        TrivialVariation, _check_dimension, _v_from_offset,
                        r_plus, radius_for_meridian, theta_period, v_profile)
@@ -47,18 +47,16 @@ def _psi(t):
     return out
 
 
-def _psi_p(t):
-    out = np.zeros_like(t)
+def _psi_derivatives(t):
+    """psi, psi' and psi'' at t, from one exp."""
+    u, up, upp = np.zeros_like(t), np.zeros_like(t), np.zeros_like(t)
     m = t > 0
-    out[m] = np.exp(-1.0 / t[m]) / t[m] ** 2
-    return out
-
-
-def _psi_pp(t):
-    out = np.zeros_like(t)
-    m = t > 0
-    out[m] = np.exp(-1.0 / t[m]) * (1.0 / t[m] ** 4 - 2.0 / t[m] ** 3)
-    return out
+    tm = t[m]
+    e = np.exp(-1.0 / tm)
+    u[m] = e
+    up[m] = e / tm ** 2
+    upp[m] = e * (1.0 / tm ** 4 - 2.0 / tm ** 3)
+    return u, up, upp
 
 
 def _bump_from_psi(t, u, v):
@@ -78,9 +76,9 @@ def _bump01_value(t):
 def _bump01(t):
     """B(t) and two derivatives; B(<=0)=0, B(>=1)=1."""
     t = np.asarray(t, dtype=float)
-    u, v = _psi(t), _psi(1.0 - t)
-    up, vp = _psi_p(t), -_psi_p(1.0 - t)
-    upp, vpp = _psi_pp(t), _psi_pp(1.0 - t)
+    u, up, upp = _psi_derivatives(t)
+    v, vp, vpp = _psi_derivatives(1.0 - t)
+    vp = -vp
     s = u + v
     with np.errstate(divide="ignore", invalid="ignore"):
         b1 = np.where(s > 0, (up * v - u * vp) / s**2, 0.0)
@@ -98,7 +96,6 @@ def _bump01(t):
 _NEWTON_STEPS = 30       # cap on the collar inversion, which takes two or three
 _COLLAR_WIDTH = 1.0      # cap arclength of the interpolation collar
 _R_MAX = np.finfo(float).max ** 0.25     # the closed forms square V ~ r^2
-MIN_NODES = 66           # fewest samples of a glued profile: 64 interior nodes
 
 # The 16-point Gauss-Legendre rule, numpy.polynomial.legendre.leggauss(16),
 # whose nodes and weights are symmetric about 0: held as constants, since
@@ -386,19 +383,11 @@ class NormReport:
     c_k_index: int | None = None
 
 
-def _frame_scales(grid, background):
-    """g_11 of the background end, (N,), and sqrt(g_ii) on its torus, (n-1, N)."""
+def _frame_scales(grid):
+    """g_11 of the cusp, (N,), and sqrt(g_ii) on its torus, (n-1, N)."""
     r = grid.nodes
-    n = grid.n
-    if background == "cusp":
-        a_r = 1.0 / r**2
-        sq = np.broadcast_to(np.sqrt(r**2), (n - 1, r.size))
-    elif background == "bh":
-        v = v_profile(n, r)[0]
-        a_r = 1.0 / v
-        sq = np.sqrt(np.vstack([v, np.tile(r**2, (n - 2, 1))]))
-    else:
-        raise ValueError("background must be 'cusp' or 'bh'")
+    a_r = 1.0 / r**2
+    sq = np.broadcast_to(np.sqrt(r**2), (grid.n - 1, r.size))
     return a_r, sq
 
 
@@ -414,14 +403,12 @@ def _frame(h: InvariantTensor, a_r, sq):
     return out
 
 
-def unit_frame_components(h: InvariantTensor, background="cusp"):
-    """Components of h in the orthonormal frame of the background end.
-
-    background "cusp": |r^2 h11|, |h1i|, |r^-2 hij|; "bh": frame weights
-    from (V, r^2).  Returns an (N, n, n) symmetric matrix field, a view of
-    the component-major (n, n, N) array the norms read.
+def unit_frame_components(h: InvariantTensor):
+    """Components of h in the orthonormal frame of the cusp: r^2 h11, h1i,
+    r^-2 hij.  Returns an (N, n, n) symmetric matrix field, a view of the
+    component-major (n, n, N) array the norms read.
     """
-    return _frame(h, *_frame_scales(h.grid, background)).transpose(2, 0, 1)
+    return _frame(h, *_frame_scales(h.grid)).transpose(2, 0, 1)
 
 
 def _torus_pairs(k):
@@ -510,17 +497,6 @@ def _window_max(values, level, first, second):
     return np.maximum(table[level, first], table[level, second])
 
 
-def _tensor_s_grid(grid, background):
-    """Arclength of the nodes of a grid along the background end."""
-    r = grid.nodes
-    if grid.coordinate == "s":
-        return grid.nodes
-    if background == "cusp":
-        return np.log(r)
-    amap = ArclengthMap(grid.n, float(r[-1]) * 1.001)
-    return amap.s_of_r(r)
-
-
 def _center_cutoff(r, s, wf):
     """c_k and rho of the center-point decomposition, from the grid alone."""
     ck = int(np.argmin(np.abs(r - wf.center_radius)))
@@ -536,21 +512,22 @@ def _trace_free_block(frame, ck):
 
 
 class _NormPlan:
-    """What the norms compute from the grid, the weight, the background and
-    the order alone, built once for every tensor measured on that grid.
+    """What the norms compute from the grid, the weight and the order alone,
+    built once for every tensor measured on that grid.
 
-    It holds the arclength grid, the window bounds with their sparse-table
-    levels, W, the frame scales a_r and sq, the torus pairs, c_k and rho;
-    `norms` and `double_star` then read only h.  The pairs' products
-    sq_i sq_j are formed per call, after the frame is freed: held, they
-    would raise the peak of a double_star call by 3/8 of a frame at n = 4.
+    It holds the cusp arclength log r of the nodes, the window bounds with
+    their sparse-table levels, W, the frame scales a_r and sq, the torus
+    pairs, c_k and rho; `norms` and `double_star` then read only h.  The
+    pairs' products sq_i sq_j are formed per call, after the frame is
+    freed: held, they would raise the peak of a double_star call by 3/8 of
+    a frame at n = 4.
     """
 
-    def __init__(self, grid, wf: WeightFunction, order=2, background="cusp"):
-        self.s = _tensor_s_grid(grid, background)
+    def __init__(self, grid, wf: WeightFunction, order=2):
+        self.s = np.log(grid.nodes)
         self.spans = _window_spans(*_window_bounds(self.s))
         self.w = weight(wf, grid.nodes)
-        self.a_r, self.sq = _frame_scales(grid, background)
+        self.a_r, self.sq = _frame_scales(grid)
         self.order = order
         self.k = grid.n - 1
         self.pairs = _torus_pairs(self.k)
@@ -595,37 +572,17 @@ class _NormPlan:
                           u=u, c_k_index=self.ck)
 
 
-def weighted_norms(h, wf: WeightFunction, order=2, background="cusp"):
+def weighted_norms(h: InvariantTensor, wf: WeightFunction, order=2):
     """Sup and weighted-sup (star) norms of an invariant tensor.
 
     The local Hoelder seminorm is replaced by the max of the unit-frame
-    magnitude and its discrete s-derivatives up to `order` over a window of
-    fixed arclength width _WINDOW.  Accepts an InvariantTensor or an
-    EinsteinResidual (whose normalized components are already frame-sized).
+    magnitude and its discrete s-derivatives up to `order`, s = log r the
+    cusp arclength, over a window of fixed arclength width _WINDOW.
     """
-    from .operators import EinsteinResidual
-    if isinstance(h, EinsteinResidual):
-        if h.r is None:
-            raise ValueError("residual carries no radial samples to weight")
-        k = h.n - 1
-        N = h.s.size
-        frame = np.zeros((N, k, k))
-        if h.e1.ndim == 2:
-            frame[:, np.arange(k), np.arange(k)] = h.e1.T
-        else:
-            frame = h.e1.copy()
-        tr_slot = np.abs(h.e2_relative())
-        local = np.maximum(np.linalg.norm(frame.reshape(N, -1), axis=1), tr_slot)
-        if order > 0:
-            d1 = np.gradient(frame, h.s, axis=0)
-            local = np.maximum(local, np.linalg.norm(d1.reshape(N, -1), axis=1))
-        w = weight(wf, h.r)
-        return float(local.max()), float((local / w).max()), local
-    return _NormPlan(h.grid, wf, order, background).norms(h)
+    return _NormPlan(h.grid, wf, order).norms(h)
 
 
-def double_star_decompose(h: InvariantTensor, wf: WeightFunction,
-                          background="cusp"):
+def double_star_decompose(h: InvariantTensor, wf: WeightFunction):
     """Center-point decomposition h = hbar + rho u.
 
     u is the orthogonal projection of the unit-frame torus block at the
@@ -633,8 +590,8 @@ def double_star_decompose(h: InvariantTensor, wf: WeightFunction,
     the residue (h - u)(c_k) is orthogonal to that subspace.  rho vanishes
     near the boundary torus and the core.
     """
-    s = _tensor_s_grid(h.grid, background)
-    a_r, sq = _frame_scales(h.grid, background)
+    s = np.log(h.grid.nodes)
+    a_r, sq = _frame_scales(h.grid)
     ck, rho = _center_cutoff(h.grid.nodes, s, wf)
     u = _trace_free_block(_frame(h, a_r, sq), ck)
     scale = (sq[:, None] * sq[None, :]).transpose(2, 0, 1)
@@ -643,8 +600,7 @@ def double_star_decompose(h: InvariantTensor, wf: WeightFunction,
     return hbar, TrivialVariation(u), ck, rho
 
 
-def double_star_norm(h: InvariantTensor, wf: WeightFunction, order=2,
-                     background="cusp"):
+def double_star_norm(h: InvariantTensor, wf: WeightFunction, order=2):
     """NormReport with sup, star, and the corrected double-star norms.
 
     The constructive value is ||hbar||_star + |u| for the center-point
@@ -660,7 +616,7 @@ def double_star_norm(h: InvariantTensor, wf: WeightFunction, order=2,
     differentiated again; the values equal those of weighted_norms on the
     decomposed tensor.
     """
-    return _NormPlan(h.grid, wf, order, background).double_star(h)
+    return _NormPlan(h.grid, wf, order).double_star(h)
 
 
 # -- decay sweep -----------------------------------------------------------------

@@ -12,6 +12,11 @@ polynomial of the eigenvalues.  E1 is the matrix field of (I) (reported
 divided by sqrt(det M)), E2 the scalar field of the constraint (II).  Both
 vanish identically iff the metric is Einstein with Ric = -(n-1) g in this
 symmetry class.
+
+The residual is evaluated on diagonal profiles, M = diag(f_i^2), where E1
+is diagonal too.  Only the linearization leaves them: its off-diagonal
+sector differentiates the matrix scheme (_stencils.block_residual), so
+linearized_residual alone returns full matrices.
 """
 
 from __future__ import annotations
@@ -21,8 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _stencils
-from .geometry import (BlockMetricProfile, DiagonalMetricProfile, RadialGrid,
-                       TrivialVariation, _check_dimension)
+from .geometry import (DiagonalMetricProfile, RadialGrid, TrivialVariation,
+                       _check_dimension)
 
 __all__ = [
     "InvariantTensor",
@@ -70,10 +75,10 @@ class InvariantTensor:
 class EinsteinResidual:
     """Residual fields of the reduced system on the interior nodes.
 
-    e1 holds E1 / sqrt(det M): diagonal entries (n-1, N-2) on the diagonal
-    path, full matrices (N-2, n-1, n-1) on the block path.  e2 is the raw
-    constraint residual; e2_relative() divides by its constant term
-    2 (n-1)(n-2).
+    e1 holds E1 / sqrt(det M): its diagonal entries, (n-1, N-2), from
+    einstein_residual, and full matrices, (N-2, n-1, n-1), from
+    linearized_residual.  e2 is the raw constraint residual; e2_relative()
+    divides by its constant term 2 (n-1)(n-2).
     """
 
     n: int
@@ -96,35 +101,25 @@ class EinsteinResidual:
 
 
 def _check_uniform(profile):
-    if profile.s.size < 66:
-        raise ValueError("need at least 64 interior nodes")
+    if profile.s.size < _stencils.MIN_NODES:
+        raise ValueError(f"need at least {_stencils.MIN_NODES - 2} interior nodes")
     d = np.diff(profile.s)
     if np.any(np.abs(d - d[0]) > 1e-8 * d[0]):
         raise ValueError("residual evaluation requires a uniform s-grid")
 
 
-def einstein_residual(profile):
-    """E1 (normalized by sqrt(det M)) and E2 of a sampled profile.
-
-    Diagonal profiles use the curvature-matched scalar stencils with the
-    fourth-order parity window at a closed cap; block profiles use plain
-    central matrix stencils and must be positive definite everywhere.
+def einstein_residual(profile: DiagonalMetricProfile):
+    """E1 (normalized by sqrt(det M)) and E2 of a sampled profile, by the
+    curvature-matched scalar stencils with the fourth-order parity window
+    at a closed cap.
     """
-    if isinstance(profile, DiagonalMetricProfile):
-        _check_uniform(profile)
-        if np.any(profile.f[:, 1:] <= 0) or (not profile.has_cap and profile.f[0, 0] <= 0):
-            raise ValueError("torus block is not positive definite at an interior node")
-        sys = _stencils.DiagonalSystem(profile.n, profile.s, profile.f)
-        e1n, e2 = sys.residual()
-        r = None if profile.r is None else profile.r[1:-1]
-        return EinsteinResidual(profile.n, profile.s[1:-1], e1n, e2, r=r)
-    if isinstance(profile, BlockMetricProfile):
-        if np.any(np.linalg.eigvalsh(profile.M[1:-1]) <= 0):
-            raise ValueError("torus block is not positive definite at an interior node")
-        e1n, e2 = _stencils.block_residual(profile.n, profile.s, profile.M)
-        r = None if profile.r is None else profile.r[1:-1]
-        return EinsteinResidual(profile.n, profile.s[1:-1], e1n, e2, r=r)
-    raise TypeError("expected a DiagonalMetricProfile or BlockMetricProfile")
+    _check_uniform(profile)
+    if np.any(profile.f[:, 1:] <= 0) or (not profile.has_cap and profile.f[0, 0] <= 0):
+        raise ValueError("torus block is not positive definite at an interior node")
+    sys = _stencils.DiagonalSystem(profile.n, profile.s, profile.f)
+    e1n, e2 = sys.residual()
+    r = None if profile.r is None else profile.r[1:-1]
+    return EinsteinResidual(profile.n, profile.s[1:-1], e1n, e2, r=r)
 
 
 def _split_diag_off(dM):
@@ -135,22 +130,17 @@ def _split_diag_off(dM):
     return diag, dM - diag
 
 
-def linearized_residual(profile, dM):
+def linearized_residual(profile: DiagonalMetricProfile, dM):
     """Directional derivative of einstein_residual at the profile.
 
     dM is the per-node symmetric variation of the torus block M(s).  At a
     diagonal background the linearization splits by reflection parity into
     the diagonal sector (differentiating the scalar scheme) and the
     off-diagonal sector (differentiating the matrix scheme); the two do not
-    couple.  Returns an EinsteinResidual holding (dE1 normalized, dE2).
+    couple.  Returns an EinsteinResidual holding (dE1 normalized, full
+    matrices, and dE2).
     """
     dM = np.asarray(dM, dtype=float)
-    if isinstance(profile, BlockMetricProfile):
-        _, _, de1, de2 = _stencils.block_residual(profile.n, profile.s,
-                                                  profile.M, dM=dM)
-        return EinsteinResidual(profile.n, profile.s[1:-1], de1, de2)
-    if not isinstance(profile, DiagonalMetricProfile):
-        raise TypeError("expected a profile")
     _check_uniform(profile)
     N = profile.s.size
     k = profile.n - 1

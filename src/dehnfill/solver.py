@@ -240,10 +240,10 @@ class BandedLinearization:
             out[lo + off:hi + off] += ab[band_row, lo:hi] * x[lo:hi]
         return out
 
-    def sigma_min(self, count=1, row_scale=None, col_scale=None, seed=7):
-        """The count smallest singular values of B = D_row A D_col^{-1},
-        ascending, by block power iteration on (B^T B)^{-1} from a seeded
-        start block.
+    def sigma_min(self, count=1, scale=None, seed=7):
+        """The count smallest singular values of B = D A D^{-1}, with
+        D = diag(scale) or the identity, ascending, by block power iteration
+        on (B^T B)^{-1} from a seeded start block.
 
         B = QR is factored once, keeping only R (`_r_factor`): each step
         applies (B^T B)^{-1} = R^{-1} R^{-T} by two triangular band sweeps,
@@ -258,9 +258,8 @@ class BandedLinearization:
         relative, or after _PROBE_STEPS steps.
         """
         _check_count(count)
-        rs = np.ones(self.size) if row_scale is None else np.asarray(row_scale)
-        cs = np.ones(self.size) if col_scale is None else np.asarray(col_scale)
-        r = self._r_factor(rs, cs)
+        d = np.ones(self.size) if scale is None else np.asarray(scale)
+        r = self._r_factor(d)
         rng = np.random.Generator(np.random.Philox(seed))
         X, _ = np.linalg.qr(rng.standard_normal((self.size, count)))
         lam = np.zeros(count)
@@ -281,8 +280,8 @@ class BandedLinearization:
                 break
         return 1.0 / np.sqrt(lam)
 
-    def _r_factor(self, rs, cs):
-        """R of the Householder QR of B = diag(rs) A diag(cs)^{-1}, banded
+    def _r_factor(self, d):
+        """R of the Householder QR of B = diag(d) A diag(d)^{-1}, banded
         with kd = l + u, in LAPACK 'U' band storage (R[i, j] at
         r[kd + i - j, j]); Q is never formed.  The panel at column k holds
         rows k..k+_PANEL+l-1 in columns k..k+_PANEL+kd-1, all their entries.
@@ -309,8 +308,8 @@ class BandedLinearization:
                 fresh = panel[first:m, :w]
                 np.copyto(fresh, _diagonals(ab, u + first, k, fresh.shape),
                           where=in_band[first:m, :w])
-                fresh *= rs[k + first:k + m, None]
-                fresh /= cs[k:k + w]
+                fresh *= d[k + first:k + m, None]
+                fresh /= d[k:k + w]
             _, tau, _, info = dgeqrf(panel[:, :b], overwrite_a=True)
             check_info(info, "dgeqrf")
             _, _, info = dormqr("L", "T", panel[:, :b], tau, panel[:, b:], kd,
@@ -395,7 +394,7 @@ def newton_solve(g0: DiagonalMetricProfile, cfg: SolverConfig | None = None):
     profile = g0.copy()
     grid = plan = None
     if g0.cap_radius is not None and g0.r is not None:
-        grid = RadialGrid("r", g0.r, g0.n, exterior=True)
+        grid = RadialGrid(g0.r, g0.n, exterior=True)
         plan = _NormPlan(grid, WeightFunction(g0.n, g0.cap_radius), order=0)
     index = _unknown_index(profile.n, profile.s.size)
     free = index >= 0
@@ -486,7 +485,7 @@ def verify_einstein(profile):
         "tolerance": _VERIFY_TOL,
         "passes": max(res.max_e1(), res.max_e2_relative()) < _VERIFY_TOL,
     }
-    if isinstance(profile, DiagonalMetricProfile) and profile.n == 3:
+    if profile.n == 3:
         sys = _stencils.DiagonalSystem(profile.n, profile.s, profile.f)
         k12 = -sys.q[0]
         k13 = -sys.q[1]
@@ -496,16 +495,12 @@ def verify_einstein(profile):
         report["max_curvature_deviation"] = float(dev)
     if res.r is not None:
         # the node of the largest |E1|, and its entry named as the residual
-        # CSV names its columns: E1_ii, or E1_ij on the block path
+        # CSV names its columns, E1_ii
         e1 = np.abs(res.e1)
-        if e1.ndim == 2:        # diagonal entries, (n-1, N-2)
-            worst = np.argmax(e1.max(axis=0))
-            i = j = int(np.argmax(e1[:, worst]))
-        else:                   # full matrices, (N-2, n-1, n-1)
-            worst = np.argmax(e1.reshape(e1.shape[0], -1).max(axis=1))
-            i, j = np.unravel_index(np.argmax(e1[worst]), e1.shape[1:])
+        worst = np.argmax(e1.max(axis=0))
+        i = int(np.argmax(e1[:, worst])) + 2
         report["residual_argmax_r"] = float(res.r[worst])
-        report["residual_argmax_component"] = f"E1_{i + 2}{j + 2}"
+        report["residual_argmax_component"] = f"E1_{i}{i}"
     return report
 
 
@@ -521,12 +516,12 @@ def kernel_spectrum(profile, count=1, weight_fn: WeightFunction | None = None,
     """
     _check_count(count)
     lin = BandedLinearization(profile)
-    rs = cs = None
+    scale = None
     if conjugate:
         if weight_fn is None:
             raise ValueError("conjugation needs a weight function")
-        rs = cs = 1.0 / _unknown_weights(lin, profile, weight_fn)
-    return lin.sigma_min(count, rs, cs, seed)
+        scale = 1.0 / _unknown_weights(lin, profile, weight_fn)
+    return lin.sigma_min(count, scale, seed)
 
 
 def _unknown_weights(lin, profile, weight_fn):
@@ -535,11 +530,8 @@ def _unknown_weights(lin, profile, weight_fn):
     return _to_unknowns(lin, np.broadcast_to(w, lin.index.shape))
 
 
-def rayleigh_quotient(profile, direction, weight_fn=None, lin=None):
-    """||A h|| / ||h|| for one direction, optionally in the weighted scale."""
+def rayleigh_quotient(profile, direction, lin=None):
+    """||A h|| / ||h|| for one direction."""
     lin = BandedLinearization(profile) if lin is None else lin
     y = lin.matvec(direction)
-    if weight_fn is not None:
-        w = _unknown_weights(lin, profile, weight_fn)
-        return float(np.linalg.norm(y / w) / np.linalg.norm(direction / w))
     return float(np.linalg.norm(y) / np.linalg.norm(direction))

@@ -18,7 +18,7 @@ from dehnfill.geometry import (TrivialVariation, black_hole_profile,
                                r_plus, sectional_curvatures, theta_period,
                                v_profile)
 from dehnfill.gluing import (WeightFunction, glue, residual_decay_sweep,
-                             rho_cutoff, double_star_norm, weighted_norms)
+                             rho_cutoff, double_star_norm)
 from dehnfill.operators import (InvariantTensor, bh_kernel_variation,
                                 einstein_residual, linearized_residual,
                                 sqrtdet_sinh_check)
@@ -195,7 +195,7 @@ def test_criterion_11_norm_machinery():
     n, R = 4, 100.0
     wf = WeightFunction(n, R)
     r = np.geomspace(r_plus(n) * 1.001, 4 * R, 6000)
-    grid = df.RadialGrid("r", r, n)
+    grid = df.RadialGrid(r, n)
     rng = np.random.Generator(np.random.Philox(1111))
     chain_ok = True
     for _ in range(100):

@@ -96,8 +96,6 @@ def test_kernel_classification_dimensions():
     # two-sided strict window kills the constant mode
     for n in (3, 5, 8):
         assert cusp_kernel_classification(n, strict=True)[1] == 0
-    with pytest.raises(ValueError):
-        cusp_kernel_classification(4, growth_floor=-0.1, growth_ceil=2.0)
 
 
 def test_bvp_recovers_homogeneous_mode():

@@ -100,7 +100,7 @@ def test_oracle_reproduces_hyperbolic_space():
 
 
 def test_arclength_n3_closed_form():
-    grid = RadialGrid("r", np.linspace(np.sqrt(2), 20.0, 64), 3, exterior=True)
+    grid = RadialGrid(np.linspace(np.sqrt(2), 20.0, 64), 3, exterior=True)
     amap = ArclengthMap(3, float(grid.nodes[-1]))
     s = amap.s_of_r(grid.nodes)
     # closed form: s = arccosh(r / sqrt(2))
@@ -258,8 +258,8 @@ def test_black_hole_profile_sampling():
 
 def test_radial_grid_validation():
     with pytest.raises(ValueError):
-        RadialGrid("r", np.array([1.0, 2.0]), 4)
+        RadialGrid(np.array([1.0, 2.0]), 4)
     with pytest.raises(ValueError):
-        RadialGrid("r", np.array([1.0, 1.0, 2.0]), 4)
+        RadialGrid(np.array([1.0, 1.0, 2.0]), 4)
     with pytest.raises(ValueError):
-        RadialGrid("r", np.array([1.0, 1.1, 1.2]), 4, exterior=True)
+        RadialGrid(np.array([1.0, 1.1, 1.2]), 4, exterior=True)
