@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._lapack import check_info, dgtsv
-from .geometry import _check_dimension
+from .geometry import _check_dimension, r_plus
 
 __all__ = [
     "EulerODE",
@@ -210,7 +210,7 @@ def ugly_estimate_harness(n, R, alpha, trials=50, seed=0, nodes=1024):
     (Philox counter-based streams, one per trial).
     """
     n = _check_dimension(n)
-    rp = 2.0 ** (1.0 / (n - 1))
+    rp = r_plus(n)
     if not rp + 2.0 < R < _R_MAX:
         raise ValueError(f"R must exceed r_plus + 2 and stay below {_R_MAX:.3g}, got {R!r}")
     if not 0.0 <= alpha < 1.0:

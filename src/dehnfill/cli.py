@@ -1,16 +1,21 @@
 """Command-line front end.
 
-Subcommands: curvature, glue, solve, kernel, norms, sweep, estimate.
-Configuration comes from a flat key=value file and/or flags (flags win).
-Outputs are CSV or JSON with the resolved configuration echoed, byte
-identical for identical configuration and seed.  Exit codes: 0 success,
-1 solver divergence (report still written), 2 configuration error,
+Subcommands, each with the formats it writes (the first is its default):
+curvature (csv), glue (csv), solve (json, csv), kernel (json), norms (json),
+sweep (csv, json), estimate (json).  Each option is declared once, with its
+type and default, in _COMMANDS, from which the flags, the defaults and the
+keys a flat key=value configuration file may set all derive; flags win over
+the file.  Outputs echo the resolved configuration, byte identical for
+identical configuration and seed.  Exit codes: 0 success, 1 solver
+divergence (report still written), 2 configuration error (among them a
+format the command does not write, and a size too large to allocate),
 3 numerical failure (infs or NaNs reached a linear solve).
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -20,12 +25,6 @@ from . import asymptotics, gluing, solver
 from .geometry import r_plus, sectional_curvatures, v_profile
 
 FORMAT_VERSION = 1
-
-# the keys a configuration file may set, each with its parser
-_KEY_CASTS = {"n": int, "nodes": int, "trials": int, "seed": int,
-              "samples": int, "ell": float, "outer_factor": float,
-              "tol": float, "alpha": float, "r_min": float, "r_max": float,
-              "mode": str, "out": str, "format": str, "R": str}
 
 
 class ConfigError(Exception):
@@ -48,30 +47,33 @@ def _load_config_file(path):
             if "=" not in line:
                 raise ConfigError(f"{path}:{line_no}: expected key=value")
             key, val = (part.strip() for part in line.split("=", 1))
-            if key not in _KEY_CASTS:
+            if key not in _FILE_KEYS:
                 raise ConfigError(f"{path}:{line_no}: unknown key {key!r}")
             cfg[key] = val
     return cfg
 
 
-def _resolve(args, defaults, casts=None):
-    casts = {**_KEY_CASTS, **(casts or {})}
-    cfg = dict(defaults)
-    if getattr(args, "config", None):
-        for key, val in _load_config_file(args.config).items():
-            if key in cfg:
-                try:
-                    cfg[key] = casts[key](val)
-                except ValueError as exc:
-                    raise ConfigError(f"bad value for {key}: {exc}")
-    for key in cfg:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            cfg[key] = flag
+def _resolve(args):
+    """The command's defaults, overridden by the file, then by the flags."""
+    options = _options(args.command)
+    cfg = {key: default for key, (_, default) in options.items()}
+    in_file = _load_config_file(args.config) if args.config else {}
+    for key, (kind, _) in options.items():
+        if key in in_file:          # the file's keys of other commands are ignored
+            cast = str if isinstance(kind, tuple) else kind
+            try:
+                cfg[key] = cast(in_file[key])
+            except ValueError as exc:
+                raise ConfigError(f"bad value for {key}: {exc}")
+        if getattr(args, key, None) is not None:
+            cfg[key] = getattr(args, key)
     missing = [k for k, v in cfg.items() if v is None]
     if missing:
         raise ConfigError(f"missing required option(s): {', '.join(missing)}")
     for key, val in cfg.items():
+        kind = options[key][0]
+        if isinstance(kind, tuple) and val not in kind:
+            raise ConfigError(f"{key} must be one of {', '.join(kind)}, got {val!r}")
         if isinstance(val, float) and not np.isfinite(val):
             raise ConfigError(f"{key} must be finite, got {val!r}")
     return cfg
@@ -114,9 +116,7 @@ def _json_default(obj):
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
-def cmd_curvature(args):
-    cfg = _resolve(args, {"n": None, "r_min": None, "r_max": None,
-                          "samples": 50, "out": "-", "format": "csv"})
+def cmd_curvature(cfg, args):
     n = cfg["n"]
     if cfg["r_min"] > cfg["r_max"] or cfg["samples"] < 1:
         raise ConfigError("empty radial range")
@@ -163,20 +163,15 @@ def _glued(cfg):
     return gluing.glue(cfg["n"], cfg["ell"], cfg["outer_factor"], cfg["nodes"])
 
 
-def cmd_glue(args):
-    cfg = _resolve(args, {"n": None, "ell": None, "nodes": 2048,
-                          "outer_factor": 4.0, "out": "-", "format": "csv"})
+def cmd_glue(cfg, args):
     profile = _glued(cfg)
     _write_output(cfg["out"], _profile_csv(cfg, profile))
-    if getattr(args, "residuals", None):
+    if args.residuals:
         _write_output(args.residuals, _residual_csv(cfg, profile))
     return 0
 
 
-def cmd_solve(args):
-    cfg = _resolve(args, {"n": None, "ell": None, "nodes": 2048,
-                          "outer_factor": 4.0, "tol": 1e-8, "mode": "newton",
-                          "out": "-", "format": "json"})
+def cmd_solve(cfg, args):
     if not cfg["tol"] > 0:
         raise ConfigError(f"--tol must be positive, got {cfg['tol']:g}")
     profile = _glued(cfg)
@@ -185,30 +180,18 @@ def cmd_solve(args):
                           f"window at --ell {cfg['ell']:g}")
     config = solver.SolverConfig(residual_tolerance=cfg["tol"], mode=cfg["mode"])
     final, report = solver.newton_solve(profile, config)
-    payload = {
-        "converged": report.converged,
-        "diverged": report.diverged,
-        "iterations": report.iterations,
-        "final_max_residual": report.residual_history[-1],
-        "residual_history": report.residual_history,
-        "star_history": report.star_history,
-        "double_star_history": report.double_star_history,
-        "convergence_orders": report.convergence_orders,
-        "e2_drift": report.e2_drift,
-        "cone_angle_ratio": report.cone_angle_ratio,
-        "message": report.message,
-    }
     if cfg["format"] == "csv":
         _write_output(cfg["out"], _profile_csv(cfg, final))
     else:
+        payload = {**dataclasses.asdict(report),
+                   "final_max_residual": report.residual_history[-1]}
         _write_output(cfg["out"], _json(cfg, payload))
-    if getattr(args, "residuals", None):
+    if args.residuals:
         _write_output(args.residuals, _residual_csv(cfg, final))
-    return 0 if not report.diverged else 1
+    return int(report.diverged)
 
 
-def cmd_kernel(args):
-    cfg = _resolve(args, {"n": None, "out": "-", "format": "json"})
+def cmd_kernel(cfg, args):
     modes, dim = asymptotics.cusp_kernel_classification(cfg["n"])
     exps = asymptotics.cusp_block_exponents(cfg["n"])
     payload = {
@@ -223,9 +206,7 @@ def cmd_kernel(args):
     return 0
 
 
-def cmd_norms(args):
-    cfg = _resolve(args, {"n": None, "R": None, "nodes": 2048, "seed": 0,
-                          "out": "-", "format": "json"}, casts={"R": float})
+def cmd_norms(cfg, args):
     n, R = cfg["n"], cfg["R"]
     from .geometry import RadialGrid
     from .operators import InvariantTensor
@@ -250,27 +231,23 @@ def cmd_norms(args):
     return 0
 
 
-def cmd_sweep(args):
-    cfg = _resolve(args, {"n": None, "R": None, "outer_factor": 4.0,
-                          "out": "-", "format": "csv"})
-    radii = np.array([float(x) for x in str(cfg["R"]).split(",")])
+def cmd_sweep(cfg, args):
+    radii = np.array([float(x) for x in cfg["R"].split(",")])
     table = gluing.residual_decay_sweep(cfg["n"], radii=radii,
                                         r_out_factor=cfg["outer_factor"])
-    rows = zip(table["R"], table["ell"], table["residual"])
-    text = _csv(cfg, ["R", "ell", "weighted_residual"], rows,
-                extra_comments=[f"# slope={_fmt(table['slope'])}"])
     if cfg["format"] == "json":
         text = _json(cfg, {"R": table["R"], "ell": table["ell"],
                            "weighted_residual": table["residual"],
                            "slope": table["slope"]})
+    else:
+        rows = zip(table["R"], table["ell"], table["residual"])
+        text = _csv(cfg, ["R", "ell", "weighted_residual"], rows,
+                    extra_comments=[f"# slope={_fmt(table['slope'])}"])
     _write_output(cfg["out"], text)
     return 0
 
 
-def cmd_estimate(args):
-    cfg = _resolve(args, {"n": None, "R": None, "alpha": 0.5, "trials": 50,
-                          "seed": 0, "nodes": 1024, "out": "-", "format": "json"},
-                   casts={"R": float})
+def cmd_estimate(cfg, args):
     _check_nodes(cfg, asymptotics.MIN_NODES)
     c_fit = asymptotics.ugly_estimate_harness(cfg["n"], cfg["R"], cfg["alpha"],
                                               trials=cfg["trials"],
@@ -280,10 +257,44 @@ def cmd_estimate(args):
     return 0
 
 
-def _add_common(p):
-    p.add_argument("--config", help="flat key=value configuration file")
-    p.add_argument("--out", help="output path ('-' for stdout)")
-    p.add_argument("--format", choices=["csv", "json"])
+_GLUED = {"n": (int, None), "ell": (float, None), "nodes": (int, 2048),
+          "outer_factor": (float, 4.0)}
+# command -> (its function, help, the formats it writes, its options as
+# key -> (type, default)).  The first format is the default; a tuple type
+# lists the values an option may take; a None default marks a required
+# option.  Every command also takes out and format, resolved in that order
+# after its own options.
+_COMMANDS = {
+    "curvature": (cmd_curvature, "sectional curvatures of the cap metric",
+                  ("csv",), {"n": (int, None), "r_min": (float, None),
+                             "r_max": (float, None), "samples": (int, 50)}),
+    "glue": (cmd_glue, "build the glued almost-Einstein profile", ("csv",),
+             _GLUED),
+    "solve": (cmd_solve, "Newton-solve the glued profile", ("json", "csv"),
+              {**_GLUED, "tol": (float, 1e-8),
+               "mode": (("newton", "frozen_jacobian"), "newton")}),
+    "kernel": (cmd_kernel, "decaying-kernel classification on the cusp",
+               ("json",), {"n": (int, None)}),
+    "norms": (cmd_norms, "weighted norms of a seeded random tensor", ("json",),
+              {"n": (int, None), "R": (float, None), "nodes": (int, 2048),
+               "seed": (int, 0)}),
+    "sweep": (cmd_sweep, "glued-residual decay against comma-separated cap "
+              "radii R", ("csv", "json"),
+              {"n": (int, None), "R": (str, None), "outer_factor": (float, 4.0)}),
+    "estimate": (cmd_estimate, "randomized interior-bound harness", ("json",),
+                 {"n": (int, None), "R": (float, None), "alpha": (float, 0.5),
+                  "trials": (int, 50), "seed": (int, 0), "nodes": (int, 1024)}),
+}
+
+
+def _options(command):
+    """key -> (type, default) of every option of a command."""
+    _, _, formats, options = _COMMANDS[command]
+    return {**options, "out": (str, "-"), "format": (formats, formats[0])}
+
+
+# the keys a configuration file may set: those of any command
+_FILE_KEYS = {key for command in _COMMANDS for key in _options(command)}
 
 
 def build_parser():
@@ -292,63 +303,23 @@ def build_parser():
         description="Einstein metrics on Dehn-filled ends: model metrics, "
                     "gluing, weighted norms, and Newton solvers.")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("curvature", help="sectional curvatures of the cap metric")
-    p.add_argument("--n", type=int)
-    p.add_argument("--r", dest="r_range", nargs=3,
-                   metavar=("MIN", "MAX", "SAMPLES"))
-    _add_common(p)
-    p.set_defaults(func=cmd_curvature)
-
-    p = sub.add_parser("glue", help="build the glued almost-Einstein profile")
-    p.add_argument("--n", type=int)
-    p.add_argument("--ell", type=float)
-    p.add_argument("--nodes", type=int)
-    p.add_argument("--outer-factor", dest="outer_factor", type=float)
-    p.add_argument("--residuals", help="also write the residual field CSV here")
-    _add_common(p)
-    p.set_defaults(func=cmd_glue)
-
-    p = sub.add_parser("solve", help="Newton-solve the glued profile")
-    p.add_argument("--n", type=int)
-    p.add_argument("--ell", type=float)
-    p.add_argument("--nodes", type=int)
-    p.add_argument("--outer-factor", dest="outer_factor", type=float)
-    p.add_argument("--tol", type=float)
-    p.add_argument("--mode", choices=["newton", "frozen_jacobian"])
-    p.add_argument("--residuals", help="also write the residual field CSV here")
-    _add_common(p)
-    p.set_defaults(func=cmd_solve)
-
-    p = sub.add_parser("kernel", help="decaying-kernel classification on the cusp")
-    p.add_argument("--n", type=int)
-    _add_common(p)
-    p.set_defaults(func=cmd_kernel)
-
-    p = sub.add_parser("norms", help="weighted norms of a seeded random tensor")
-    p.add_argument("--n", type=int)
-    p.add_argument("--R", type=float)
-    p.add_argument("--nodes", type=int)
-    p.add_argument("--seed", type=int)
-    _add_common(p)
-    p.set_defaults(func=cmd_norms)
-
-    p = sub.add_parser("sweep", help="glued-residual decay against cap radius")
-    p.add_argument("--n", type=int)
-    p.add_argument("--R", type=str, help="comma-separated cap radii")
-    p.add_argument("--outer-factor", dest="outer_factor", type=float)
-    _add_common(p)
-    p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser("estimate", help="randomized interior-bound harness")
-    p.add_argument("--n", type=int)
-    p.add_argument("--R", type=float)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--trials", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--nodes", type=int)
-    _add_common(p)
-    p.set_defaults(func=cmd_estimate)
+    for command, (func, help_text, _, _) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        p.set_defaults(func=func)
+        p.add_argument("--config", help="flat key=value configuration file")
+        for key, (kind, default) in _options(command).items():
+            choices = kind if isinstance(kind, tuple) else None
+            if key not in ("r_min", "r_max", "samples"):    # set by --r
+                p.add_argument("--" + key.replace("_", "-"), dest=key,
+                               type=str if choices else kind, choices=choices,
+                               help="required" if default is None
+                               else f"default {default}")
+        if command == "curvature":
+            p.add_argument("--r", dest="r_range", nargs=3,
+                           metavar=("MIN", "MAX", "SAMPLES"))
+        if command in ("glue", "solve"):
+            p.add_argument("--residuals",
+                           help="also write the residual field CSV here")
     return ap
 
 
@@ -365,17 +336,20 @@ def _split_r_range(args):
 
 
 def main(argv=None):
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         if getattr(args, "r_range", None) is not None:
             _split_r_range(args)
-        return args.func(args)
+        return args.func(_resolve(args), args)
     except solver.NumericalError as exc:
         print(f"dehnfill: numerical failure: {exc}", file=sys.stderr)
         return 3
     except (ConfigError, ValueError, OSError) as exc:
         print(f"dehnfill: configuration error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"dehnfill: configuration error: a size is too large to "
+              f"allocate: {exc}", file=sys.stderr)
         return 2
 
 

@@ -215,7 +215,7 @@ def metric_gap(n, r):
     rp = r_plus(n)
     if np.any(r <= rp + 1.0):
         raise ValueError("metric_gap requires r > r_plus + 1")
-    v = r**2 - 2.0 * r ** (3 - n)
+    v = v_profile(n, r)[0]
     c_rr = 2.0 * r ** (1 - n) * (r**2 / v)
     c_tt = -2.0 * r ** (1 - n)
     norm = np.hypot(c_rr, c_tt)

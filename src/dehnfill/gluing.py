@@ -383,23 +383,18 @@ class NormReport:
     c_k_index: int | None = None
 
 
-def _frame_scales(grid):
-    """g_11 of the cusp, (N,), and sqrt(g_ii) on its torus, (n-1, N)."""
-    r = grid.nodes
+def _frame(h: InvariantTensor):
+    """Unit-frame components of h, component-major: (n, n, N), nodes contiguous.
+
+    The cusp has g_11 = a_r = r^-2 and sqrt(g_ii) = r on every torus axis.
+    """
+    n, r = h.grid.n, h.grid.nodes
     a_r = 1.0 / r**2
-    sq = np.broadcast_to(np.sqrt(r**2), (grid.n - 1, r.size))
-    return a_r, sq
-
-
-def _frame(h: InvariantTensor, a_r, sq):
-    """Unit-frame components of h, component-major: (n, n, N), nodes contiguous."""
-    n = h.grid.n
-    out = np.empty((n, n, a_r.size))
+    out = np.empty((n, n, r.size))
     out[0, 0] = h.h11 / a_r
-    out[0, 1:] = h.h1i / (np.sqrt(a_r) * sq)
+    out[0, 1:] = h.h1i / (np.sqrt(a_r) * r)
     out[1:, 0] = out[0, 1:]
-    np.divide(np.moveaxis(h.hij, 0, -1), sq[:, None] * sq[None, :],
-              out=out[1:, 1:])
+    np.divide(np.moveaxis(h.hij, 0, -1), r * r, out=out[1:, 1:])
     return out
 
 
@@ -408,7 +403,7 @@ def unit_frame_components(h: InvariantTensor):
     r^-2 hij.  Returns an (N, n, n) symmetric matrix field, a view of the
     component-major (n, n, N) array the norms read.
     """
-    return _frame(h, *_frame_scales(h.grid)).transpose(2, 0, 1)
+    return _frame(h).transpose(2, 0, 1)
 
 
 def _torus_pairs(k):
@@ -516,18 +511,14 @@ class _NormPlan:
     built once for every tensor measured on that grid.
 
     It holds the cusp arclength log r of the nodes, the window bounds with
-    their sparse-table levels, W, the frame scales a_r and sq, the torus
-    pairs, c_k and rho; `norms` and `double_star` then read only h.  The
-    pairs' products sq_i sq_j are formed per call, after the frame is
-    freed: held, they would raise the peak of a double_star call by 3/8 of
-    a frame at n = 4.
+    their sparse-table levels, W, the torus pairs, c_k and rho; `norms` and
+    `double_star` then read only h.
     """
 
     def __init__(self, grid, wf: WeightFunction, order=2):
         self.s = np.log(grid.nodes)
         self.spans = _window_spans(*_window_bounds(self.s))
         self.w = weight(wf, grid.nodes)
-        self.a_r, self.sq = _frame_scales(grid)
         self.order = order
         self.k = grid.n - 1
         self.pairs = _torus_pairs(self.k)
@@ -542,7 +533,7 @@ class _NormPlan:
     def _frame_squares(self, h):
         """The frame of h, and the _squares of its mixed components (row 0)
         and of its torus block."""
-        frame = _frame(h, self.a_r, self.sq)
+        frame = _frame(h)
         i, j = self.pairs
         # the gathered rows are the callee's only reference, so _squares
         # frees them once it has differentiated them
@@ -560,7 +551,7 @@ class _NormPlan:
         del frame                      # hbar's pass reads h.hij, not the frame
         sup, star, _ = self._sup_star(mixed, torus)
         i, j = self.pairs
-        scale = self.sq[i] * self.sq[j]
+        scale = h.grid.nodes * h.grid.nodes
         bar = (np.moveaxis(h.hij, 0, -1)[i, j]
                - self.rho * u[i, j, None] * scale) / scale
         torus_bar = _squares(bar, self.k, self.s, self.order)
@@ -591,10 +582,9 @@ def double_star_decompose(h: InvariantTensor, wf: WeightFunction):
     near the boundary torus and the core.
     """
     s = np.log(h.grid.nodes)
-    a_r, sq = _frame_scales(h.grid)
     ck, rho = _center_cutoff(h.grid.nodes, s, wf)
-    u = _trace_free_block(_frame(h, a_r, sq), ck)
-    scale = (sq[:, None] * sq[None, :]).transpose(2, 0, 1)
+    u = _trace_free_block(_frame(h), ck)
+    scale = (h.grid.nodes * h.grid.nodes)[:, None, None]
     hbar = InvariantTensor(h.grid, h.h11.copy(), h.h1i.copy(),
                            h.hij - rho[:, None, None] * u[None, :, :] * scale)
     return hbar, TrivialVariation(u), ck, rho
@@ -608,10 +598,10 @@ def double_star_norm(h: InvariantTensor, wf: WeightFunction, order=2):
     the two-candidate infimum, so double_star <= star holds exactly.
 
     One pass over h: the grid-only work (arclength grid, weight, windows,
-    frame scales, c_k and rho) is a _NormPlan, which a caller measuring
-    many tensors on one grid builds once; the frame of h is built once.
-    hbar differs from h only in its torus components, which are formed as
-    (h_ij - rho u_ij scale) / scale, the arithmetic of
+    c_k and rho) is a _NormPlan, which a caller measuring many tensors on
+    one grid builds once; the frame of h is built once.  hbar differs from
+    h only in its torus components, which are formed as
+    (h_ij - rho u_ij r^2) / r^2, the arithmetic of
     unit_frame_components(double_star_decompose(h)[0]), and only they are
     differentiated again; the values equal those of weighted_norms on the
     decomposed tensor.

@@ -284,3 +284,100 @@ def test_count_out_of_range_exits_2_naming_its_option(args, option):
     assert res.stderr.startswith("dehnfill: configuration error: ")
     assert option in res.stderr
     assert "Traceback" not in res.stderr
+
+
+# the formats each command writes, its default first, and a small run of it
+_WRITES = {"curvature": ("csv",), "glue": ("csv",), "solve": ("json", "csv"),
+           "kernel": ("json",), "norms": ("json",), "sweep": ("csv", "json"),
+           "estimate": ("json",)}
+_SMALL = {"curvature": ["--n", "3", "--r", "1.5", "3", "4"],
+          "glue": ["--n", "3", "--ell", "10", "--nodes", "128"],
+          "solve": ["--n", "3", "--ell", "10", "--nodes", "256", "--tol", "1e-6"],
+          "kernel": ["--n", "4"],
+          "norms": ["--n", "4", "--R", "64", "--nodes", "400"],
+          "sweep": ["--n", "3", "--R", "6,12,24"],
+          "estimate": ["--n", "4", "--R", "16", "--trials", "2", "--nodes", "64"]}
+
+
+@pytest.mark.parametrize("command, fmt", [
+    (c, f) for c, written in _WRITES.items() for f in ("csv", "json")
+    if f not in written])
+def test_format_a_command_does_not_write_exits_2(command, fmt, capsys):
+    from dehnfill import cli
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, *_SMALL[command], "--format", fmt])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--format" in captured.err
+
+
+@pytest.mark.parametrize("command, fmt", [
+    (c, f) for c, written in _WRITES.items() for f in written])
+def test_format_a_command_writes_is_what_it_writes(command, fmt, capsys):
+    from dehnfill import cli
+    assert cli.main([command, *_SMALL[command], "--format", fmt]) == 0
+    out = capsys.readouterr().out
+    if fmt == "json":
+        assert json.loads(out)["config"]["format"] == "json"
+    else:
+        assert out.startswith("# format_version=1\n")
+        assert "# format=csv\n" in out
+
+
+@pytest.mark.parametrize("command, line, option", [
+    ("kernel", "format = xml", "format"),
+    ("glue", "format = json", "format"),
+    ("sweep", "format = xml", "format"),
+    ("solve", "mode = bogus", "mode"),
+])
+def test_config_file_value_outside_its_choices_exits_2(tmp_path, capsys,
+                                                       command, line, option):
+    from dehnfill import cli
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    assert cli.main([command, *_SMALL[command], "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("dehnfill: configuration error: ")
+    assert re.search(rf"\b{option}\b", captured.err)
+
+
+def test_config_file_keys_of_other_commands_are_ignored(tmp_path, capsys):
+    from dehnfill import cli
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n = 5\nell = 10\ntrials = x\n")
+    assert cli.main(["kernel", "--config", str(cfg)]) == 0
+    assert json.loads(capsys.readouterr().out)["config"] == {"format": "json",
+                                                             "n": 5}
+
+
+def _cap_address_space():
+    # a ceiling on the child's address space, so that an allocation of the
+    # size asked for fails whatever the host's overcommit policy
+    import resource
+    resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
+
+
+@pytest.mark.parametrize("args", [
+    ["glue", "--n", "3", "--ell", "10", "--nodes", "100000000000"],
+    ["solve", "--n", "3", "--ell", "10", "--nodes", "100000000000"],
+    ["norms", "--n", "4", "--R", "64", "--nodes", "100000000000"],
+    ["estimate", "--n", "4", "--R", "16", "--nodes", "100000000000"],
+    ["estimate", "--n", "4", "--R", "16", "--trials", "100000000000"],
+], ids=lambda v: " ".join(v))
+def test_unallocatable_size_exits_2(args):
+    res = run_cli(args, preexec_fn=_cap_address_space)
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr.startswith("dehnfill: configuration error: ")
+    assert "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("command", sorted(_WRITES))
+def test_help_lists_the_formats_a_command_writes(command, capsys):
+    from dehnfill import cli
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--help"])
+    assert exc.value.code == 0
+    assert f"--format {{{','.join(_WRITES[command])}}}" in capsys.readouterr().out
