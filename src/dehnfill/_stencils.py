@@ -34,15 +34,15 @@ partials of d and q with respect to that sample.  Matched 3-point rows
 fill slots 1-3 and parity-window rows slots 0-4; a folded ghost (node 1's
 reflected sample, and for the collapsing fiber the chain rule through
 g = f_2/s with the extrapolated g(0) at nodes 1-2) lands in the slots of
-the samples it folds into.  The Newton matrix and the directional
-derivative (`apply_linearization`, over a sliding window of the samples)
-are both read from them, so the linearization is the exact derivative of
-the reported residual.  The matrix entries come from one per-slot product,
-`DiagonalSystem.jacobian_writer`: the solver writes each (component,
-component, slot) of it straight into its band, and `jacobian_triples`
-collects the same products into one table.  The parity-window sums run
-left to right in column order rather than through a reduction whose
-order numpy chooses, so the ratios are reproducible to the last bit.
+the samples it folds into.  The linearization has one representation,
+the per-slot product of `DiagonalSystem.jacobian_writer`, so it is the
+exact derivative of the reported residual: the solver writes each
+(component, component, slot) of it straight into its band, and
+`jacobian_triples` collects the same products into the one table that
+`operators.linearized_residual` contracts with a direction.  The
+parity-window sums run left to right in column order rather than through
+a reduction whose order numpy chooses, so the ratios are reproducible to
+the last bit.
 """
 
 from __future__ import annotations
@@ -194,7 +194,8 @@ class DiagonalSystem:
     run once on the stack, and row 0 is then mapped back to f_2.  With
     partials, wd and wq hold the offset tables, each of shape
     (n-1, N-2, 5): d[i, k-1] has partial wd[i, k-1, m] with respect to
-    f_i[k+m-2], and q likewise with wq.
+    f_i[k+m-2], and q likewise with wq.  The linearization is read from
+    them in one place, `jacobian_writer`.
     """
 
     def __init__(self, n, s, f, partials=False):
@@ -255,19 +256,6 @@ class DiagonalSystem:
         """(E1/sqrt(det M) rows, E2) at the interior nodes."""
         return reduced_residual(self.n, self.d, self.q, self.S,
                                 (self.d * self.d).sum(axis=0))
-
-    def apply_linearization(self, delta_w):
-        """Directional derivative of (E1n, E2) for delta log f_i = delta_w[i].
-
-        delta_w has shape (n-1, N); the derivative is exact for the discrete
-        scheme (the tables of the Newton matrix).
-        """
-        df = _windows(delta_w * self.f)
-        dd, dq = _slot_sum(self.wd, df), _slot_sum(self.wq, df)
-        dS = dd.sum(axis=0)
-        de1 = 2.0 * (dq + dd * (self.S - 2.0 * self.d) + self.d * dS)
-        de2 = 4.0 * ((self.S - self.d) * dd).sum(axis=0)
-        return de1, de2
 
     def jacobian_writer(self):
         """The partials of the E1 rows by the log-profile samples, one

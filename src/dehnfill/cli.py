@@ -232,7 +232,10 @@ def cmd_norms(cfg, args):
 
 
 def cmd_sweep(cfg, args):
-    radii = np.array([float(x) for x in cfg["R"].split(",")])
+    try:
+        radii = np.array([float(x) for x in cfg["R"].split(",")])
+    except ValueError as exc:       # its message quotes the bad entry
+        raise ConfigError(f"--R takes comma-separated numbers: {exc}") from None
     table = gluing.residual_decay_sweep(cfg["n"], radii=radii,
                                         r_out_factor=cfg["outer_factor"])
     if cfg["format"] == "json":

@@ -252,27 +252,19 @@ class GluedEnd:
                             0.0)
         return b, chi1, chi2
 
-    def _pieces(self, r):
+    def ratios(self, r):
+        """d_i = f_i'/f_i and q_i = f_i''/f_i (arclength derivatives) at r,
+        from one evaluation of the cutoff."""
         r = np.asarray(r, dtype=float)
         v, vp, vpp = v_profile(self.n, r)
         chi, chi1, chi2 = self.chi(r)
-        return r, v, vp, vpp, chi, chi1, chi2
-
-    def theta_fiber_sq(self, r):
-        """f_2^2 = chi V + (1-chi) r^2 and two r-derivatives."""
-        r, v, vp, vpp, chi, chi1, chi2 = self._pieces(r)
+        # a = (dr/ds)^-2 = chi/V + (1-chi)/r^2 and f_2^2 = w = chi V + (1-chi) r^2
+        a = chi / v + (1.0 - chi) / r**2
+        a1 = chi1 * (1.0 / v - 1.0 / r**2) - chi * vp / v**2 - (1.0 - chi) * 2.0 / r**3
         w = chi * v + (1.0 - chi) * r**2
         w1 = chi1 * (v - r**2) + chi * vp + (1.0 - chi) * 2.0 * r
         w2 = (chi2 * (v - r**2) + 2.0 * chi1 * (vp - 2.0 * r)
               + chi * vpp + (1.0 - chi) * 2.0)
-        return w, w1, w2
-
-    def ratios(self, r):
-        """d_i = f_i'/f_i and q_i = f_i''/f_i (arclength derivatives) at r."""
-        r, v, vp, vpp, chi, chi1, chi2 = self._pieces(r)
-        a = chi / v + (1.0 - chi) / r**2
-        a1 = chi1 * (1.0 / v - 1.0 / r**2) - chi * vp / v**2 - (1.0 - chi) * 2.0 / r**3
-        w, w1, w2 = self.theta_fiber_sq(r)
         # f = sqrt(w), d/ds = a^(-1/2) d/dr:
         #   d = f'(s)/f = (w1/2w) / sqrt(a)
         #   q = f''(s)/f = [ f''(r)/f - (f'(r)/f) a'/(2a) ] / a
@@ -511,8 +503,9 @@ class _NormPlan:
     built once for every tensor measured on that grid.
 
     It holds the cusp arclength log r of the nodes, the window bounds with
-    their sparse-table levels, W, the torus pairs, c_k and rho; `norms` and
-    `double_star` then read only h.
+    their sparse-table levels, W, the torus pairs, c_k and rho;
+    `weighted_norms` (`_frame_squares`, then `_sup_star`) and `double_star`
+    then read only h.
     """
 
     def __init__(self, grid, wf: WeightFunction, order=2):
@@ -540,10 +533,6 @@ class _NormPlan:
         return (frame, _squares(frame[0], 1, self.s, self.order),
                 _squares(frame[1 + i, 1 + j], self.k, self.s, self.order))
 
-    def norms(self, h: InvariantTensor):
-        """(sup, star, local norm) of h: weighted_norms."""
-        return self._sup_star(*self._frame_squares(h)[1:])
-
     def double_star(self, h: InvariantTensor):
         """NormReport of h: double_star_norm."""
         frame, mixed, torus = self._frame_squares(h)
@@ -570,7 +559,8 @@ def weighted_norms(h: InvariantTensor, wf: WeightFunction, order=2):
     magnitude and its discrete s-derivatives up to `order`, s = log r the
     cusp arclength, over a window of fixed arclength width _WINDOW.
     """
-    return _NormPlan(h.grid, wf, order).norms(h)
+    plan = _NormPlan(h.grid, wf, order)
+    return plan._sup_star(*plan._frame_squares(h)[1:])
 
 
 def double_star_decompose(h: InvariantTensor, wf: WeightFunction):

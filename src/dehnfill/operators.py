@@ -122,14 +122,6 @@ def einstein_residual(profile: DiagonalMetricProfile):
     return EinsteinResidual(profile.n, profile.s[1:-1], e1n, e2, r=r)
 
 
-def _split_diag_off(dM):
-    k = dM.shape[1]
-    idx = np.arange(k)
-    diag = np.zeros_like(dM)
-    diag[:, idx, idx] = dM[:, idx, idx]
-    return diag, dM - diag
-
-
 def linearized_residual(profile: DiagonalMetricProfile, dM):
     """Directional derivative of einstein_residual at the profile.
 
@@ -139,6 +131,11 @@ def linearized_residual(profile: DiagonalMetricProfile, dM):
     off-diagonal sector (differentiating the matrix scheme); the two do not
     couple.  Returns an EinsteinResidual holding (dE1 normalized, full
     matrices, and dE2).
+
+    The diagonal sector contracts the Newton matrix's own products
+    (jacobian_triples) with delta log f: cross[i, j] is E1_i's change
+    through f_j, which is 2 d_i dd_j for i != j, and dE2 = 4 sum_j
+    (S - d_j) dd_j is twice the sum of those off-diagonal entries.
     """
     dM = np.asarray(dM, dtype=float)
     _check_uniform(profile)
@@ -146,17 +143,19 @@ def linearized_residual(profile: DiagonalMetricProfile, dM):
     k = profile.n - 1
     if dM.shape != (N, k, k):
         raise ValueError("dM must have shape (N, n-1, n-1)")
-    diag, off = _split_diag_off(dM)
+    idx = np.arange(k)
+    off = dM.copy()
+    off[:, idx, idx] = 0.0
     sys = _stencils.DiagonalSystem(profile.n, profile.s, profile.f, partials=True)
     # diagonal sector: delta log f_i = dM_ii / (2 f_i^2)
     f2 = profile.f**2
-    dw = np.zeros((k, N))
-    pos = f2 > 0
-    dw[pos] = diag[:, np.arange(k), np.arange(k)].T[pos] / (2.0 * f2[pos])
-    de1_diag, de2 = sys.apply_linearization(dw)
-    nint = N - 2
-    de1 = np.zeros((nint, k, k))
-    de1[:, np.arange(k), np.arange(k)] = de1_diag.T
+    dw = np.divide(dM[:, idx, idx].T, 2.0 * f2, out=np.zeros((k, N)), where=f2 > 0)
+    cross = np.einsum("ijmt,jtm->ijt", sys.jacobian_triples(),
+                      _stencils._windows(dw))
+    de1 = np.zeros((N - 2, k, k))
+    de1[:, idx, idx] = cross.sum(axis=1).T
+    cross[idx, idx] = 0.0       # zeroed, not subtracted from the sum: no cancellation
+    de2 = 2.0 * cross.sum(axis=(0, 1))
     if np.any(off != 0.0):
         # the matrix path only inverts interior nodes, so a closed cap
         # (singular M at s = 0) is harmless here

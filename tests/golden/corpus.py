@@ -63,7 +63,8 @@ REJECTED = ["solve --n 3 --ell nan", "norms --n 4 --R 1e200",
             "curvature --n 3 --r 1.5 3 nan", "sweep --n 4 --R 1,2,3",
             "curvature --n 3 --r 1.5 3 100000000000",
             "glue --n 3 --ell 10 --nodes 10",
-            "estimate --n 4 --R 16 --nodes 3"]
+            "estimate --n 4 --R 16 --nodes 3",
+            "sweep --n 4 --R 8,abc,32"]
 for _i, _cmd in enumerate(REJECTED):
     COMMANDS[f"rejected_{_i:02d}_{_cmd.split()[0]}"] = _cmd.split()
 

@@ -7,6 +7,7 @@ from dehnfill._stencils import block_residual
 from dehnfill.geometry import (DiagonalMetricProfile, TrivialVariation,
                                black_hole_profile, cusp_profile, r_plus,
                                theta_period, v_profile)
+from dehnfill.gluing import glue
 from dehnfill.operators import (bh_kernel_variation, einstein_residual,
                                 linearized_residual, sqrtdet_sinh_check)
 
@@ -136,14 +137,39 @@ def test_linearized_matches_divided_differences_diagonal_sector():
     errs = []
     for t in (2e-4, 1e-4, 5e-5):
         dd1, dd2 = _divided_difference(p, dM, t)
-        errs.append(max(np.abs(dd1.T[:, np.arange(k), np.arange(k)]
-                               if dd1.ndim == 3 else dd1 - dres.e1_diag
-                               if hasattr(dres, "e1_diag") else dd1
-                               - dres.e1[:, np.arange(k), np.arange(k)].T).max(),
+        errs.append(max(np.abs(dd1 - dres.e1[:, np.arange(k), np.arange(k)].T).max(),
                         np.abs(dd2 - dres.e2).max()))
     # Richardson slope of the consistency error in t
     slope = np.log(errs[0] / errs[2]) / np.log(4.0)
     assert slope > 1.9
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+def test_linearized_matches_central_differences_glued_cap(n):
+    # the capped end reaches every folded slot of the table: the parity
+    # window, node 1's ghost, and the chain rule through g = f_2/s and g(0)
+    p = glue(n, 10.0 + 2 * n, nodes=256)
+    k = n - 1
+    idx = np.arange(k)
+    rng = np.random.Generator(np.random.Philox(n))
+    dw = rng.standard_normal((k, p.s.size))     # the direction in log f
+    dw[0, 0] = 0.0                              # f_2 vanishes at the cap
+    dM = np.zeros((p.s.size, k, k))
+    dM[:, idx, idx] = (2.0 * p.f**2 * dw).T
+    lin = linearized_residual(p, dM)
+
+    def residual(t):
+        q = p.copy()
+        q.f = p.f * np.exp(t * dw)
+        return einstein_residual(q)
+
+    t = 1e-6
+    plus, minus = residual(t), residual(-t)
+    de1 = lin.e1[:, idx, idx].T
+    fd1 = (plus.e1 - minus.e1) / (2 * t)
+    fd2 = (plus.e2 - minus.e2) / (2 * t)
+    assert np.abs(fd1 - de1).max() <= 1e-6 * np.abs(de1).max()
+    assert np.abs(fd2 - lin.e2).max() <= 1e-6 * np.abs(lin.e2).max()
 
 
 def test_linearized_offdiagonal_sector():
