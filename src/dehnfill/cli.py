@@ -9,7 +9,8 @@ the file.  Outputs echo the resolved configuration, byte identical for
 identical configuration and seed.  Exit codes: 0 success, 1 solver
 divergence (report still written), 2 configuration error (among them a
 format the command does not write, and a size too large to allocate),
-3 numerical failure (infs or NaNs reached a linear solve).
+3 numerical failure (infs or NaNs reached a linear solve), 4 no
+convergence: a stall or the iteration cap (report still written).
 """
 
 from __future__ import annotations
@@ -188,7 +189,7 @@ def cmd_solve(cfg, args):
         _write_output(cfg["out"], _json(cfg, payload))
     if args.residuals:
         _write_output(args.residuals, _residual_csv(cfg, final))
-    return int(report.diverged)
+    return 0 if report.converged else 1 if report.diverged else 4
 
 
 def cmd_kernel(cfg, args):

@@ -232,7 +232,6 @@ class RadialGrid:
 
     nodes: np.ndarray
     n: int
-    exterior: bool = False   # when True, the grid must not dip below r_plus
 
     def __post_init__(self):
         self.n = _check_dimension(self.n)
@@ -241,8 +240,8 @@ class RadialGrid:
             raise ValueError("need at least 3 nodes")
         if np.any(np.diff(self.nodes) <= 0):
             raise ValueError("nodes must be strictly increasing")
-        if self.exterior and self.nodes[0] < r_plus(self.n) * (1.0 - 1e-12):
-            raise ValueError("exterior r-grid must start at or above r_plus")
+        if self.nodes[0] < r_plus(self.n) * (1.0 - 1e-12):
+            raise ValueError("r-grid must start at or above r_plus")
 
 
 @dataclass
@@ -333,16 +332,13 @@ class ArclengthMap:
 
     with y = sqrt(-expm1(-(n-1) log1p(x))).  They keep full relative
     precision from the core (x ~ 1e-16) out to large r, where artanh(y)
-    loses most digits in 1 - y (8.5e-3 off at n = 7, r = 300).
+    loses most digits in 1 - y (8.5e-3 off at n = 7, r = 300), and take
+    every r >= r_+: the map has no outer range.
     """
 
-    def __init__(self, n, r_max):
+    def __init__(self, n):
         self.n = _check_dimension(n)
         self.rp = r_plus(self.n)
-        if r_max <= self.rp:
-            raise ValueError("r_max must exceed r_plus")
-        self.r_max = float(r_max)
-        self.s_max = float(self._s_of_x((self.r_max - self.rp) / self.rp))
         # Integrand nodes the map evaluated: none, the map is closed form.
         # Read only by perfbench's tracer (geometry.arclength_points).
         self._s_of_sigma = SimpleNamespace(x=np.empty(0))
@@ -354,8 +350,8 @@ class ArclengthMap:
 
     def s_of_r(self, r):
         r = np.asarray(r, dtype=float)
-        if np.any(r < self.rp - 1e-12) or np.any(r > self.r_max * 1.005):
-            raise ValueError("r outside the map's range")
+        if np.any(r < self.rp - 1e-12):
+            raise ValueError("the arclength map needs r >= r_plus")
         return self._s_of_x((np.maximum(r, self.rp) - self.rp) / self.rp)
 
     def sigma_of_s(self, s):
@@ -376,8 +372,10 @@ def black_hole_profile(n, r_max, nodes):
     n = _check_dimension(n)
     if nodes < 8:
         raise ValueError("need at least 8 nodes")
-    amap = ArclengthMap(n, r_max)
-    s = np.linspace(0.0, amap.s_max, nodes)
+    if r_max <= r_plus(n):
+        raise ValueError("r_max must exceed r_plus")
+    amap = ArclengthMap(n)
+    s = np.linspace(0.0, float(amap.s_of_r(r_max)), nodes)
     x = amap.offset_of_s(s)
     r = amap.rp * (1.0 + x)
     f = np.empty((n - 1, nodes))

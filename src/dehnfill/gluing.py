@@ -216,7 +216,7 @@ class GluedEnd:
             raise ValueError(
                 f"ell = {self.ell:g} with outer factor {r_out_factor:g} puts the "
                 f"outer radius at {self.r_out:g}, beyond {_R_MAX:.3g}, where V^2 overflows")
-        self.cap_map = ArclengthMap(n, self.r_out * 1.01)
+        self.cap_map = ArclengthMap(n)
         self.s_R = float(self.cap_map.s_of_r(self.R))
         if self.s_R <= _COLLAR_WIDTH + 0.05:
             raise ValueError(
@@ -234,14 +234,22 @@ class GluedEnd:
         lo = float(self.cap_map.r_of_s(np.array([self.s_R - _COLLAR_WIDTH]))[0])
         return lo, self.R
 
+    def _collar_arg(self, r):
+        """Cutoff argument: the cap arclength from r to the boundary torus,
+        in collar widths."""
+        return (self.s_R - self.cap_map.s_of_r(r)) / _COLLAR_WIDTH
+
     def chi(self, r):
-        """Cutoff and two r-derivatives; argument is cap arclength to the
-        boundary, so dt/dr = -1/sqrt(V)."""
+        """Cutoff: 1 below the collar, 0 beyond the boundary torus."""
+        return _bump01_value(self._collar_arg(r))
+
+    def ratios(self, r):
+        """d_i = f_i'/f_i and q_i = f_i''/f_i (arclength derivatives) at r,
+        from one evaluation of the cutoff and of V."""
         r = np.asarray(r, dtype=float)
-        t = (self.s_R - self.cap_map.s_of_r(np.minimum(r, self.r_out * 1.005))
-             ) / _COLLAR_WIDTH
-        b, b1, b2 = _bump01(t)
-        v, vp, _ = v_profile(self.n, r)
+        v, vp, vpp = v_profile(self.n, r)
+        # the cutoff's r-derivatives: its argument has dt/dr = -1/sqrt(V)
+        chi, b1, b2 = _bump01(self._collar_arg(r))
         sv = np.sqrt(np.maximum(v, 1e-300))
         with np.errstate(invalid="ignore", over="ignore"):
             dt = -1.0 / (sv * _COLLAR_WIDTH)
@@ -250,14 +258,6 @@ class GluedEnd:
                             b2 * dt * dt
                             + b1 * vp / (2.0 * sv**3) / _COLLAR_WIDTH,
                             0.0)
-        return b, chi1, chi2
-
-    def ratios(self, r):
-        """d_i = f_i'/f_i and q_i = f_i''/f_i (arclength derivatives) at r,
-        from one evaluation of the cutoff."""
-        r = np.asarray(r, dtype=float)
-        v, vp, vpp = v_profile(self.n, r)
-        chi, chi1, chi2 = self.chi(r)
         # a = (dr/ds)^-2 = chi/V + (1-chi)/r^2 and f_2^2 = w = chi V + (1-chi) r^2
         a = chi / v + (1.0 - chi) / r**2
         a1 = chi1 * (1.0 / v - 1.0 / r**2) - chi * vp / v**2 - (1.0 - chi) * 2.0 / r**3
@@ -294,7 +294,7 @@ class GluedEnd:
         x = self.amap.offset_of_s(s)
         r = self.rp * (1.0 + x)
         v = _v_from_offset(self.n, x, self.rp)
-        chi = self.chi(r)[0]
+        chi = self.chi(r)
         f = np.empty((self.n - 1, nodes))
         f[0] = np.sqrt(chi * v + (1.0 - chi) * r**2)
         f[0, 0] = 0.0
@@ -304,15 +304,9 @@ class GluedEnd:
 
 
 def glue(n, ell, r_out_factor=4.0, nodes=2048):
-    """Glued almost-Einstein profile for a meridian of length ell.
-
-    Returns the sampled profile; the analytic GluedEnd is available as
-    profile attribute ``source``.
-    """
-    end = GluedEnd(n, ell, r_out_factor)
-    profile = end.to_profile(nodes)
-    profile.source = end
-    return profile
+    """Glued almost-Einstein profile for a meridian of length ell, sampled
+    from GluedEnd(n, ell, r_out_factor)."""
+    return GluedEnd(n, ell, r_out_factor).to_profile(nodes)
 
 
 # -- weight and norms -----------------------------------------------------------
@@ -332,10 +326,6 @@ class WeightFunction:
         self.n = _check_dimension(self.n)
         if self.R_k <= r_plus(self.n):
             raise ValueError("R_k must exceed r_plus")
-
-    @property
-    def center_radius(self):
-        return float(np.sqrt(self.R_k))
 
 
 def weight(wf: WeightFunction, r):
@@ -486,7 +476,7 @@ def _window_max(values, level, first, second):
 
 def _center_cutoff(r, s, wf):
     """c_k and rho of the center-point decomposition, from the grid alone."""
-    ck = int(np.argmin(np.abs(r - wf.center_radius)))
+    ck = int(np.argmin(np.abs(r - np.sqrt(wf.R_k))))
     s_boundary = float(np.interp(min(wf.R_k, r[-1]), r, s))
     return ck, rho_cutoff(s - s[0], s_boundary - s[0])
 
@@ -508,7 +498,7 @@ class _NormPlan:
     then read only h.
     """
 
-    def __init__(self, grid, wf: WeightFunction, order=2):
+    def __init__(self, grid, wf: WeightFunction, order):
         self.s = np.log(grid.nodes)
         self.spans = _window_spans(*_window_bounds(self.s))
         self.w = weight(wf, grid.nodes)
@@ -601,7 +591,10 @@ def double_star_norm(h: InvariantTensor, wf: WeightFunction, order=2):
 
 # -- decay sweep -----------------------------------------------------------------
 
-def residual_decay_sweep(n, radii, r_out_factor=4.0, samples=4000):
+_SWEEP_SAMPLES = 4000    # radial samples of each glued end's residual
+
+
+def residual_decay_sweep(n, radii, r_out_factor=4.0):
     """Star-weighted glued residual against the cap radius, with slope fit.
 
     The residual is evaluated in closed form (no grid truncation), weighted
@@ -626,7 +619,7 @@ def residual_decay_sweep(n, radii, r_out_factor=4.0, samples=4000):
     for ell in ells:
         end = GluedEnd(n, float(ell), r_out_factor)
         wf = WeightFunction(n, end.R)
-        r = np.linspace(end.rp * 1.01, end.r_out, samples)
+        r = np.linspace(end.rp * 1.01, end.r_out, _SWEEP_SAMPLES)
         e1t, e1x, e2 = end.normalized_residual(r)
         local = np.maximum(np.abs(e1t), np.abs(e1x))
         local = np.maximum(local, np.abs(e2) / e2_constant(n))

@@ -77,8 +77,8 @@ class EinsteinResidual:
 
     e1 holds E1 / sqrt(det M): its diagonal entries, (n-1, N-2), from
     einstein_residual, and full matrices, (N-2, n-1, n-1), from
-    linearized_residual.  e2 is the raw constraint residual; e2_relative()
-    divides by its constant term 2 (n-1)(n-2).
+    linearized_residual.  e2 is the raw constraint residual;
+    max_e2_relative() divides by its constant term 2 (n-1)(n-2).
     """
 
     n: int
@@ -93,11 +93,8 @@ class EinsteinResidual:
     def max_e2(self):
         return float(np.abs(self.e2).max())
 
-    def e2_relative(self):
-        return self.e2 / _stencils.e2_constant(self.n)
-
     def max_e2_relative(self):
-        return float(np.abs(self.e2_relative()).max())
+        return float(np.abs(self.e2 / _stencils.e2_constant(self.n)).max())
 
 
 def _check_uniform(profile):

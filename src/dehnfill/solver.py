@@ -21,7 +21,7 @@ import numpy as np
 from . import _stencils
 from ._lapack import check_info, dgbtrf, dgbtrs, dgeqrf, dormqr, dtbtrs
 from .geometry import DiagonalMetricProfile, RadialGrid
-from .gluing import WeightFunction, _NormPlan
+from .gluing import WeightFunction, _NormPlan, rho_cutoff, weight
 from .operators import InvariantTensor, einstein_residual
 
 __all__ = [
@@ -346,7 +346,6 @@ def trivial_direction(profile: DiagonalMetricProfile, u_diag, lin=None):
 
     delta(f_i^2) = rho(s) r^2 u_ii  =>  delta log f_i = rho r^2 u_ii / (2 f_i^2).
     """
-    from .gluing import rho_cutoff
     lin = BandedLinearization(profile) if lin is None else lin
     u_diag = np.asarray(u_diag, dtype=float)
     if abs(u_diag.sum()) > 1e-12:
@@ -394,7 +393,7 @@ def newton_solve(g0: DiagonalMetricProfile, cfg: SolverConfig | None = None):
     profile = g0.copy()
     grid = plan = None
     if g0.cap_radius is not None and g0.r is not None:
-        grid = RadialGrid(g0.r, g0.n, exterior=True)
+        grid = RadialGrid(g0.r, g0.n)
         plan = _NormPlan(grid, WeightFunction(g0.n, g0.cap_radius), order=0)
     index = _unknown_index(profile.n, profile.s.size)
     free = index >= 0
@@ -454,8 +453,8 @@ def newton_solve(g0: DiagonalMetricProfile, cfg: SolverConfig | None = None):
     return profile, report
 
 
-def _fit_orders(history, floor=1e-12):
-    h = [x for x in history if x > floor]
+def _fit_orders(history):
+    h = [x for x in history if x > 1e-12]       # orders above roundoff only
     orders = []
     for i in range(len(h) - 2):
         if h[i + 1] < h[i] and h[i + 2] < h[i + 1]:
@@ -525,7 +524,6 @@ def kernel_spectrum(profile, count=1, weight_fn: WeightFunction | None = None,
 
 
 def _unknown_weights(lin, profile, weight_fn):
-    from .gluing import weight
     w = weight(weight_fn, profile.r)
     return _to_unknowns(lin, np.broadcast_to(w, lin.index.shape))
 

@@ -9,17 +9,23 @@ Record (rewrites the manifest and the committed outputs):
     PYTHONPATH=src python tests/golden/corpus.py
 
 Re-record only for a stated reason: the corpus is the check that a change
-leaves every CLI output byte for byte as it was.
+leaves every CLI output byte for byte as it was.  Before re-recording,
+report what would change (reruns the corpus, re-records nothing):
+
+    PYTHONPATH=src python tests/golden/corpus.py --report
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
 import json
+import math
 import platform
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
@@ -108,7 +114,6 @@ def run(argv, out_dir):
 
 
 def record():
-    import tempfile
     OUTPUTS.mkdir(exist_ok=True)
     for old in OUTPUTS.iterdir():
         old.unlink()
@@ -129,5 +134,126 @@ def record():
     print(f"recorded {len(entries)} commands in {MANIFEST}")
 
 
+def _fields(data):
+    """{field: [values]} of a JSON or CSV output: a JSON leaf is named by its
+    key path, list entries sharing the name; a CSV field is a column or a
+    `# key=value` preamble line."""
+    text = data.decode("utf-8")
+    fields = {}
+    try:
+        doc = json.loads(text)
+    except ValueError:
+        rows = []
+        for line in text.splitlines():
+            if line.startswith("#"):
+                key, sep, value = line[1:].strip().partition("=")
+                if sep:
+                    fields.setdefault(key, []).append(value)
+            elif line:
+                rows.append(line.split(","))
+        for j, name in enumerate(rows[0] if rows else []):
+            fields[name] = [row[j] if j < len(row) else None for row in rows[1:]]
+        return fields
+
+    def walk(path, value):
+        if isinstance(value, dict):
+            for key, item in value.items():
+                walk(f"{path}.{key}" if path else key, item)
+        elif isinstance(value, list):
+            for item in value:
+                walk(f"{path}[]", item)
+        else:
+            fields.setdefault(path, []).append(value)
+
+    walk("", doc)
+    return fields
+
+
+def _number(value):
+    if isinstance(value, bool) or value is None:
+        return None
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        return None
+
+
+def changes(old, new):
+    """Compare two outputs' _fields: ({numeric field: (largest absolute
+    change, largest relative change)}, [other fields that differ]).  A
+    field is numeric when every value on both sides is a number; a field
+    missing on one side, or with another count of values, differs."""
+    numeric, other = {}, []
+    for key in sorted(old.keys() | new.keys()):
+        a, b = old.get(key), new.get(key)
+        if a is None or b is None or len(a) != len(b):
+            other.append(key)
+            continue
+        xa, xb = [_number(v) for v in a], [_number(v) for v in b]
+        if None in xa or None in xb:
+            if a != b:
+                other.append(key)
+            continue
+        big_abs = big_rel = 0.0
+        for p, q in zip(xa, xb):
+            if p == q or (math.isnan(p) and math.isnan(q)):
+                continue
+            d = abs(q - p)
+            d = math.inf if math.isnan(d) else d      # a NaN on one side only
+            big_abs = max(big_abs, d)
+            big_rel = max(big_rel, d / abs(p) if p and math.isfinite(p) else math.inf)
+        numeric[key] = (big_abs, big_rel)
+    return numeric, other
+
+
+def report():
+    """Rerun the corpus into a temporary directory and print, per entry, how
+    its exit code, stderr and output hashes differ from the manifest, and
+    per committed CSV or JSON output the largest change of every numeric
+    field.  Re-records nothing."""
+    manifest = json.loads(MANIFEST.read_text())
+    if fingerprint() != manifest["fingerprint"]:
+        print(f"fingerprint: recorded {manifest['fingerprint']}, here {fingerprint()}")
+    differ = moved = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, argv in COMMANDS.items():
+            entry = manifest["commands"].get(name)
+            if entry is None:
+                print(f"{name}: not in the manifest")
+                differ += 1
+                continue
+            code, err, outputs = run(argv, tmp)
+            notes = [f"exit {entry['exit']} -> {code}"] if code != entry["exit"] else []
+            if _sha(err) != entry["stderr"]:
+                notes.append("stderr hash differs")
+            for key in sorted(entry["outputs"].keys() | outputs.keys()):
+                if key not in outputs:
+                    notes.append(f"{key} not written")
+                elif _sha(outputs[key]) != entry["outputs"].get(key):
+                    notes.append(f"{key} hash differs")
+            differ += bool(notes)
+            print(f"{name}: {'; '.join(notes) or 'identical'}")
+            for key, data in outputs.items():
+                kept = OUTPUTS / (f"{name}.stdout" if key == "stdout" else key)
+                if not kept.exists():
+                    continue
+                numeric, other = changes(_fields(kept.read_bytes()), _fields(data))
+                same = [k for k, v in numeric.items() if v == (0.0, 0.0)]
+                print(f"  {kept.name}: {len(same)} of {len(numeric)} numeric fields unchanged")
+                for k, (big_abs, big_rel) in numeric.items():
+                    if k not in same:
+                        moved += 1
+                        print(f"    {k}: max abs {big_abs:.3g}, max rel {big_rel:.3g}")
+                for k in other:
+                    print(f"    {k}: differs (not numeric, or its values were "
+                          f"added or dropped)")
+    print(f"{differ} of {len(COMMANDS)} entries differ; "
+          f"{moved} numeric fields of committed outputs changed")
+
+
 if __name__ == "__main__":
-    sys.exit(record())
+    ap = argparse.ArgumentParser(description="Record the golden CLI corpus.")
+    ap.add_argument("--report", action="store_true",
+                    help="rerun the corpus and print what differs from the "
+                         "manifest, re-recording nothing")
+    sys.exit(report() if ap.parse_args().report else record())

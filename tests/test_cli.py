@@ -223,6 +223,27 @@ def test_numerical_failure_exits_3(monkeypatch, capsys):
     assert "configuration error" not in err
 
 
+@pytest.mark.parametrize("args, cap, message", [
+    # tol 1e-14 is below the roundoff floor of 512 nodes
+    (["--nodes", "512", "--tol", "1e-14"], None, "residual stalled at the roundoff floor"),
+    (["--nodes", "256"], 1, "maximum iterations reached"),
+])
+def test_unconverged_solve_exits_4_and_writes_its_report(
+        args, cap, message, monkeypatch, tmp_path):
+    import functools
+
+    from dehnfill import cli, solver
+    if cap is not None:
+        monkeypatch.setattr(solver, "SolverConfig", functools.partial(
+            solver.SolverConfig, max_iterations=cap))
+    out = tmp_path / "report.json"
+    assert cli.main(["solve", "--n", "3", "--ell", "10", *args,
+                     "--out", str(out)]) == 4
+    doc = json.loads(out.read_text())
+    assert doc["converged"] is False and doc["diverged"] is False
+    assert doc["message"] == message
+
+
 @pytest.mark.parametrize("args, option", [
     (["solve", "--n", "3", "--ell", "nan"], "ell"),
     (["solve", "--n", "3", "--ell", "1e300"], "ell"),

@@ -100,8 +100,8 @@ def test_oracle_reproduces_hyperbolic_space():
 
 
 def test_arclength_n3_closed_form():
-    grid = RadialGrid(np.linspace(np.sqrt(2), 20.0, 64), 3, exterior=True)
-    amap = ArclengthMap(3, float(grid.nodes[-1]))
+    grid = RadialGrid(np.linspace(np.sqrt(2), 20.0, 64), 3)
+    amap = ArclengthMap(3)
     s = amap.s_of_r(grid.nodes)
     # closed form: s = arccosh(r / sqrt(2))
     expected = np.arccosh(grid.nodes / np.sqrt(2.0))
@@ -114,7 +114,7 @@ def test_arclength_quadrature_cross_check():
     # adaptive quadrature oracle for n = 4
     n = 4
     rp = r_plus(n)
-    amap = ArclengthMap(n, 12.0)
+    amap = ArclengthMap(n)
     for r in (1.5, 3.0, 11.0):
         ref, err = quad(lambda t: 1.0 / np.sqrt(t**2 - 2.0 / t), rp, r,
                         epsabs=1e-13, epsrel=1e-12, points=[rp] if r < 2 else None)
@@ -122,13 +122,17 @@ def test_arclength_quadrature_cross_check():
 
 
 def test_arclength_round_trip_and_monotone():
+    # the map is closed form, with no outer range: far radii round-trip too
     for n in (3, 5):
-        amap = ArclengthMap(n, 30.0)
-        r = np.geomspace(r_plus(n) + 1e-6, 30.0, 200)
+        amap = ArclengthMap(n)
+        r = np.geomspace(r_plus(n) + 1e-6, 1e30, 400)
         s = amap.s_of_r(r)
         assert np.all(np.diff(s) > 0)
         back = amap.r_of_s(s)
-        assert np.abs(back - r).max() < 1e-10
+        assert np.abs(back - r)[r <= 30.0].max() < 1e-10
+        assert np.all(np.abs(back - r) <= 1e-12 * r)
+        with pytest.raises(ValueError, match="r >= r_plus"):
+            amap.s_of_r(r_plus(n) * (1.0 - 1e-9))
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
@@ -136,7 +140,7 @@ def test_arclength_closed_form_matches_quadrature_in_sigma(n):
     # independent oracle: s = int_0^sigma sigma' / sqrt(V) dsigma' with
     # r = r_+ + sigma'^2 / 2, whose integrand is smooth through the cap
     rp = r_plus(n)
-    amap = ArclengthMap(n, 300.0)
+    amap = ArclengthMap(n)
 
     def integrand(sig):
         if sig == 0.0:
@@ -150,7 +154,7 @@ def test_arclength_closed_form_matches_quadrature_in_sigma(n):
         assert abs(s - ref) <= 1e-13 * ref
         x = (r - rp) / rp
         assert abs(amap.offset_of_s(s) - x) <= 1e-13 * x
-    assert amap.s_max == amap.s_of_r(300.0)
+    assert black_hole_profile(n, 300.0, 64).s[-1] == amap.s_of_r(300.0)
 
 
 def test_radius_for_meridian():
@@ -261,5 +265,5 @@ def test_radial_grid_validation():
         RadialGrid(np.array([1.0, 2.0]), 4)
     with pytest.raises(ValueError):
         RadialGrid(np.array([1.0, 1.0, 2.0]), 4)
-    with pytest.raises(ValueError):
-        RadialGrid(np.array([1.0, 1.1, 1.2]), 4, exterior=True)
+    with pytest.raises(ValueError, match="r_plus"):
+        RadialGrid(np.array([1.0, 1.1, 1.2]), 4)

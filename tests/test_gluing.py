@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from dehnfill import gluing
 from dehnfill.geometry import (ArclengthMap, RadialGrid, r_plus,
                                radius_for_meridian, theta_period, v_profile)
 from dehnfill.gluing import (_COLLAR_WIDTH, GluedEnd, WeightFunction, _bump01,
@@ -33,13 +34,14 @@ def test_cutoff_basic_shape():
 def test_glue_profile_structure():
     n, ell = 3, 10.0
     p = glue(n, ell, nodes=512)
+    end = GluedEnd(n, ell)
     R = radius_for_meridian(n, ell)
     assert p.cap_radius == pytest.approx(R, rel=1e-14)
     assert p.has_cap
     assert np.all(p.f[:, 1:] > 0)
     # pure cap metric below the collar, pure cusp metric above it
     v = v_profile(n, p.r[1:])[0]
-    lo, hi = p.source.collar_r_range()
+    lo, hi = end.collar_r_range()
     inner = p.r[1:] < lo - 1e-9
     outer = p.r[1:] > hi
     assert np.abs(p.f[0, 1:][inner] - np.sqrt(v[inner])).max() < 1e-12
@@ -74,7 +76,7 @@ def test_glue_residual_supported_in_collar():
 def test_glue_fd_residual_matches_analytic():
     n, ell = 4, 30.0
     p = glue(n, ell, nodes=4096)
-    end = p.source
+    end = GluedEnd(n, ell)
     res = einstein_residual(p)
     e1t, e1x, e2 = end.normalized_residual(res.r)
     dlt = p.spacing
@@ -238,22 +240,24 @@ def test_sampled_glued_residual_matches_closed_form():
     # the stencil residual of the sampled glued profile has the size of the
     # closed-form residual on the collar
     p = glue(4, 30.0, nodes=1024)
+    end = GluedEnd(4, 30.0)
     res = einstein_residual(p)
-    lo, hi = p.source.collar_r_range()
-    e1t, _, _ = p.source.normalized_residual(np.linspace(lo, hi, 2000))
+    lo, hi = end.collar_r_range()
+    e1t, _, _ = end.normalized_residual(np.linspace(lo, hi, 2000))
     assert res.max_e1() == pytest.approx(np.abs(e1t).max(), rel=0.2)
 
 
-def _count_arclength_builds(monkeypatch):
-    builds = []
-    init = ArclengthMap.__init__
+def _count_calls(monkeypatch, owner, name):
+    """The argument tuples of every call of owner.name, from now on."""
+    calls = []
+    fn = getattr(owner, name)
 
-    def counted(self, *args, **kwargs):
-        builds.append(args)
-        init(self, *args, **kwargs)
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
 
-    monkeypatch.setattr(ArclengthMap, "__init__", counted)
-    return builds
+    monkeypatch.setattr(owner, name, counted)
+    return calls
 
 
 def _reference_norms(h, wf, order, window=0.5):
@@ -388,17 +392,30 @@ def test_sweep_rejects_radii_at_the_core_and_repeated_radii():
 
 
 def test_sweep_builds_one_map_per_radius(monkeypatch):
-    builds = _count_arclength_builds(monkeypatch)
+    builds = _count_calls(monkeypatch, ArclengthMap, "__init__")
     radii = np.array([6.0, 12.0, 24.0])
-    residual_decay_sweep(3, radii=radii, samples=500)
+    residual_decay_sweep(3, radii=radii)
     assert len(builds) == radii.size
+
+
+def test_glued_end_evaluates_each_sample_once(monkeypatch):
+    # the residual takes V once for the ratios and the cutoff's derivatives;
+    # the sampled profile reads the cutoff's value alone
+    end = GluedEnd(4, 20.0)
+    v_calls = _count_calls(monkeypatch, gluing, "v_profile")
+    bump_calls = _count_calls(monkeypatch, gluing, "_bump01")
+    end.normalized_residual(np.linspace(end.rp * 1.01, end.r_out, 500))
+    assert len(v_calls) == 1 and len(bump_calls) == 1
+    del bump_calls[:]
+    end.to_profile(512)
+    assert not bump_calls
 
 
 @pytest.mark.parametrize("n, ell", [(3, 10.0), (4, 20.0), (5, 20.0), (6, 12.0),
                                    (7, 12.0)])
 def test_glued_arclength_matches_panel_refinement(n, ell):
     p = glue(n, ell, nodes=2048)
-    end = p.source
+    end = GluedEnd(n, ell)
     fine = _GluedArclength(end, panels=256,
                            rule=np.polynomial.legendre.leggauss(24))
     assert abs(end.amap.s_max - fine.s_max) <= 1e-14 * fine.s_max
@@ -420,7 +437,7 @@ def test_glued_s_max_matches_quadrature_in_r(n, ell):
     lo, hi = end.collar_r_range()
 
     def integrand(r):
-        chi = end.chi(r)[0]
+        chi = end.chi(r)
         return np.sqrt(chi / v_profile(n, r)[0] + (1.0 - chi) / r**2)
 
     collar, _ = quad(integrand, lo, hi, epsabs=1e-300, epsrel=1e-13, limit=200)

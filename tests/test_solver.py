@@ -12,7 +12,7 @@ from dehnfill import _stencils, solver
 from dehnfill._lapack import check_info, dgbtrf, dgbtrs
 from dehnfill.geometry import (RadialGrid, black_hole_profile, cusp_profile,
                                theta_period, v_profile)
-from dehnfill.gluing import WeightFunction, double_star_norm, glue
+from dehnfill.gluing import GluedEnd, WeightFunction, double_star_norm, glue
 from dehnfill.operators import einstein_residual, linearized_residual
 from dehnfill.solver import (BandedLinearization, SolverConfig,
                              kernel_spectrum, newton_solve, rayleigh_quotient,
@@ -585,7 +585,7 @@ def test_norm_histories_measure_each_iterate(n, mode):
     g0 = glue(n, ell_for_radius(n, 8.0), nodes=256)
     _, rep = newton_solve(g0, SolverConfig(mode=mode))
     assert len(rep.star_history) == len(rep.double_star_history) == rep.iterations + 1
-    grid = RadialGrid(g0.r, n, exterior=True)
+    grid = RadialGrid(g0.r, n)
     wf = WeightFunction(n, g0.cap_radius)
     for m in range(rep.iterations + 1):
         p, _ = newton_solve(g0, SolverConfig(mode=mode, max_iterations=m))
@@ -760,7 +760,7 @@ def test_verify_flags_unconverged_glued_profile():
     g0 = glue(3, 10.0, nodes=512)
     v = verify_einstein(g0)
     assert not v["passes"]
-    lo, hi = g0.source.collar_r_range()
+    lo, hi = GluedEnd(3, 10.0).collar_r_range()
     assert lo <= v["residual_argmax_r"] <= hi
 
 
