@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _stencils
-from ._lapack import check_info, dgbtrf, dgbtrs, dgeqrf, dormqr, dtbtrs
+from ._lapack import check_info, dgbtrf, dgbtrs, dgeqrf, dormqr, dpbtrs
 from .geometry import DiagonalMetricProfile, RadialGrid
 from .gluing import WeightFunction, _NormPlan, rho_cutoff, weight
 from .operators import InvariantTensor, einstein_residual
@@ -245,34 +245,40 @@ class BandedLinearization:
         D = diag(scale) or the identity, ascending, by block power iteration
         on (B^T B)^{-1} from a seeded start block.
 
-        B = QR is factored once, keeping only R (`_r_factor`): each step
-        applies (B^T B)^{-1} = R^{-1} R^{-T} by two triangular band sweeps,
-        with no pivots, and without squaring the condition number as a
-        Cholesky factor of B^T B would.  It re-orthonormalizes the block by QR and
-        estimates the largest eigenvalues of (B^T B)^{-1} as the singular
-        values of that QR's triangle; unlike its diagonal, these converge at
-        the gap to the first eigenvalue outside the block, even where two
-        inside nearly coincide.  One column needs neither factorization:
-        its estimate is the norm of the iterate, which is then divided by it.
+        scale must hold `size` finite nonzero numbers.  B = QR is factored
+        once, keeping only R (`_r_factor`), and R's diagonal is checked once
+        for a zero: each step applies (B^T B)^{-1} = R^{-1} R^{-T} by one
+        dpbtrs call, both triangular band sweeps of R, with no pivots, and
+        without squaring the condition number as a Cholesky factor of B^T B
+        would.  It re-orthonormalizes the block by QR and estimates the
+        largest eigenvalues of (B^T B)^{-1} as the singular values of that
+        QR's triangle; unlike its diagonal, these converge at the gap to the
+        first eigenvalue outside the block, even where two inside nearly
+        coincide.  One column needs neither factorization: its estimate is
+        the norm of the iterate, which is then divided by it in place.
         The loop stops when no estimate moves by more than _PROBE_TOL
         relative, or after _PROBE_STEPS steps.
         """
         _check_count(count)
-        d = np.ones(self.size) if scale is None else np.asarray(scale)
+        d = np.ones(self.size) if scale is None else np.asarray(scale, dtype=float)
+        if d.shape != (self.size,) or not np.all(np.isfinite(d) & (d != 0)):
+            raise ValueError(f"scale must be a ({self.size},) array of finite"
+                             f" nonzero numbers, got shape {d.shape}")
         r = self._r_factor(d)
+        if not r[-1].all():             # a zero on R's diagonal
+            raise np.linalg.LinAlgError("singular matrix")
         rng = np.random.Generator(np.random.Philox(seed))
         X, _ = np.linalg.qr(rng.standard_normal((self.size, count)))
         lam = np.zeros(count)
         for _ in range(_PROBE_STEPS):
-            Y, info = dtbtrs(r, X, trans="T")          # R^{-T} X
-            check_info(info, "dtbtrs")
-            Y, info = dtbtrs(r, Y, overwrite_b=True)   # R^{-1} R^{-T} X
-            check_info(info, "dtbtrs")
+            X, info = dpbtrs(r, X, overwrite_b=True)    # R^{-1} R^{-T} X
+            check_info(info, "dpbtrs")
             if count == 1:
-                norm = np.linalg.norm(Y)
-                X, lam_new = Y / norm, np.array([norm])
+                norm = np.linalg.norm(X)
+                X /= norm
+                lam_new = np.array([norm])
             else:
-                X, R = np.linalg.qr(Y)
+                X, R = np.linalg.qr(X)
                 lam_new = np.linalg.svd(R, compute_uv=False)    # descending
             done = np.all(np.abs(lam_new - lam) <= _PROBE_TOL * lam_new)
             lam = lam_new
@@ -511,7 +517,8 @@ def kernel_spectrum(profile, count=1, weight_fn: WeightFunction | None = None,
     inverse weights 1/W at each unknown's node (the discrete shadow of
     measuring both sides in the weighted norm).  The matrix is assembled
     and never LU-factored: the probe reads its band into the R of a banded
-    QR.  Deterministic start block; see BandedLinearization.sigma_min.
+    QR, and each step is one dpbtrs call on R.  Deterministic start block;
+    see BandedLinearization.sigma_min.
     """
     _check_count(count)
     lin = BandedLinearization(profile)

@@ -193,7 +193,7 @@ def test_lapack_routines_are_scipys(first, second):
             "print(L._flapack is S._flapack is sys.modules[L._NAME], "
             "all(getattr(L, f) is getattr(S, f) "
             "for f in ('dgbtrf', 'dgbtrs', 'dgtsv', 'dgeqrf', 'dormqr', "
-            "'dtbtrs')))")
+            "'dpbtrs')))")
     assert _run_python(code) == "True True"
 
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.linalg import LinAlgError, solve_banded
 
 from dehnfill import _stencils, solver
-from dehnfill._lapack import check_info, dgbtrf, dgbtrs
+from dehnfill._lapack import _flapack, check_info, dgbtrf, dgbtrs
 from dehnfill.geometry import (RadialGrid, black_hole_profile, cusp_profile,
                                theta_period, v_profile)
 from dehnfill.gluing import GluedEnd, WeightFunction, double_star_norm, glue
@@ -312,7 +312,7 @@ def test_solves_match_column_solves_and_solve_banded(n, ell, nodes, seed):
         assert np.abs(X - cols).max() <= 1e-13 * np.abs(cols).max()
 
 
-def test_non_finite_and_singular_bands_raise():
+def test_non_finite_and_singular_bands_raise(monkeypatch):
     p = glue(4, 10.0, nodes=128)
     p.f[1, 40] = np.nan
     lin = BandedLinearization(p)
@@ -340,9 +340,11 @@ def test_non_finite_and_singular_bands_raise():
     with pytest.raises(solver.NumericalError, match="Newton matrix"):
         big.solve(np.ones(big.size))
     lin.ab[:, 7] = 0.0
-    # a zero column of A is a zero on R's diagonal, which dtbtrs reports
+    # a zero column of A is a zero on R's diagonal, checked before any step
+    sweeps = _count_calls(monkeypatch, solver, "dpbtrs")
     with pytest.raises(LinAlgError):
         lin.sigma_min()
+    assert sweeps == []
     with pytest.raises(LinAlgError):
         lin.solve(np.ones(lin.size))
     # dgbtrf overwrote the band it failed on: the band is written anew
@@ -693,10 +695,71 @@ def test_kernel_spectrum_matches_dense_svd(case):
 
 
 def test_kernel_spectrum_stops_when_converged(monkeypatch):
-    # each step is two triangular band sweeps on R
-    calls = _count_calls(monkeypatch, solver, "dtbtrs")
+    # each step is one dpbtrs call, both triangular band sweeps on R
+    calls = _count_calls(monkeypatch, solver, "dpbtrs")
     kernel_spectrum(black_hole_profile(4, 15.0, 256), count=3)
-    assert 0 < len(calls) < 100 and len(calls) % 2 == 0
+    assert 0 < len(calls) < 100
+
+
+def _two_sweep_probe(lin, count, scale, seed):
+    """sigma_min as it stepped by two dtbtrs sweeps on R, R^{-T} and then
+    R^{-1}; returns (values, steps)."""
+    r = lin._r_factor(scale)
+    rng = np.random.Generator(np.random.Philox(seed))
+    X, _ = np.linalg.qr(rng.standard_normal((lin.size, count)))
+    lam = np.zeros(count)
+    for step in range(1, solver._PROBE_STEPS + 1):
+        Y, info = _flapack.dtbtrs(r, X, trans="T")
+        check_info(info, "dtbtrs")
+        Y, info = _flapack.dtbtrs(r, Y, overwrite_b=True)
+        check_info(info, "dtbtrs")
+        if count == 1:
+            norm = np.linalg.norm(Y)
+            X, lam_new = Y / norm, np.array([norm])
+        else:
+            X, R = np.linalg.qr(Y)
+            lam_new = np.linalg.svd(R, compute_uv=False)
+        done = np.all(np.abs(lam_new - lam) <= solver._PROBE_TOL * lam_new)
+        lam = lam_new
+        if done:
+            break
+    return 1.0 / np.sqrt(lam), step
+
+
+@pytest.mark.parametrize("count", [1, 3])
+@pytest.mark.parametrize("conjugate", [False, True])
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_probe_step_matches_two_sweeps_bit_for_bit(monkeypatch, count,
+                                                   conjugate, seed):
+    # one dpbtrs call makes the same two dtbsv sweeps as two dtbtrs calls,
+    # so every step, and so the values and the step count, agree exactly
+    n, ell = (4, 20.0) if conjugate else (3, 10.0)
+    p = glue(n, ell, nodes=256)
+    lin = BandedLinearization(p)
+    wf = WeightFunction(n, p.cap_radius) if conjugate else None
+    scale = 1.0 / solver._unknown_weights(lin, p, wf) if conjugate else np.ones(lin.size)
+    old, steps = _two_sweep_probe(lin, count, scale, seed)
+    calls = _count_calls(monkeypatch, solver, "dpbtrs")
+    new = lin.sigma_min(count, scale, seed)
+    assert len(calls) == steps
+    assert new.tolist() == old.tolist()
+    spectrum = kernel_spectrum(p, count, wf, conjugate, seed)
+    assert spectrum.tolist() == old.tolist()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("bad", ["zero", "nan", "inf", "short"])
+def test_sigma_min_rejects_a_bad_scale(bad):
+    # a zero or non-finite entry would make D^{-1} invalid, a short scale
+    # would not broadcast: each is named before any work, with no warning
+    lin = BandedLinearization(glue(3, 10.0, nodes=256))
+    scale = np.ones(lin.size)
+    if bad == "short":
+        scale = scale[1:]
+    else:
+        scale[5] = {"zero": 0.0, "nan": np.nan, "inf": np.inf}[bad]
+    with pytest.raises(ValueError, match="scale"):
+        lin.sigma_min(1, scale)
 
 
 def _qr_probe(lin, scale, seed):
@@ -732,11 +795,11 @@ def test_one_column_probe_matches_the_qr_step(monkeypatch, conjugate, seed):
     if conjugate:
         scale = 1.0 / solver._unknown_weights(lin, p, WeightFunction(4, p.cap_radius))
     old, steps = _qr_probe(lin, scale, seed)
-    calls = _count_calls(monkeypatch, solver, "dtbtrs")
+    calls = _count_calls(monkeypatch, solver, "dpbtrs")
     new = lin.sigma_min(1, scale, seed)
     assert new.shape == (1,)
     assert new[0] == pytest.approx(old, rel=1e-10)
-    assert len(calls) == 2 * steps
+    assert len(calls) == steps
 
 
 def test_weighted_conjugation_direction_of_effect():
