@@ -23,7 +23,8 @@ import sys
 import numpy as np
 
 from . import asymptotics, gluing, solver
-from .geometry import r_plus, sectional_curvatures, v_profile
+from .geometry import RadialGrid, r_plus, sectional_curvatures, v_profile
+from .operators import InvariantTensor, einstein_residual
 
 FORMAT_VERSION = 1
 
@@ -138,7 +139,6 @@ def cmd_curvature(cfg, args):
 
 
 def _residual_csv(cfg, profile):
-    from .operators import einstein_residual
     res = einstein_residual(profile)
     header = ["s", "r"] + [f"E1_{i}{i}" for i in range(2, profile.n + 1)] + ["E2"]
     rows = np.vstack([res.s, res.r, res.e1, res.e2]).T.tolist()
@@ -209,10 +209,11 @@ def cmd_kernel(cfg, args):
 
 def cmd_norms(cfg, args):
     n, R = cfg["n"], cfg["R"]
-    from .geometry import RadialGrid
-    from .operators import InvariantTensor
+    r0 = r_plus(n) * 1.01           # the first node
+    if not R > r0:
+        raise ConfigError(f"--R must exceed 1.01 r_plus = {r0:.6f}, got {R:g}")
     _check_nodes(cfg, 3)
-    r = np.linspace(r_plus(n) * 1.01, R, cfg["nodes"])
+    r = np.linspace(r0, R, cfg["nodes"])
     if not gluing.fits_window(r):
         raise ConfigError(f"--nodes {cfg['nodes']} is too few for the seminorm "
                           f"window at --R {R:g}")
@@ -301,13 +302,17 @@ def _options(command):
 _FILE_KEYS = {key for command in _COMMANDS for key in _options(command)}
 
 
-def build_parser():
+def build_parser(only=None):
+    """The parser of every command, or of the command `only` alone, whose
+    usage still lists every command, so that its messages read the same."""
     ap = argparse.ArgumentParser(
         prog="dehnfill",
         description="Einstein metrics on Dehn-filled ends: model metrics, "
                     "gluing, weighted norms, and Newton solvers.")
-    sub = ap.add_subparsers(dest="command", required=True)
-    for command, (func, help_text, _, _) in _COMMANDS.items():
+    sub = ap.add_subparsers(dest="command", required=True, metavar=None
+                            if only is None else "{" + ",".join(_COMMANDS) + "}")
+    for command in _COMMANDS if only is None else (only,):
+        func, help_text, _, _ = _COMMANDS[command]
         p = sub.add_parser(command, help=help_text)
         p.set_defaults(func=func)
         p.add_argument("--config", help="flat key=value configuration file")
@@ -340,7 +345,10 @@ def _split_r_range(args):
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # a call names its command first: only its options are declared
+    only = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = build_parser(only).parse_args(argv)
     try:
         if getattr(args, "r_range", None) is not None:
             _split_r_range(args)

@@ -365,27 +365,30 @@ class NormReport:
     c_k_index: int | None = None
 
 
-def _frame(h: InvariantTensor):
-    """Unit-frame components of h, component-major: (n, n, N), nodes contiguous.
+def _mixed_row(h: InvariantTensor):
+    """Row 0 of h's unit frame, (n, N): r^2 h11, then the mixed components.
 
     The cusp has g_11 = a_r = r^-2 and sqrt(g_ii) = r on every torus axis.
     """
-    n, r = h.grid.n, h.grid.nodes
+    r = h.grid.nodes
     a_r = 1.0 / r**2
-    out = np.empty((n, n, r.size))
-    out[0, 0] = h.h11 / a_r
-    out[0, 1:] = h.h1i / (np.sqrt(a_r) * r)
-    out[1:, 0] = out[0, 1:]
-    np.divide(np.moveaxis(h.hij, 0, -1), r * r, out=out[1:, 1:])
+    out = np.empty((h.grid.n, r.size))
+    out[0] = h.h11 / a_r
+    out[1:] = h.h1i / (np.sqrt(a_r) * r)
     return out
 
 
 def unit_frame_components(h: InvariantTensor):
     """Components of h in the orthonormal frame of the cusp: r^2 h11, h1i,
-    r^-2 hij.  Returns an (N, n, n) symmetric matrix field, a view of the
-    component-major (n, n, N) array the norms read.
+    r^-2 hij.  Returns an (N, n, n) symmetric matrix field, a view of a
+    component-major (n, n, N) array, nodes contiguous.
     """
-    return _frame(h).transpose(2, 0, 1)
+    n, r = h.grid.n, h.grid.nodes
+    out = np.empty((n, n, r.size))
+    out[0] = _mixed_row(h)
+    out[1:, 0] = out[0, 1:]
+    np.divide(np.moveaxis(h.hij, 0, -1), r * r, out=out[1:, 1:])
+    return out.transpose(2, 0, 1)
 
 
 def _torus_pairs(k):
@@ -481,21 +484,23 @@ def _center_cutoff(r, s, wf):
     return ck, rho_cutoff(s - s[0], s_boundary - s[0])
 
 
-def _trace_free_block(frame, ck):
-    """u: the trace-free part of the frame's torus block at node ck."""
-    k = frame.shape[0] - 1
-    block = frame[1:, 1:, ck]
+def _trace_free(block):
+    """u: the trace-free part of a k x k torus block of the unit frame."""
+    k = block.shape[0]
     return block - np.trace(block) / k * np.eye(k)
 
 
 class _NormPlan:
     """What the norms compute from the grid, the weight and the order alone,
-    built once for every tensor measured on that grid.
+    built once for every tensor measured on that grid: log r, the window
+    spans, W, the torus pairs, r^2, c_k and rho.
 
-    It holds the cusp arclength log r of the nodes, the window bounds with
-    their sparse-table levels, W, the torus pairs, c_k and rho;
-    `weighted_norms` (`_frame_squares`, then `_sup_star`) and `double_star`
-    then read only h.
+    One core, `_report`, reads a tensor's torus rows h_ij (i <= j, the k
+    diagonal ones first) and its mixed row's squares.  `double_star` feeds
+    it every row of h; `double_star_diagonal` the k diagonal rows of a
+    tensor whose other components vanish, as the solver's f^2 - f0^2 does.
+    The rows it skips are exact zeros, which change no sum of squares and
+    no max, so the two agree bit for bit.
     """
 
     def __init__(self, grid, wf: WeightFunction, order):
@@ -505,41 +510,50 @@ class _NormPlan:
         self.order = order
         self.k = grid.n - 1
         self.pairs = _torus_pairs(self.k)
+        self.scale = grid.nodes * grid.nodes     # a torus row's frame is row / r^2
         self.ck, self.rho = _center_cutoff(grid.nodes, self.s, wf)
 
-    def _sup_star(self, mixed, torus):
-        """(sup, star, local norm): the largest frame norm over the derivative
-        orders, maximized over each window and weighted by 1/W."""
-        local = _window_max(np.sqrt((mixed + torus).max(axis=0)), *self.spans)
+    def _sup_star(self, mixed, rows):
+        """(sup, star, local norm) from the torus rows and the mixed row's
+        _squares (None where that row vanishes): the largest frame norm over
+        the derivative orders, maximized over each window, weighted by 1/W."""
+        # rows / r^2 is _squares' only reference, freed once differentiated
+        sq = _squares(rows / self.scale, self.k, self.s, self.order)
+        if mixed is not None:
+            sq += mixed
+        local = _window_max(np.sqrt(sq.max(axis=0)), *self.spans)
         return float(local.max()), float((local / self.w).max()), local
 
-    def _frame_squares(self, h):
-        """The frame of h, and the _squares of its mixed components (row 0)
-        and of its torus block."""
-        frame = _frame(h)
-        i, j = self.pairs
-        # the gathered rows are the callee's only reference, so _squares
-        # frees them once it has differentiated them
-        return (frame, _squares(frame[0], 1, self.s, self.order),
-                _squares(frame[1 + i, 1 + j], self.k, self.s, self.order))
+    def _split(self, h: InvariantTensor):
+        """The torus rows of h and the _squares of its mixed row."""
+        return (np.moveaxis(h.hij, 0, -1)[self.pairs],
+                _squares(_mixed_row(h), 1, self.s, self.order))
 
-    def double_star(self, h: InvariantTensor):
-        """NormReport of h: double_star_norm."""
-        frame, mixed, torus = self._frame_squares(h)
-        u = _trace_free_block(frame, self.ck)
-        del frame                      # hbar's pass reads h.hij, not the frame
-        sup, star, _ = self._sup_star(mixed, torus)
-        i, j = self.pairs
-        scale = h.grid.nodes * h.grid.nodes
-        bar = (np.moveaxis(h.hij, 0, -1)[i, j]
-               - self.rho * u[i, j, None] * scale) / scale
-        torus_bar = _squares(bar, self.k, self.s, self.order)
-        _, star_bar, _ = self._sup_star(mixed, torus_bar)
+    def _report(self, rows, block, mixed):
+        """NormReport from the torus rows, the torus frame block at c_k and
+        the mixed row's squares (None where that row vanishes)."""
+        u = _trace_free(block)
+        sup, star, _ = self._sup_star(mixed, rows)
+        i, j = (p[:len(rows)] for p in self.pairs)
+        # hbar differs from h only in its torus rows
+        _, star_bar, _ = self._sup_star(
+            mixed, rows - self.rho * u[i, j, None] * self.scale)
         constructive = star_bar + TrivialVariation(u).size
         return NormReport(sup=sup, star=star,
                           double_star=min(star, constructive),
                           double_star_constructive=constructive,
                           u=u, c_k_index=self.ck)
+
+    def double_star(self, h: InvariantTensor):
+        """NormReport of h: double_star_norm."""
+        rows, mixed = self._split(h)
+        return self._report(rows, h.hij[self.ck] / self.scale[self.ck], mixed)
+
+    def double_star_diagonal(self, diag):
+        """double_star of the tensor whose torus diagonal h_ii is diag, (k, N),
+        and whose other components vanish."""
+        return self._report(diag, np.diag(diag[:, self.ck] / self.scale[self.ck]),
+                            None)
 
 
 def weighted_norms(h: InvariantTensor, wf: WeightFunction, order=2):
@@ -550,7 +564,8 @@ def weighted_norms(h: InvariantTensor, wf: WeightFunction, order=2):
     cusp arclength, over a window of fixed arclength width _WINDOW.
     """
     plan = _NormPlan(h.grid, wf, order)
-    return plan._sup_star(*plan._frame_squares(h)[1:])
+    rows, mixed = plan._split(h)
+    return plan._sup_star(mixed, rows)
 
 
 def double_star_decompose(h: InvariantTensor, wf: WeightFunction):
@@ -563,10 +578,11 @@ def double_star_decompose(h: InvariantTensor, wf: WeightFunction):
     """
     s = np.log(h.grid.nodes)
     ck, rho = _center_cutoff(h.grid.nodes, s, wf)
-    u = _trace_free_block(_frame(h), ck)
-    scale = (h.grid.nodes * h.grid.nodes)[:, None, None]
+    scale = h.grid.nodes * h.grid.nodes
+    u = _trace_free(h.hij[ck] / scale[ck])
     hbar = InvariantTensor(h.grid, h.h11.copy(), h.h1i.copy(),
-                           h.hij - rho[:, None, None] * u[None, :, :] * scale)
+                           h.hij - rho[:, None, None] * u[None, :, :]
+                           * scale[:, None, None])
     return hbar, TrivialVariation(u), ck, rho
 
 
@@ -579,8 +595,8 @@ def double_star_norm(h: InvariantTensor, wf: WeightFunction, order=2):
 
     One pass over h: the grid-only work (arclength grid, weight, windows,
     c_k and rho) is a _NormPlan, which a caller measuring many tensors on
-    one grid builds once; the frame of h is built once.  hbar differs from
-    h only in its torus components, which are formed as
+    one grid builds once, and no (n, n, N) frame is built.  hbar differs
+    from h only in its torus components, which are formed as
     (h_ij - rho u_ij r^2) / r^2, the arithmetic of
     unit_frame_components(double_star_decompose(h)[0]), and only they are
     differentiated again; the values equal those of weighted_norms on the

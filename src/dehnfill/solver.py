@@ -22,7 +22,7 @@ from . import _stencils
 from ._lapack import check_info, dgbtrf, dgbtrs, dgeqrf, dormqr, dpbtrs
 from .geometry import DiagonalMetricProfile, RadialGrid
 from .gluing import WeightFunction, _NormPlan, rho_cutoff, weight
-from .operators import InvariantTensor, einstein_residual
+from .operators import einstein_residual
 
 __all__ = [
     "NumericalError",
@@ -391,16 +391,18 @@ def newton_solve(g0: DiagonalMetricProfile, cfg: SolverConfig | None = None):
     system's stencil tables; a residual-only step builds no tables.  When
     the profile carries its radii and cap radius, each iterate's
     perturbation is measured in the star and double-star norms of the
-    weight at the cap radius, through one norm plan and one radial grid
-    built per solve: the values of double_star_norm(order=0), without its
-    grid work at every iterate.  Returns (profile, report).
+    weight at the cap radius, through one norm plan built per solve: from
+    its torus diagonal f_i^2 - f0_i^2 alone, through the same norm core as
+    double_star_norm, whose order-0 values on the full tensor it equals bit
+    for bit.  Returns (profile, report).
     """
     cfg = SolverConfig() if cfg is None else cfg
     profile = g0.copy()
-    grid = plan = None
+    plan = None
     if g0.cap_radius is not None and g0.r is not None:
-        grid = RadialGrid(g0.r, g0.n)
-        plan = _NormPlan(grid, WeightFunction(g0.n, g0.cap_radius), order=0)
+        plan = _NormPlan(RadialGrid(g0.r, g0.n),
+                         WeightFunction(g0.n, g0.cap_radius), order=0)
+        f0_squared = g0.f**2
     index = _unknown_index(profile.n, profile.s.size)
     free = index >= 0
     lin = None
@@ -418,7 +420,7 @@ def newton_solve(g0: DiagonalMetricProfile, cfg: SolverConfig | None = None):
         rnorm = float(np.abs(res[index[:, 1:-1]]).max())
         history.append(rnorm)
         if plan is not None:
-            norms = plan.double_star(_perturbation_tensor(grid, g0, profile))
+            norms = plan.double_star_diagonal(profile.f**2 - f0_squared)
             stars.append(norms.star)
             dstars.append(norms.double_star)
         if rnorm < cfg.residual_tolerance:
@@ -467,16 +469,6 @@ def _fit_orders(history):
             orders.append(float(np.log(h[i + 2] / h[i + 1])
                                 / np.log(h[i + 1] / h[i])))
     return orders
-
-
-def _perturbation_tensor(grid, g0, profile):
-    """Accumulated perturbation as an invariant tensor (torus block only) on
-    the radial grid of g0."""
-    k = g0.n - 1
-    hij = np.zeros((g0.r.size, k, k))
-    dfsq = profile.f**2 - g0.f**2
-    hij[:, np.arange(k), np.arange(k)] = dfsq.T
-    return InvariantTensor(grid, None, None, hij)
 
 
 def verify_einstein(profile):

@@ -268,6 +268,9 @@ def test_unconverged_solve_exits_4_and_writes_its_report(
     (["sweep", "--n", "4", "--R", "1,2,3"], "R"),
     (["sweep", "--n", "4", "--R", "8,8,8"], "R"),
     (["norms", "--n", "4", "--R", "10", "--nodes", "1"], "nodes"),
+    (["norms", "--n", "4", "--R", "0"], "R"),
+    (["norms", "--n", "4", "--R", "-1"], "R"),
+    (["norms", "--n", "4", "--R", "1.1"], "R"),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
 def test_non_finite_or_overflowing_option_exits_2(args, option, capsys, recwarn):
     # rejected where it enters, by name, before any numpy warning
@@ -402,3 +405,58 @@ def test_help_lists_the_formats_a_command_writes(command, capsys):
         cli.main([command, "--help"])
     assert exc.value.code == 0
     assert f"--format {{{','.join(_WRITES[command])}}}" in capsys.readouterr().out
+
+
+def _parsed(parser, argv, capsys):
+    """(exit code or parsed namespace, stdout, stderr) of one parse."""
+    try:
+        result = vars(parser.parse_args(argv))
+    except SystemExit as exc:
+        result = exc.code
+    captured = capsys.readouterr()
+    return result, captured.out, captured.err
+
+
+_PARSES = [["--help"], ["--bogus"], ["--n", "x"], ["--n"], [],
+           ["--n", "3", "stray"]]
+
+
+@pytest.mark.parametrize("rest", _PARSES, ids=" ".join)
+@pytest.mark.parametrize("command", sorted(_WRITES))
+def test_one_command_parser_reads_as_the_full_one(command, rest, capsys):
+    # help, an unknown flag, a bad int, an option without its value, the
+    # required options missing and a stray positional (which the top-level
+    # parser rejects with its own usage): each reads the same, exit code,
+    # output and namespace, whether one command is declared or all
+    from dehnfill import cli
+    argv = [command, *rest]
+    assert (_parsed(cli.build_parser(command), argv, capsys)
+            == _parsed(cli.build_parser(), argv, capsys))
+
+
+@pytest.mark.parametrize("argv", [[], ["-h"], ["--help"], ["bogus"],
+                                  ["bogus", "--n", "3"], ["--n", "3"],
+                                  ["-h", "solve"]], ids=" ".join)
+def test_main_without_a_command_uses_the_full_parser(argv, capsys):
+    from dehnfill import cli
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    got = exc.value.code, *capsys.readouterr()
+    assert got == _parsed(cli.build_parser(), argv, capsys)
+    assert got[0] == (0 if "-h" in argv or "--help" in argv else 2)
+
+
+def test_main_declares_the_command_it_is_given(monkeypatch, capsys):
+    from dehnfill import cli
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser",
+                        lambda only=None: built.append(only) or build(only))
+    assert cli.main(["kernel", "--n", "3"]) == 0
+    with pytest.raises(SystemExit):
+        cli.main(["bogus"])
+    with pytest.raises(SystemExit):
+        cli.main([])
+    assert built == ["kernel", None, None]
+    assert "usage: dehnfill [-h] {" + ",".join(cli._COMMANDS) + "} ..." \
+        in capsys.readouterr().err

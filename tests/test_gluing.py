@@ -313,6 +313,32 @@ def test_double_star_norm_is_the_composition(n, nodes, seed):
         assert star == pytest.approx(ref_star, rel=1e-14, abs=0.0)
 
 
+@pytest.mark.parametrize("spacing", [np.linspace, np.geomspace])
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+def test_diagonal_entry_matches_double_star_exactly(n, spacing):
+    # the solver's entry point reads the k torus diagonal rows alone; the
+    # components it skips are exact zeros, so every field of its report
+    # equals double_star's on the full tensor, bit for bit
+    R, k = 64.0, n - 1
+    r = spacing(r_plus(n) * 1.01, R, 700)
+    rng = np.random.Generator(np.random.Philox(n))
+    diag = rng.standard_normal((k, r.size)) * r**2     # negative entries too
+    diag[k // 2] = 0.0                                  # one zero component
+    hij = np.zeros((r.size, k, k))
+    hij[:, np.arange(k), np.arange(k)] = diag.T
+    h = InvariantTensor(RadialGrid(r, n), None, None, hij)
+    wf = WeightFunction(n, R)
+    for order in range(3):
+        plan = gluing._NormPlan(h.grid, wf, order)
+        got, ref = plan.double_star_diagonal(diag), double_star_norm(h, wf, order)
+        assert got.sup == ref.sup and got.star == ref.star
+        assert got.double_star == ref.double_star
+        assert got.double_star_constructive == ref.double_star_constructive
+        assert got.u.shape == ref.u.shape and (got.u == ref.u).all()
+        assert got.c_k_index == ref.c_k_index
+        assert ref.star > 0.0 and (ref.u != 0.0).any()
+
+
 @pytest.mark.parametrize("s", [np.log(np.linspace(1.3, 64.0, 500)),
                                np.arange(40.0) * 3.0, np.array([0.0, 0.5])])
 def test_gradient_is_numpys(s):
@@ -332,9 +358,9 @@ def test_unit_frame_components_is_a_node_major_view():
 
 
 def test_double_star_norm_memory_peak():
-    # the frame is built once, hbar's pass reads only its torus rows, and
-    # one derivative is alive at a time: the traced peak of an order-2 call
-    # is about 3.5 frames of (N, n, n) floats
+    # no frame is built, hbar's pass reads only its torus rows, and one
+    # derivative is alive at a time: the traced peak of an order-2 call
+    # stays below 4.5 frames of (N, n, n) floats
     import tracemalloc
     n, R, N = 4, 64.0, 16384
     h = _random_tensor(n, np.linspace(r_plus(n) * 1.01, R, N), 0)

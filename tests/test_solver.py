@@ -13,7 +13,8 @@ from dehnfill._lapack import _flapack, check_info, dgbtrf, dgbtrs
 from dehnfill.geometry import (RadialGrid, black_hole_profile, cusp_profile,
                                theta_period, v_profile)
 from dehnfill.gluing import GluedEnd, WeightFunction, double_star_norm, glue
-from dehnfill.operators import einstein_residual, linearized_residual
+from dehnfill.operators import (InvariantTensor, einstein_residual,
+                                linearized_residual)
 from dehnfill.solver import (BandedLinearization, SolverConfig,
                              kernel_spectrum, newton_solve, rayleigh_quotient,
                              trivial_direction, verify_einstein)
@@ -579,19 +580,30 @@ def test_cone_defect_scales_like_inverse_power_of_radius(n):
     assert abs(slope + (n - 1)) <= 0.1
 
 
+def _perturbation_tensor(g0, profile):
+    """The accumulated perturbation f^2 - f0^2 as a full invariant tensor:
+    its torus diagonal, every other component zero."""
+    k = g0.n - 1
+    hij = np.zeros((g0.r.size, k, k))
+    hij[:, np.arange(k), np.arange(k)] = (profile.f**2 - g0.f**2).T
+    return InvariantTensor(RadialGrid(g0.r, g0.n), None, None, hij)
+
+
 @pytest.mark.parametrize("mode", ["newton", "frozen_jacobian"])
-@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
-def test_norm_histories_measure_each_iterate(n, mode):
-    # the solve evaluates every iterate through one norm plan; its histories
-    # equal, exactly, a fresh double_star_norm of each replayed iterate
-    g0 = glue(n, ell_for_radius(n, 8.0), nodes=256)
+@pytest.mark.parametrize("n, ell, nodes", [
+    *(pytest.param(n, ell_for_radius(n, 8.0), 256, id=str(n)) for n in range(3, 8)),
+    pytest.param(4, 20.0, 2048, id="4-ell20-2048")])
+def test_norm_histories_measure_each_iterate(n, ell, nodes, mode):
+    # the solve measures every iterate from its torus diagonal; its histories
+    # equal, exactly, a fresh double_star_norm of each replayed iterate's
+    # full tensor
+    g0 = glue(n, ell, nodes=nodes)
     _, rep = newton_solve(g0, SolverConfig(mode=mode))
     assert len(rep.star_history) == len(rep.double_star_history) == rep.iterations + 1
-    grid = RadialGrid(g0.r, n)
     wf = WeightFunction(n, g0.cap_radius)
     for m in range(rep.iterations + 1):
         p, _ = newton_solve(g0, SolverConfig(mode=mode, max_iterations=m))
-        norms = double_star_norm(solver._perturbation_tensor(grid, g0, p), wf, order=0)
+        norms = double_star_norm(_perturbation_tensor(g0, p), wf, order=0)
         assert rep.star_history[m] == norms.star
         assert rep.double_star_history[m] == norms.double_star
 
