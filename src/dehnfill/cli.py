@@ -3,13 +3,13 @@
 Subcommands, each with the formats it writes (the first is its default):
 curvature (csv), glue (csv), solve (json, csv), kernel (json), norms (json),
 sweep (csv, json), estimate (json).  Each option is declared once, with its
-type and default, in _COMMANDS, from which the flags, the defaults and the
-keys a flat key=value configuration file may set all derive; flags win over
-the file.  Outputs echo the resolved configuration, byte identical for
-identical configuration and seed.  Exit codes: 0 success, 1 solver
-divergence (report still written), 2 configuration error (among them a
-format the command does not write, and a size too large to allocate),
-3 numerical failure (infs or NaNs reached a linear solve), 4 no
+type, default and domain, in _COMMANDS, from which the flags, their help, the
+defaults, the value checks and the keys a flat key=value configuration file
+may set all derive; flags win over the file.  Outputs echo the resolved
+configuration, byte identical for identical configuration and seed.  Exit
+codes: 0 success, 1 solver divergence (report still written), 2 configuration
+error (among them a format the command does not write, and a size too large
+to allocate), 3 numerical failure (infs or NaNs reached a linear solve), 4 no
 convergence: a stall or the iteration cap (report still written).
 """
 
@@ -56,28 +56,34 @@ def _load_config_file(path):
 
 
 def _resolve(args):
-    """The command's defaults, overridden by the file, then by the flags."""
+    """The command's defaults, overridden by the file, then by the flags, checked."""
     options = _options(args.command)
-    cfg = {key: default for key, (_, default) in options.items()}
+    cfg = {key: default for key, (_, default, _) in options.items()}
     in_file = _load_config_file(args.config) if args.config else {}
-    for key, (kind, _) in options.items():
+    for key, (kind, _, _) in options.items():
         if key in in_file:          # the file's keys of other commands are ignored
             cast = str if isinstance(kind, tuple) else kind
             try:
                 cfg[key] = cast(in_file[key])
             except ValueError as exc:
-                raise ConfigError(f"bad value for {key}: {exc}")
+                raise ConfigError(f"bad value for {_name(key)}: {exc}")
         if getattr(args, key, None) is not None:
             cfg[key] = getattr(args, key)
-    missing = [k for k, v in cfg.items() if v is None]
+    missing = [_name(k) for k, v in cfg.items() if v is None]
     if missing:
         raise ConfigError(f"missing required option(s): {', '.join(missing)}")
     for key, val in cfg.items():
-        kind = options[key][0]
+        kind, _, domain = options[key]
         if isinstance(kind, tuple) and val not in kind:
-            raise ConfigError(f"{key} must be one of {', '.join(kind)}, got {val!r}")
+            raise ConfigError(f"{_name(key)} must be one of {', '.join(kind)}, got {val!r}")
         if isinstance(val, float) and not np.isfinite(val):
-            raise ConfigError(f"{key} must be finite, got {val!r}")
+            raise ConfigError(f"{_name(key)} must be finite, got {val!r}")
+        if domain:
+            op, bound = domain
+            least = _OF_N[bound](cfg["n"]) if bound in _OF_N else bound
+            if not (val > least if op == "above" else val >= least):
+                shown = f"{bound} = {least!r}" if bound in _OF_N else bound
+                raise ConfigError(f"{_name(key)} must be {op} {shown}, got {val!r}")
     return cfg
 
 
@@ -119,15 +125,12 @@ def _json_default(obj):
 
 
 def cmd_curvature(cfg, args):
-    n = cfg["n"]
-    if cfg["r_min"] > cfg["r_max"] or cfg["samples"] < 1:
+    if cfg["r_min"] > cfg["r_max"]:
         raise ConfigError("empty radial range")
-    if cfg["r_min"] < r_plus(n):
-        raise ConfigError(f"r must start at or above r_plus = {r_plus(n):.6f}")
     try:
         r = np.linspace(cfg["r_min"], cfg["r_max"], cfg["samples"])
-        k12, k1i, kij = sectional_curvatures(n, r)
-        v, vp, _ = v_profile(n, r)
+        k12, k1i, kij = sectional_curvatures(cfg["n"], r)
+        v, vp, _ = v_profile(cfg["n"], r)
         rows = zip(r, np.atleast_1d(k12), np.atleast_1d(k1i), np.atleast_1d(kij),
                    np.atleast_1d(v), np.atleast_1d(vp))
         text = _csv(cfg, ["r", "K12", "K1i", "Kij", "V", "Vp"], rows)
@@ -153,14 +156,8 @@ def _profile_csv(cfg, profile):
                                 f"# cap_radius={_fmt(profile.cap_radius or 0.0)}"])
 
 
-def _check_nodes(cfg, least):
-    if cfg["nodes"] < least:
-        raise ConfigError(f"--nodes must be at least {least}, got {cfg['nodes']}")
-
-
 def _glued(cfg):
     """The glued profile of glue and solve."""
-    _check_nodes(cfg, gluing.MIN_NODES)
     return gluing.glue(cfg["n"], cfg["ell"], cfg["outer_factor"], cfg["nodes"])
 
 
@@ -173,8 +170,6 @@ def cmd_glue(cfg, args):
 
 
 def cmd_solve(cfg, args):
-    if not cfg["tol"] > 0:
-        raise ConfigError(f"--tol must be positive, got {cfg['tol']:g}")
     profile = _glued(cfg)
     if not gluing.fits_window(profile.r):   # the norms of every iterate need it
         raise ConfigError(f"--nodes {cfg['nodes']} is too few for the seminorm "
@@ -209,14 +204,10 @@ def cmd_kernel(cfg, args):
 
 def cmd_norms(cfg, args):
     n, R = cfg["n"], cfg["R"]
-    r0 = r_plus(n) * 1.01           # the first node
-    if not R > r0:
-        raise ConfigError(f"--R must exceed 1.01 r_plus = {r0:.6f}, got {R:g}")
-    _check_nodes(cfg, 3)
-    r = np.linspace(r0, R, cfg["nodes"])
-    if not gluing.fits_window(r):
-        raise ConfigError(f"--nodes {cfg['nodes']} is too few for the seminorm "
-                          f"window at --R {R:g}")
+    r = np.linspace(_OF_N["1.01 r_plus"](n), R, cfg["nodes"])
+    if not (np.diff(r).min() > 0 and gluing.fits_window(r)):
+        raise ConfigError(f"--nodes {cfg['nodes']} from 1.01 r_plus to --R {R!r} "
+                          f"are not distinct, or too sparse for the seminorm window")
     rng = np.random.Generator(np.random.Philox(cfg["seed"]))
     grid = RadialGrid(r, n)
     k = n - 1
@@ -253,7 +244,6 @@ def cmd_sweep(cfg, args):
 
 
 def cmd_estimate(cfg, args):
-    _check_nodes(cfg, asymptotics.MIN_NODES)
     c_fit = asymptotics.ugly_estimate_harness(cfg["n"], cfg["R"], cfg["alpha"],
                                               trials=cfg["trials"],
                                               seed=cfg["seed"],
@@ -262,40 +252,50 @@ def cmd_estimate(cfg, args):
     return 0
 
 
-_GLUED = {"n": (int, None), "ell": (float, None), "nodes": (int, 2048),
-          "outer_factor": (float, 4.0)}
+_N = (int, None, ("at least", 3))
+_GLUED = {"n": _N, "ell": (float, None, ("above", 0)),
+          "nodes": (int, 2048, ("at least", gluing.MIN_NODES)),
+          "outer_factor": (float, 4.0, ("above", 1))}
 # command -> (its function, help, the formats it writes, its options as
-# key -> (type, default)).  The first format is the default; a tuple type
-# lists the values an option may take; a None default marks a required
-# option.  Every command also takes out and format, resolved in that order
-# after its own options.
+# key -> (type, default, domain)).  The first format is the default; a tuple
+# type lists the values an option may take; a None default marks a required
+# option; a domain ("above" or "at least", bound), or None for every value,
+# bounds the values, a bound named in _OF_N being that function of n, which
+# each command lists first.  Every command also takes out and format.
 _COMMANDS = {
-    "curvature": (cmd_curvature, "sectional curvatures of the cap metric",
-                  ("csv",), {"n": (int, None), "r_min": (float, None),
-                             "r_max": (float, None), "samples": (int, 50)}),
-    "glue": (cmd_glue, "build the glued almost-Einstein profile", ("csv",),
-             _GLUED),
+    "curvature": (cmd_curvature, "sectional curvatures of the cap metric", ("csv",),
+                  {"n": _N, "r_min": (float, None, ("at least", "r_plus")),
+                   "r_max": (float, None, None), "samples": (int, 50, ("at least", 1))}),
+    "glue": (cmd_glue, "build the glued almost-Einstein profile", ("csv",), _GLUED),
     "solve": (cmd_solve, "Newton-solve the glued profile", ("json", "csv"),
-              {**_GLUED, "tol": (float, 1e-8),
-               "mode": (("newton", "frozen_jacobian"), "newton")}),
+              {**_GLUED, "tol": (float, 1e-8, ("above", 0)),
+               "mode": (("newton", "frozen_jacobian"), "newton", None)}),
     "kernel": (cmd_kernel, "decaying-kernel classification on the cusp",
-               ("json",), {"n": (int, None)}),
+               ("json",), {"n": _N}),
     "norms": (cmd_norms, "weighted norms of a seeded random tensor", ("json",),
-              {"n": (int, None), "R": (float, None), "nodes": (int, 2048),
-               "seed": (int, 0)}),
+              {"n": _N, "R": (float, None, ("above", "1.01 r_plus")),
+               "nodes": (int, 2048, ("at least", 3)), "seed": (int, 0, ("at least", 0))}),
     "sweep": (cmd_sweep, "glued-residual decay against comma-separated cap "
               "radii R", ("csv", "json"),
-              {"n": (int, None), "R": (str, None), "outer_factor": (float, 4.0)}),
+              {"n": _N, "R": (str, None, None), "outer_factor": _GLUED["outer_factor"]}),
     "estimate": (cmd_estimate, "randomized interior-bound harness", ("json",),
-                 {"n": (int, None), "R": (float, None), "alpha": (float, 0.5),
-                  "trials": (int, 50), "seed": (int, 0), "nodes": (int, 1024)}),
+                 {"n": _N, "R": (float, None, None), "alpha": (float, 0.5, ("at least", 0)),
+                  "trials": (int, 50, ("at least", 1)), "seed": (int, 0, ("at least", 0)),
+                  "nodes": (int, 1024, ("at least", asymptotics.MIN_NODES))}),
 }
+_OF_N = {"r_plus": r_plus, "1.01 r_plus": lambda n: 1.01 * r_plus(n)}
+_BY_R = ("r_min", "r_max", "samples")     # curvature's, set by --r
 
 
 def _options(command):
-    """key -> (type, default) of every option of a command."""
+    """key -> (type, default, domain) of every option of a command."""
     _, _, formats, options = _COMMANDS[command]
-    return {**options, "out": (str, "-"), "format": (formats, formats[0])}
+    return {**options, "out": (str, "-", None), "format": (formats, formats[0], None)}
+
+
+def _name(key):
+    """An option as messages name it: its flag, or its key where --r sets it."""
+    return key if key in _BY_R else "--" + key.replace("_", "-")
 
 
 # the keys a configuration file may set: those of any command
@@ -316,13 +316,13 @@ def build_parser(only=None):
         p = sub.add_parser(command, help=help_text)
         p.set_defaults(func=func)
         p.add_argument("--config", help="flat key=value configuration file")
-        for key, (kind, default) in _options(command).items():
+        for key, (kind, default, domain) in _options(command).items():
             choices = kind if isinstance(kind, tuple) else None
-            if key not in ("r_min", "r_max", "samples"):    # set by --r
-                p.add_argument("--" + key.replace("_", "-"), dest=key,
-                               type=str if choices else kind, choices=choices,
-                               help="required" if default is None
-                               else f"default {default}")
+            text = "required" if default is None else f"default {default}"
+            text += f", {domain[0]} {domain[1]}" if domain else ""
+            if key not in _BY_R:
+                p.add_argument(_name(key), dest=key, type=str if choices else kind,
+                               choices=choices, help=text)
         if command == "curvature":
             p.add_argument("--r", dest="r_range", nargs=3,
                            metavar=("MIN", "MAX", "SAMPLES"))
@@ -333,15 +333,13 @@ def build_parser(only=None):
 
 
 def _split_r_range(args):
-    """--r MIN MAX SAMPLES: two numbers and a positive integer literal."""
+    """--r MIN MAX SAMPLES: two numbers and an integer, checked by _resolve."""
     lo, hi, samples = args.r_range
     try:
         args.r_min, args.r_max, args.samples = float(lo), float(hi), int(samples)
     except ValueError:
-        args.samples = 0
-    if args.samples < 1:
         raise ConfigError(f"--r takes two numbers and a positive integer, "
-                          f"got {' '.join(args.r_range)}")
+                          f"got {' '.join(args.r_range)}") from None
 
 
 def main(argv=None):

@@ -220,8 +220,8 @@ class GluedEnd:
         self.s_R = float(self.cap_map.s_of_r(self.R))
         if self.s_R <= _COLLAR_WIDTH + 0.05:
             raise ValueError(
-                f"meridian too short: the boundary torus sits at arclength "
-                f"{self.s_R:.3f} < collar width {_COLLAR_WIDTH:g} from the core")
+                f"meridian length ell = {self.ell:g} is too short: the boundary torus sits "
+                f"at arclength {self.s_R:.3f} < collar width {_COLLAR_WIDTH:g} from the core")
 
     @cached_property
     def amap(self):

@@ -61,7 +61,8 @@ COMMANDS.update({
     "kernel": ["kernel", "--n", "5"],
     "curvature": ["curvature", "--n", "4", "--r", "1.5", "6", "50"],
 })
-# the exit-2 commands of CI's console-script loop
+# the exit-2 commands of CI's console-script loop, in its order (a test
+# keeps the two lists equal)
 REJECTED = ["solve --n 3 --ell nan", "norms --n 4 --R 1e200",
             "solve --n 3 --ell 1e60 --nodes 256",
             "solve --n 3 --ell 10 --nodes 256 --tol 0",
@@ -70,7 +71,11 @@ REJECTED = ["solve --n 3 --ell nan", "norms --n 4 --R 1e200",
             "curvature --n 3 --r 1.5 3 100000000000",
             "glue --n 3 --ell 10 --nodes 10",
             "estimate --n 4 --R 16 --nodes 3",
-            "sweep --n 4 --R 8,abc,32"]
+            "sweep --n 4 --R 8,abc,32",
+            "norms --n 4 --R 0", "norms --n 4 --R 1.1", "kernel --n 2",
+            "norms --n 4 --R 64 --seed -1",
+            "glue --n 3 --ell 10 --outer-factor 1",
+            "norms --n 4 --R 1.2725202603939"]
 for _i, _cmd in enumerate(REJECTED):
     COMMANDS[f"rejected_{_i:02d}_{_cmd.split()[0]}"] = _cmd.split()
 

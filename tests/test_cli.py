@@ -1,8 +1,10 @@
 import json
+import math
 import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -271,6 +273,9 @@ def test_unconverged_solve_exits_4_and_writes_its_report(
     (["norms", "--n", "4", "--R", "0"], "R"),
     (["norms", "--n", "4", "--R", "-1"], "R"),
     (["norms", "--n", "4", "--R", "1.1"], "R"),
+    (["norms", "--n", "4", "--R", "1.2725202603939"], "R"),   # ulps above node 0
+    (["glue", "--n", "3", "--ell", "0.5"], "ell"),
+    (["solve", "--n", "3", "--ell", "1e-300"], "ell"),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
 def test_non_finite_or_overflowing_option_exits_2(args, option, capsys, recwarn):
     # rejected where it enters, by name, before any numpy warning
@@ -314,13 +319,27 @@ def test_count_out_of_range_exits_2_naming_its_option(args, option):
 _WRITES = {"curvature": ("csv",), "glue": ("csv",), "solve": ("json", "csv"),
            "kernel": ("json",), "norms": ("json",), "sweep": ("csv", "json"),
            "estimate": ("json",)}
-_SMALL = {"curvature": ["--n", "3", "--r", "1.5", "3", "4"],
-          "glue": ["--n", "3", "--ell", "10", "--nodes", "128"],
-          "solve": ["--n", "3", "--ell", "10", "--nodes", "256", "--tol", "1e-6"],
-          "kernel": ["--n", "4"],
-          "norms": ["--n", "4", "--R", "64", "--nodes", "400"],
-          "sweep": ["--n", "3", "--R", "6,12,24"],
-          "estimate": ["--n", "4", "--R", "16", "--trials", "2", "--nodes", "64"]}
+_BASE = {"curvature": {"n": "3", "r_min": "1.5", "r_max": "3", "samples": "4"},
+         "glue": {"n": "3", "ell": "10", "nodes": "128"},
+         "solve": {"n": "3", "ell": "10", "nodes": "256", "tol": "1e-6"},
+         "kernel": {"n": "4"},
+         "norms": {"n": "4", "R": "64", "nodes": "400"},
+         "sweep": {"n": "3", "R": "6,12,24"},
+         "estimate": {"n": "4", "R": "16", "trials": "2", "nodes": "64"}}
+_BY_R = ("r_min", "r_max", "samples")       # curvature's, set by --r
+
+
+def _flags(command, values):
+    """The flags that set values: each by --key=value, curvature's range by
+    --r MIN MAX SAMPLES."""
+    argv = [f"--{k.replace('_', '-')}={v}" for k, v in values.items()
+            if k not in _BY_R]
+    if command == "curvature":
+        argv += ["--r", *(values[k] for k in _BY_R)]
+    return argv
+
+
+_SMALL = {command: _flags(command, values) for command, values in _BASE.items()}
 
 
 @pytest.mark.parametrize("command, fmt", [
@@ -460,3 +479,84 @@ def test_main_declares_the_command_it_is_given(monkeypatch, capsys):
     assert built == ["kernel", None, None]
     assert "usage: dehnfill [-h] {" + ",".join(cli._COMMANDS) + "} ..." \
         in capsys.readouterr().err
+
+
+def _bound(command, key):
+    """(word, value) of an option's domain, a bound that depends on n taken
+    at the small run's n."""
+    from dehnfill import cli
+    word, bound = cli._options(command)[key][2]
+    if bound in cli._OF_N:
+        bound = cli._OF_N[bound](int(_BASE[command]["n"]))
+    return word, bound
+
+
+def _outside(command, key):
+    """The values just outside an option's domain, the bound itself where it
+    is strict and the number just below it where it is not, and for a float
+    nan and inf."""
+    from dehnfill import cli
+    kind, _, domain = cli._options(command)[key]
+    values = []
+    if domain:
+        word, bound = _bound(command, key)
+        values.append(bound if word == "above" else
+                      bound - 1 if kind is int else math.nextafter(bound, -math.inf))
+    if kind is float:
+        values += [math.nan, math.inf]
+    return [repr(v) for v in values]
+
+
+def _walk():
+    from dehnfill import cli
+    return [(command, key, value) for command in cli._COMMANDS
+            for key in cli._COMMANDS[command][3] for value in _outside(command, key)]
+
+
+def _run_with(command, key, value, form, tmp_path, capsys):
+    """(exit code, stdout, stderr) of the small run with key set to value, by
+    a flag or by a configuration line, RuntimeWarning raised as an error."""
+    from dehnfill import cli
+    values = {**_BASE[command], key: value}
+    if form == "flag":
+        argv = [command, *_flags(command, values)]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
+        argv = [command, "--config", str(cfg)]
+    if key == "trials":
+        # in a child process, as in test_estimate_without_trials_exits_2
+        res = run_cli(argv, env={**os.environ, "PYTHONWARNINGS": "error::RuntimeWarning"})
+        return res.returncode, res.stdout, res.stderr
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = cli.main(argv)
+    return (code, *capsys.readouterr())
+
+
+@pytest.mark.parametrize("form", ["flag", "config"])
+@pytest.mark.parametrize("command, key, value", _walk(),
+                         ids=lambda v: v if isinstance(v, str) else None)
+def test_value_outside_its_options_domain_exits_2_naming_it(
+        command, key, value, form, tmp_path, capsys):
+    # every option of the table, at the edge of its domain: rejected before
+    # any work, by its flag's name (curvature's range fields by their keys)
+    code, out, err = _run_with(command, key, value, form, tmp_path, capsys)
+    name = key if key in _BY_R else "--" + key.replace("_", "-")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("dehnfill: configuration error: ")
+    assert re.search(re.escape(name) + r"(?![\w-])", err), err
+
+
+@pytest.mark.parametrize("form", ["flag", "config"])
+@pytest.mark.parametrize("command, key", [
+    *((command, "n") for command in _BASE), ("norms", "seed"),
+    ("estimate", "seed"), ("estimate", "alpha"), ("curvature", "r_min")])
+def test_value_on_a_closed_bound_of_its_domain_is_accepted(
+        command, key, form, tmp_path, capsys):
+    word, bound = _bound(command, key)
+    assert word == "at least"
+    code, out, err = _run_with(command, key, repr(bound), form, tmp_path, capsys)
+    assert (code, err) == (0, "")
+    assert out

@@ -6,6 +6,7 @@ import hashlib
 import importlib.util
 import json
 import math
+import re
 from pathlib import Path
 
 import pytest
@@ -20,6 +21,14 @@ MANIFEST = json.loads(corpus.MANIFEST.read_text())
 
 def test_manifest_lists_the_corpus():
     assert {k: v["argv"] for k, v in MANIFEST["commands"].items()} == corpus.COMMANDS
+
+
+def test_ci_loop_runs_the_rejected_commands():
+    # CI's console-script loop runs the installed entry point on the very
+    # commands whose exit 2 and stderr the corpus records
+    ci = Path(__file__).parents[1] / ".github" / "workflows" / "tests.yml"
+    loop = re.search(r"for cmd in (.*?); do", ci.read_text(), re.S).group(1)
+    assert re.findall(r'"([^"]*)"', loop) == corpus.REJECTED
 
 
 @pytest.mark.parametrize("name", sorted(MANIFEST["commands"]))
