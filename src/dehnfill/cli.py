@@ -23,7 +23,8 @@ import sys
 import numpy as np
 
 from . import asymptotics, gluing, solver
-from .geometry import RadialGrid, r_plus, sectional_curvatures, v_profile
+from .geometry import (RadialGrid, r_plus, radius_for_meridian, sectional_curvatures,
+                       v_profile)
 from .operators import InvariantTensor, einstein_residual
 
 FORMAT_VERSION = 1
@@ -95,7 +96,9 @@ def _write_output(path, text):
             fh.write(text)
 
 
-def _csv(config, header, rows, extra_comments=()):
+def _csv(config, header, table, extra_comments=()):
+    """The CSV text: a comment preamble of the configuration, the header, and
+    one line per row of the 2-D float table, each value as "%.17g" writes it."""
     lines = [f"# format_version={FORMAT_VERSION}"]
     for key in sorted(config):
         if key == "out":        # destination path is not run configuration
@@ -103,10 +106,8 @@ def _csv(config, header, rows, extra_comments=()):
         lines.append(f"# {key}={_fmt(config[key])}")
     lines.extend(extra_comments)
     lines.append(",".join(header))
-    # every value is a float (or np.float64), so "%.17g" is _fmt's format
-    fmt = ",".join(["%.17g"] * len(header))
-    lines.extend(fmt % tuple(row) for row in rows)
-    return "\n".join(lines) + "\n"
+    from ._csvtext import csv_lines     # its tables cost the JSON commands nothing
+    return "\n".join(lines) + "\n" + csv_lines(table)
 
 
 def _json(config, payload):
@@ -131,9 +132,8 @@ def cmd_curvature(cfg, args):
         r = np.linspace(cfg["r_min"], cfg["r_max"], cfg["samples"])
         k12, k1i, kij = sectional_curvatures(cfg["n"], r)
         v, vp, _ = v_profile(cfg["n"], r)
-        rows = zip(r, np.atleast_1d(k12), np.atleast_1d(k1i), np.atleast_1d(kij),
-                   np.atleast_1d(v), np.atleast_1d(vp))
-        text = _csv(cfg, ["r", "K12", "K1i", "Kij", "V", "Vp"], rows)
+        text = _csv(cfg, ["r", "K12", "K1i", "Kij", "V", "Vp"],
+                    np.column_stack([r, k12, k1i, kij, v, vp]))
     except MemoryError:
         raise ConfigError(f"--r asks for {cfg['samples']} samples, more than "
                           f"fit in memory")
@@ -144,20 +144,29 @@ def cmd_curvature(cfg, args):
 def _residual_csv(cfg, profile):
     res = einstein_residual(profile)
     header = ["s", "r"] + [f"E1_{i}{i}" for i in range(2, profile.n + 1)] + ["E2"]
-    rows = np.vstack([res.s, res.r, res.e1, res.e2]).T.tolist()
-    return _csv(cfg, header, rows)
+    return _csv(cfg, header, np.vstack([res.s, res.r, res.e1, res.e2]).T)
 
 
 def _profile_csv(cfg, profile):
     header = ["s", "r"] + [f"f{i}" for i in range(2, profile.n + 1)]
-    rows = np.vstack([profile.s, profile.r, profile.f]).T.tolist()
-    return _csv(cfg, header, rows,
+    return _csv(cfg, header, np.vstack([profile.s, profile.r, profile.f]).T,
                 extra_comments=[f"# theta_period={_fmt(profile.theta_period)}",
                                 f"# cap_radius={_fmt(profile.cap_radius or 0.0)}"])
 
 
+def _check_outer_radius(cfg, R):
+    """The glued end of cap radius R reaches out to outer_factor * R, which
+    must stay below gluing.R_MAX; an R at or past it is --R's or --ell's fault."""
+    r_out = cfg["outer_factor"] * R
+    if R < gluing.R_MAX <= r_out:
+        raise ConfigError(f"{_name('outer_factor')} {cfg['outer_factor']!r} puts the outer "
+                          f"radius of cap radius {R:g} at {r_out:g}, beyond "
+                          f"{gluing.R_MAX:.3g}, where V^2 overflows")
+
+
 def _glued(cfg):
     """The glued profile of glue and solve."""
+    _check_outer_radius(cfg, radius_for_meridian(cfg["n"], cfg["ell"]))
     return gluing.glue(cfg["n"], cfg["ell"], cfg["outer_factor"], cfg["nodes"])
 
 
@@ -229,6 +238,7 @@ def cmd_sweep(cfg, args):
         radii = np.array([float(x) for x in cfg["R"].split(",")])
     except ValueError as exc:       # its message quotes the bad entry
         raise ConfigError(f"--R takes comma-separated numbers: {exc}") from None
+    _check_outer_radius(cfg, radii.max())
     table = gluing.residual_decay_sweep(cfg["n"], radii=radii,
                                         r_out_factor=cfg["outer_factor"])
     if cfg["format"] == "json":
@@ -236,8 +246,8 @@ def cmd_sweep(cfg, args):
                            "weighted_residual": table["residual"],
                            "slope": table["slope"]})
     else:
-        rows = zip(table["R"], table["ell"], table["residual"])
-        text = _csv(cfg, ["R", "ell", "weighted_residual"], rows,
+        text = _csv(cfg, ["R", "ell", "weighted_residual"],
+                    np.column_stack([table["R"], table["ell"], table["residual"]]),
                     extra_comments=[f"# slope={_fmt(table['slope'])}"])
     _write_output(cfg["out"], text)
     return 0

@@ -95,7 +95,7 @@ def _bump01(t):
 
 _NEWTON_STEPS = 30       # cap on the collar inversion, which takes two or three
 _COLLAR_WIDTH = 1.0      # cap arclength of the interpolation collar
-_R_MAX = np.finfo(float).max ** 0.25     # the closed forms square V ~ r^2
+R_MAX = np.finfo(float).max ** 0.25     # the closed forms square V ~ r^2
 
 # The 16-point Gauss-Legendre rule, numpy.polynomial.legendre.leggauss(16),
 # whose nodes and weights are symmetric about 0: held as constants, since
@@ -212,10 +212,10 @@ class GluedEnd:
         if r_out_factor <= 1.0:
             raise ValueError("outer factor must exceed 1")
         self.r_out = r_out_factor * self.R
-        if not self.r_out < _R_MAX:
+        if not self.r_out < R_MAX:
             raise ValueError(
                 f"ell = {self.ell:g} with outer factor {r_out_factor:g} puts the "
-                f"outer radius at {self.r_out:g}, beyond {_R_MAX:.3g}, where V^2 overflows")
+                f"outer radius at {self.r_out:g}, beyond {R_MAX:.3g}, where V^2 overflows")
         self.cap_map = ArclengthMap(n)
         self.s_R = float(self.cap_map.s_of_r(self.R))
         if self.s_R <= _COLLAR_WIDTH + 0.05:
@@ -620,8 +620,8 @@ def residual_decay_sweep(n, radii, r_out_factor=4.0):
     """
     n = _check_dimension(n)
     radii = np.asarray(radii, dtype=float)
-    if not np.all(radii < _R_MAX):
-        raise ValueError(f"cap radii R must be finite and below {_R_MAX:.3g}")
+    if not np.all(radii < R_MAX):
+        raise ValueError(f"cap radii R must be finite and below {R_MAX:.3g}")
     rp = r_plus(n)
     if not np.all(radii > rp):
         raise ValueError(f"cap radii R must exceed r_plus = {rp:.6f}")

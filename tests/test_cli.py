@@ -7,6 +7,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 RUN = [sys.executable, "-m", "dehnfill.cli"]
@@ -145,6 +146,50 @@ def test_residual_field_csv(tmp_path):
     assert header == "s,r,E1_22,E1_33,E2"
 
 
+def _csv_numbers(path):
+    """The table of a CSV output, each field parsed back with float()."""
+    lines = [l for l in path.read_text().splitlines() if not l.startswith("#")][1:]
+    return np.array([[float(v) for v in l.split(",")] for l in lines])
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+def test_residual_csvs_parse_back_to_the_residual(n, tmp_path):
+    # "%.17g" round-trips every double, so the glued and the solved residual
+    # CSVs hold einstein_residual's arrays exactly
+    from dehnfill import cli, gluing, solver
+    from dehnfill.operators import einstein_residual
+    glued = gluing.glue(n, 14.0, 4.0, 256)
+    solved, _ = solver.newton_solve(glued, solver.SolverConfig(residual_tolerance=1e-6))
+    for command, profile in (("glue", glued), ("solve", solved)):
+        out = tmp_path / f"{command}.csv"
+        assert cli.main([command, "--n", str(n), "--ell", "14", "--nodes", "256",
+                         *(["--tol", "1e-6"] if command == "solve" else []),
+                         "--out", str(tmp_path / "out"), "--residuals", str(out)]) == 0
+        res = einstein_residual(profile)
+        assert np.array_equal(_csv_numbers(out),
+                              np.column_stack([res.s, res.r, res.e1.T, res.e2]))
+
+
+def _per_row_csv(config, header, rows, extra_comments=()):
+    """_csv as it was before it took a table: one "%.17g" format a row."""
+    from dehnfill import cli
+    lines = [f"# format_version={cli.FORMAT_VERSION}"]
+    lines += [f"# {key}={cli._fmt(config[key])}" for key in sorted(config) if key != "out"]
+    lines += [*extra_comments, ",".join(header)]
+    fmt = ",".join(["%.17g"] * len(header))
+    lines.extend(fmt % tuple(row) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("table", [np.empty((0, 3)), np.array([[2.5], [-1e-300], [0.1]])],
+                         ids=["no rows", "one column"])
+def test_csv_writes_empty_and_one_column_tables_as_before(table):
+    from dehnfill import cli
+    config, header = {"n": 4, "ell": 20.0, "out": "-"}, ["a", "b", "c"][:table.shape[1]]
+    assert (cli._csv(config, header, table, ["# slope=1"])
+            == _per_row_csv(config, header, table.tolist(), ["# slope=1"]))
+
+
 def test_solve_json_deterministic():
     args = ["solve", "--n", "3", "--ell", "10", "--nodes", "128", "--tol", "1e-7"]
     a, b = run_cli(args), run_cli(args)
@@ -276,7 +321,11 @@ def test_unconverged_solve_exits_4_and_writes_its_report(
     (["norms", "--n", "4", "--R", "1.2725202603939"], "R"),   # ulps above node 0
     (["glue", "--n", "3", "--ell", "0.5"], "ell"),
     (["solve", "--n", "3", "--ell", "1e-300"], "ell"),
+    (["glue", "--n", "3", "--ell", "10", "--outer-factor", "1e300"], "outer-factor"),
+    (["solve", "--n", "3", "--ell", "10", "--outer-factor", "1e300"], "outer-factor"),
+    (["sweep", "--n", "4", "--R", "8,16,32", "--outer-factor", "1e300"], "outer-factor"),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_non_finite_or_overflowing_option_exits_2(args, option, capsys, recwarn):
     # rejected where it enters, by name, before any numpy warning
     from dehnfill import cli
