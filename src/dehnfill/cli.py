@@ -28,6 +28,7 @@ from .geometry import (RadialGrid, r_plus, radius_for_meridian, sectional_curvat
 from .operators import InvariantTensor, einstein_residual
 
 FORMAT_VERSION = 1
+_R_SQUARE_MAX = np.finfo(float).max ** 0.5     # curvature's r_max, where r^2 stays finite
 
 
 class ConfigError(Exception):
@@ -126,10 +127,15 @@ def _json_default(obj):
 
 
 def cmd_curvature(cfg, args):
-    if cfg["r_min"] > cfg["r_max"]:
-        raise ConfigError("empty radial range")
+    lo, hi = cfg["r_min"], cfg["r_max"]
+    if lo > hi:
+        raise ConfigError(f"empty radial range: {_name('r_max')} {hi!r} is below "
+                          f"{_name('r_min')} {lo!r}")
+    if hi > _R_SQUARE_MAX:
+        raise ConfigError(f"{_name('r_max')} {hi!r} is beyond {_R_SQUARE_MAX:.3g}, "
+                          f"where V ~ r^2 overflows")
     try:
-        r = np.linspace(cfg["r_min"], cfg["r_max"], cfg["samples"])
+        r = np.linspace(lo, hi, cfg["samples"])
         k12, k1i, kij = sectional_curvatures(cfg["n"], r)
         v, vp, _ = v_profile(cfg["n"], r)
         text = _csv(cfg, ["r", "K12", "K1i", "Kij", "V", "Vp"],
@@ -279,7 +285,7 @@ _COMMANDS = {
     "glue": (cmd_glue, "build the glued almost-Einstein profile", ("csv",), _GLUED),
     "solve": (cmd_solve, "Newton-solve the glued profile", ("json", "csv"),
               {**_GLUED, "tol": (float, 1e-8, ("above", 0)),
-               "mode": (("newton", "frozen_jacobian"), "newton", None)}),
+               "mode": (solver.MODES, "newton", None)}),
     "kernel": (cmd_kernel, "decaying-kernel classification on the cusp",
                ("json",), {"n": _N}),
     "norms": (cmd_norms, "weighted norms of a seeded random tensor", ("json",),

@@ -26,6 +26,7 @@ from .operators import einstein_residual
 
 __all__ = [
     "NumericalError",
+    "MODES",
     "SolverConfig",
     "NewtonReport",
     "BandedLinearization",
@@ -43,6 +44,7 @@ _PROBE_STEPS = 400      # step cap of the spectral probe
 _PANEL = 48             # columns per panel of the probe's banded QR
 _FINITE_BLOCK = 512     # columns per finiteness check of a band
 _VERIFY_TOL = 1e-6      # residual below which verify_einstein passes a profile
+MODES = ("newton", "frozen_jacobian")   # the values of SolverConfig.mode
 
 
 class NumericalError(ValueError):
@@ -102,8 +104,8 @@ class SolverConfig:
         if not (isinstance(tol, numbers.Real) and np.isfinite(tol) and tol > 0):
             raise ValueError(f"residual_tolerance must be finite and positive, "
                              f"got {tol!r}")
-        if self.mode not in ("newton", "frozen_jacobian"):
-            raise ValueError("mode must be 'newton' or 'frozen_jacobian'")
+        if self.mode not in MODES:
+            raise ValueError(f"mode must be {' or '.join(map(repr, MODES))}")
 
 
 @dataclass

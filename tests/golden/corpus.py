@@ -61,8 +61,10 @@ COMMANDS.update({
     "kernel": ["kernel", "--n", "5"],
     "curvature": ["curvature", "--n", "4", "--r", "1.5", "6", "50"],
 })
-# the exit-2 commands of CI's console-script loop, in its order (a test
-# keeps the two lists equal)
+# commands the CLI rejects as configuration errors (exit 2) before any numpy
+# warning; their stderr is the CLI's own text, so test_golden.py checks them
+# on every host, the rest only where the fingerprint matches.  Append only:
+# an entry's name holds its index
 REJECTED = ["solve --n 3 --ell nan", "norms --n 4 --R 1e200",
             "solve --n 3 --ell 1e60 --nodes 256",
             "solve --n 3 --ell 10 --nodes 256 --tol 0",
@@ -75,7 +77,8 @@ REJECTED = ["solve --n 3 --ell nan", "norms --n 4 --R 1e200",
             "norms --n 4 --R 0", "norms --n 4 --R 1.1", "kernel --n 2",
             "norms --n 4 --R 64 --seed -1",
             "glue --n 3 --ell 10 --outer-factor 1",
-            "norms --n 4 --R 1.2725202603939"]
+            "norms --n 4 --R 1.2725202603939",
+            "curvature --n 4 --r 2 1e155 3"]
 for _i, _cmd in enumerate(REJECTED):
     COMMANDS[f"rejected_{_i:02d}_{_cmd.split()[0]}"] = _cmd.split()
 
@@ -94,9 +97,9 @@ def _sha(data):
 
 def run(argv, out_dir):
     """Run one command in process, with RuntimeWarning raised as an error as
-    CI's console-script loop raises it; (exit code, stderr bytes, {output
-    name: bytes}), stdout under the name "stdout" when anything is written
-    to it."""
+    CI raises it for the installed entry point; (exit code, stderr bytes,
+    {output name: bytes}), stdout under the name "stdout" when anything is
+    written to it."""
     from dehnfill import cli
     out_dir = Path(out_dir)
     args = [a.replace("{dir}", str(out_dir)) for a in argv]

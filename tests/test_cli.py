@@ -44,7 +44,20 @@ def test_curvature_hyperbolic_rows():
 def test_curvature_empty_range_exits_2():
     res = run_cli(["curvature", "--n", "4", "--r", "5", "2", "10"])
     assert res.returncode == 2
-    assert "configuration error" in res.stderr
+    assert "configuration error: empty radial range: r_max 2.0" in res.stderr
+
+
+@pytest.mark.parametrize("r_max", ["1e150", str(np.finfo(float).max ** 0.5)])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_curvature_reaches_up_to_where_r_squared_overflows(r_max, tmp_path):
+    # one float further, r_max exits 2 (in
+    # test_non_finite_or_overflowing_option_exits_2)
+    from dehnfill import cli
+    out = tmp_path / "curv.csv"
+    assert cli.main(["curvature", "--n", "4", "--r", "2", r_max, "3",
+                     "--out", str(out)]) == 0
+    table = _csv_numbers(out)
+    assert table[-1, 0] == float(r_max) and np.isfinite(table).all()
 
 
 def test_kernel_json():
@@ -155,7 +168,8 @@ def _csv_numbers(path):
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
 def test_residual_csvs_parse_back_to_the_residual(n, tmp_path):
     # "%.17g" round-trips every double, so the glued and the solved residual
-    # CSVs hold einstein_residual's arrays exactly
+    # CSVs hold einstein_residual's arrays exactly, each field as "%.17g"
+    # writes it on this Python and numpy
     from dehnfill import cli, gluing, solver
     from dehnfill.operators import einstein_residual
     glued = gluing.glue(n, 14.0, 4.0, 256)
@@ -168,6 +182,8 @@ def test_residual_csvs_parse_back_to_the_residual(n, tmp_path):
         res = einstein_residual(profile)
         assert np.array_equal(_csv_numbers(out),
                               np.column_stack([res.s, res.r, res.e1.T, res.e2]))
+        rows = [l for l in out.read_text().splitlines() if not l.startswith("#")][1:]
+        assert all(f == "%.17g" % float(f) for l in rows for f in l.split(","))
 
 
 def _per_row_csv(config, header, rows, extra_comments=()):
@@ -324,6 +340,9 @@ def test_unconverged_solve_exits_4_and_writes_its_report(
     (["glue", "--n", "3", "--ell", "10", "--outer-factor", "1e300"], "outer-factor"),
     (["solve", "--n", "3", "--ell", "10", "--outer-factor", "1e300"], "outer-factor"),
     (["sweep", "--n", "4", "--R", "8,16,32", "--outer-factor", "1e300"], "outer-factor"),
+    (["curvature", "--n", "4", "--r", "2", "1e155", "3"], "r_max"),
+    (["curvature", "--n", "4", "--r", "2",
+      str(np.nextafter(np.finfo(float).max ** 0.5, np.inf)), "3"], "r_max"),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_non_finite_or_overflowing_option_exits_2(args, option, capsys, recwarn):
@@ -512,6 +531,8 @@ def test_main_without_a_command_uses_the_full_parser(argv, capsys):
     got = exc.value.code, *capsys.readouterr()
     assert got == _parsed(cli.build_parser(), argv, capsys)
     assert got[0] == (0 if "-h" in argv or "--help" in argv else 2)
+    if got[0] == 0:         # the help lists every command, each on its line
+        assert all(f"\n    {c} " in got[1] for c in cli._COMMANDS)
 
 
 def test_main_declares_the_command_it_is_given(monkeypatch, capsys):
