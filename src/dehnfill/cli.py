@@ -295,11 +295,13 @@ _COMMANDS = {
               "radii R", ("csv", "json"),
               {"n": _N, "R": (str, None, None), "outer_factor": _GLUED["outer_factor"]}),
     "estimate": (cmd_estimate, "randomized interior-bound harness", ("json",),
-                 {"n": _N, "R": (float, None, None), "alpha": (float, 0.5, ("at least", 0)),
+                 {"n": _N, "R": (float, None, ("above", "r_plus + 2")),
+                  "alpha": (float, 0.5, ("at least", 0)),
                   "trials": (int, 50, ("at least", 1)), "seed": (int, 0, ("at least", 0)),
                   "nodes": (int, 1024, ("at least", asymptotics.MIN_NODES))}),
 }
-_OF_N = {"r_plus": r_plus, "1.01 r_plus": lambda n: 1.01 * r_plus(n)}
+_OF_N = {"r_plus": r_plus, "1.01 r_plus": lambda n: 1.01 * r_plus(n),
+         "r_plus + 2": lambda n: r_plus(n) + 2.0}
 _BY_R = ("r_min", "r_max", "samples")     # curvature's, set by --r
 
 

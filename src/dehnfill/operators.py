@@ -110,13 +110,18 @@ def einstein_residual(profile: DiagonalMetricProfile):
     curvature-matched scalar stencils with the fourth-order parity window
     at a closed cap.
     """
+    return _residual_and_system(profile)[0]
+
+
+def _residual_and_system(profile):
+    """einstein_residual, and the stencil system it evaluates."""
     _check_uniform(profile)
     if np.any(profile.f[:, 1:] <= 0) or (not profile.has_cap and profile.f[0, 0] <= 0):
         raise ValueError("torus block is not positive definite at an interior node")
     sys = _stencils.DiagonalSystem(profile.n, profile.s, profile.f)
     e1n, e2 = sys.residual()
     r = None if profile.r is None else profile.r[1:-1]
-    return EinsteinResidual(profile.n, profile.s[1:-1], e1n, e2, r=r)
+    return EinsteinResidual(profile.n, profile.s[1:-1], e1n, e2, r=r), sys
 
 
 def linearized_residual(profile: DiagonalMetricProfile, dM):

@@ -22,7 +22,7 @@ from . import _stencils
 from ._lapack import check_info, dgbtrf, dgbtrs, dgeqrf, dormqr, dpbtrs
 from .geometry import DiagonalMetricProfile, RadialGrid
 from .gluing import WeightFunction, _NormPlan, rho_cutoff, weight
-from .operators import einstein_residual
+from .operators import _residual_and_system
 
 __all__ = [
     "NumericalError",
@@ -201,7 +201,7 @@ class BandedLinearization:
 
     def residual_vector(self):
         """Stacked residual in row order: parity rows, then E1 rows."""
-        return _stacked_residual(self.index, self.sys)
+        return _stacked_residual(self.index, self.sys, self.sys.residual()[0])
 
     def _factor(self):
         """LU-factor A in place and hold the factors."""
@@ -339,9 +339,9 @@ def _unknown_index(n, N):
     return index
 
 
-def _stacked_residual(index, sys):
-    """Residual of a system at any iterate, in the row order of index."""
-    e1n, _ = sys.residual()
+def _stacked_residual(index, sys, e1n):
+    """Residual of a system at any iterate, in the row order of index, from
+    its normalized E1 rows e1n."""
     out = np.zeros(int(index.max()) + 1)
     out[index[:, 1:-1]] = e1n
     for comp in range(1, index.shape[0]):
@@ -418,8 +418,8 @@ def newton_solve(g0: DiagonalMetricProfile, cfg: SolverConfig | None = None):
         # partials only where a matrix may be assembled from this system
         fresh = lin is None
         sys = _stencils.DiagonalSystem(profile.n, profile.s, profile.f, partials=fresh)
-        res = _stacked_residual(index, sys)
-        rnorm = float(np.abs(res[index[:, 1:-1]]).max())
+        e1n, e2 = sys.residual()
+        rnorm = float(np.abs(e1n).max())
         history.append(rnorm)
         if plan is not None:
             norms = plan.double_star_diagonal(profile.f**2 - f0_squared)
@@ -443,10 +443,10 @@ def newton_solve(g0: DiagonalMetricProfile, cfg: SolverConfig | None = None):
             break
         if fresh:
             lin = BandedLinearization(profile, sys)
-        step = np.clip(lin.solve(-res), -_STEP_CLIP, _STEP_CLIP)
+        step = np.clip(lin.solve(-_stacked_residual(index, sys, e1n)),
+                       -_STEP_CLIP, _STEP_CLIP)
         profile.f[free] *= np.exp(step[index[free]])
         profile.f[0, 0] = 0.0
-    _, e2 = sys.residual()       # every exit breaks right after sys is built
     orders = _fit_orders(history)
     report = NewtonReport(
         converged=history[-1] < cfg.residual_tolerance and not diverged,
@@ -476,7 +476,7 @@ def _fit_orders(history):
 def verify_einstein(profile):
     """Report-only certification of a profile against the reduced system,
     at tolerance _VERIFY_TOL."""
-    res = einstein_residual(profile)
+    res, sys = _residual_and_system(profile)
     report = {
         "max_e1_normalized": res.max_e1(),
         "max_e2": res.max_e2(),
@@ -485,7 +485,6 @@ def verify_einstein(profile):
         "passes": max(res.max_e1(), res.max_e2_relative()) < _VERIFY_TOL,
     }
     if profile.n == 3:
-        sys = _stencils.DiagonalSystem(profile.n, profile.s, profile.f)
         k12 = -sys.q[0]
         k13 = -sys.q[1]
         k23 = -sys.d[0] * sys.d[1]

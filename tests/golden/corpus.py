@@ -13,6 +13,11 @@ leaves every CLI output byte for byte as it was.  Before re-recording,
 report what would change (reruns the corpus, re-records nothing):
 
     PYTHONPATH=src python tests/golden/corpus.py --report
+
+To add an entry, record the whole corpus on the host the manifest names:
+there every other entry is rewritten byte for byte as it was, so `--report`
+before and `git diff` after show only the new entry's manifest item and
+files changing.
 """
 
 from __future__ import annotations
@@ -121,6 +126,12 @@ def run(argv, out_dir):
     return code, stderr.getvalue().encode("utf-8"), outputs
 
 
+def kept(name, key):
+    """Where entry name's output key, or its "stderr", is committed, if it
+    is small enough."""
+    return OUTPUTS / (f"{name}.{key}" if key in ("stdout", "stderr") else key)
+
+
 def record():
     OUTPUTS.mkdir(exist_ok=True)
     for old in OUTPUTS.iterdir():
@@ -131,12 +142,11 @@ def record():
             code, err, outputs = run(argv, tmp)
             entries[name] = {"argv": argv, "exit": code, "stderr": _sha(err),
                              "outputs": {k: _sha(v) for k, v in outputs.items()}}
-            small = {f"{name}.stdout" if k == "stdout" else k: v
-                     for k, v in outputs.items() if len(v) < SMALL_BYTES}
+            small = {kept(name, k): v for k, v in outputs.items() if len(v) < SMALL_BYTES}
             if err:
-                small[f"{name}.stderr"] = err
+                small[kept(name, "stderr")] = err
             for target, data in small.items():
-                (OUTPUTS / target).write_bytes(data)
+                target.write_bytes(data)
     doc = {"fingerprint": fingerprint(), "commands": entries}
     MANIFEST.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     print(f"recorded {len(entries)} commands in {MANIFEST}")
@@ -242,12 +252,12 @@ def report():
             differ += bool(notes)
             print(f"{name}: {'; '.join(notes) or 'identical'}")
             for key, data in outputs.items():
-                kept = OUTPUTS / (f"{name}.stdout" if key == "stdout" else key)
-                if not kept.exists():
+                path = kept(name, key)
+                if not path.exists():
                     continue
-                numeric, other = changes(_fields(kept.read_bytes()), _fields(data))
+                numeric, other = changes(_fields(path.read_bytes()), _fields(data))
                 same = [k for k, v in numeric.items() if v == (0.0, 0.0)]
-                print(f"  {kept.name}: {len(same)} of {len(numeric)} numeric fields unchanged")
+                print(f"  {path.name}: {len(same)} of {len(numeric)} numeric fields unchanged")
                 for k, (big_abs, big_rel) in numeric.items():
                     if k not in same:
                         moved += 1

@@ -1,28 +1,40 @@
+"""The command line, run in process by the golden corpus's runner.  A child
+process runs a command only where the check is about a process: two
+processes write the same bytes, and a capped address space makes a large
+allocation fail."""
+
 import json
 import math
 import os
 import re
 import subprocess
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from golden import corpus
 
-RUN = [sys.executable, "-m", "dehnfill.cli"]
+
+def run_cli(args, out_dir="."):
+    """(exit code, stdout, stderr) of one command, run in process by
+    corpus.run, with RuntimeWarning raised as an error; "{dir}" in an
+    argument stands for out_dir."""
+    code, err, outputs = corpus.run(args, out_dir)
+    return code, outputs.get("stdout", b"").decode(), err.decode()
 
 
-def run_cli(args, **kw):
-    return subprocess.run(RUN + args, capture_output=True, text=True, **kw)
+def run_child(args, **kw):
+    """One command in a child process, `python -m dehnfill.cli`."""
+    return subprocess.run([sys.executable, "-m", "dehnfill.cli", *args],
+                          capture_output=True, text=True, **kw)
 
 
 def test_curvature_single_row(tmp_path):
-    out = tmp_path / "curv.csv"
-    res = run_cli(["curvature", "--n", "4", "--r", "2", "2", "1",
-                   "--out", str(out)])
-    assert res.returncode == 0
-    lines = out.read_text().strip().splitlines()
+    code, _, _ = run_cli(["curvature", "--n", "4", "--r", "2", "2", "1",
+                          "--out", "{dir}/curv.csv"], tmp_path)
+    assert code == 0
+    lines = (tmp_path / "curv.csv").read_text().strip().splitlines()
     header = [l for l in lines if not l.startswith("#")][0]
     assert header == "r,K12,K1i,Kij,V,Vp"
     row = [float(x) for x in lines[-1].split(",")]
@@ -31,9 +43,9 @@ def test_curvature_single_row(tmp_path):
 
 
 def test_curvature_hyperbolic_rows():
-    res = run_cli(["curvature", "--n", "3", "--r", "1.5", "8", "5"])
-    assert res.returncode == 0
-    rows = [l for l in res.stdout.strip().splitlines()
+    code, out, _ = run_cli(["curvature", "--n", "3", "--r", "1.5", "8", "5"])
+    assert code == 0
+    rows = [l for l in out.strip().splitlines()
             if not l.startswith("#") and not l.startswith("r,")]
     for row in rows:
         vals = [float(x) for x in row.split(",")]
@@ -42,28 +54,25 @@ def test_curvature_hyperbolic_rows():
 
 
 def test_curvature_empty_range_exits_2():
-    res = run_cli(["curvature", "--n", "4", "--r", "5", "2", "10"])
-    assert res.returncode == 2
-    assert "configuration error: empty radial range: r_max 2.0" in res.stderr
+    code, _, err = run_cli(["curvature", "--n", "4", "--r", "5", "2", "10"])
+    assert code == 2
+    assert "configuration error: empty radial range: r_max 2.0" in err
 
 
 @pytest.mark.parametrize("r_max", ["1e150", str(np.finfo(float).max ** 0.5)])
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_curvature_reaches_up_to_where_r_squared_overflows(r_max, tmp_path):
     # one float further, r_max exits 2 (in
     # test_non_finite_or_overflowing_option_exits_2)
-    from dehnfill import cli
-    out = tmp_path / "curv.csv"
-    assert cli.main(["curvature", "--n", "4", "--r", "2", r_max, "3",
-                     "--out", str(out)]) == 0
-    table = _csv_numbers(out)
+    assert run_cli(["curvature", "--n", "4", "--r", "2", r_max, "3",
+                    "--out", "{dir}/curv.csv"], tmp_path)[0] == 0
+    table = _csv_numbers(tmp_path / "curv.csv")
     assert table[-1, 0] == float(r_max) and np.isfinite(table).all()
 
 
 def test_kernel_json():
-    res = run_cli(["kernel", "--n", "5"])
-    assert res.returncode == 0
-    doc = json.loads(res.stdout)
+    code, out, _ = run_cli(["kernel", "--n", "5"])
+    assert code == 0
+    doc = json.loads(out)
     assert doc["dimension"] == 9
     assert doc["strict_dimension"] == 0
     assert doc["format_version"] == 1
@@ -72,47 +81,35 @@ def test_kernel_json():
 
 
 def test_glue_and_solve_roundtrip(tmp_path):
-    out = tmp_path / "prof.csv"
-    res = run_cli(["glue", "--n", "3", "--ell", "10", "--nodes", "128",
-                   "--out", str(out)])
-    assert res.returncode == 0
-    text = out.read_text()
+    code, _, _ = run_cli(["glue", "--n", "3", "--ell", "10", "--nodes", "128",
+                          "--out", "{dir}/prof.csv"], tmp_path)
+    assert code == 0
+    text = (tmp_path / "prof.csv").read_text()
     assert text.splitlines()[0] == "# format_version=1"
     assert "s,r,f2,f3" in text
 
-    res = run_cli(["solve", "--n", "3", "--ell", "10", "--nodes", "256",
-                   "--tol", "1e-8"])
-    assert res.returncode == 0
-    doc = json.loads(res.stdout)
+    code, out, _ = run_cli(["solve", "--n", "3", "--ell", "10", "--nodes", "256",
+                            "--tol", "1e-8"])
+    assert code == 0
+    doc = json.loads(out)
     assert doc["converged"] is True
     assert doc["final_max_residual"] < 1e-8
     assert doc["iterations"] <= 8
 
 
 def test_sweep_slope_field():
-    res = run_cli(["sweep", "--n", "3", "--R", "6,12,24"])
-    assert res.returncode == 0
-    slope_line = [l for l in res.stdout.splitlines() if l.startswith("# slope=")][0]
+    code, out, _ = run_cli(["sweep", "--n", "3", "--R", "6,12,24"])
+    assert code == 0
+    slope_line = [l for l in out.splitlines() if l.startswith("# slope=")][0]
     slope = float(slope_line.split("=")[1])
     assert -2.2 < slope < -1.8
 
 
-def test_estimate_deterministic():
-    a = run_cli(["estimate", "--n", "4", "--R", "16", "--alpha", "0.5",
-                 "--trials", "5", "--seed", "11", "--nodes", "256"])
-    b = run_cli(["estimate", "--n", "4", "--R", "16", "--alpha", "0.5",
-                 "--trials", "5", "--seed", "11", "--nodes", "256"])
-    assert a.returncode == b.returncode == 0
-    assert a.stdout == b.stdout
-    doc = json.loads(a.stdout)
-    assert doc["fitted_constant"] > 0
-
-
 def test_norms_output():
-    res = run_cli(["norms", "--n", "4", "--R", "64", "--nodes", "400",
-                   "--seed", "3"])
-    assert res.returncode == 0
-    doc = json.loads(res.stdout)
+    code, out, _ = run_cli(["norms", "--n", "4", "--R", "64", "--nodes", "400",
+                            "--seed", "3"])
+    assert code == 0
+    doc = json.loads(out)
     assert doc["double_star"] <= doc["star"] + 1e-12
     assert len(doc["u_matrix"]) == 3
 
@@ -120,41 +117,52 @@ def test_norms_output():
 def test_config_file_and_flag_precedence(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("n = 5\n\n# comment\n")
-    res = run_cli(["kernel", "--config", str(cfg)])
-    assert res.returncode == 0
-    assert json.loads(res.stdout)["dimension"] == 9
-    res = run_cli(["kernel", "--config", str(cfg), "--n", "4"])
-    assert json.loads(res.stdout)["dimension"] == 5   # flag wins
+    code, out, _ = run_cli(["kernel", "--config", str(cfg)])
+    assert code == 0
+    assert json.loads(out)["dimension"] == 9
+    _, out, _ = run_cli(["kernel", "--config", str(cfg), "--n", "4"])
+    assert json.loads(out)["dimension"] == 5   # flag wins
 
 
 def test_config_rejects_unknown_key(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("wibble = 3\n")
-    res = run_cli(["kernel", "--config", str(cfg), "--n", "4"])
-    assert res.returncode == 2
-    assert "unknown key" in res.stderr
+    code, _, err = run_cli(["kernel", "--config", str(cfg), "--n", "4"])
+    assert code == 2
+    assert "unknown key" in err
 
 
 def test_missing_required_option_exits_2():
-    res = run_cli(["glue", "--n", "3"])
-    assert res.returncode == 2
+    assert run_cli(["glue", "--n", "3"])[0] == 2
 
 
-def test_byte_identical_outputs(tmp_path):
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    for path in (a, b):
-        res = run_cli(["glue", "--n", "4", "--ell", "30", "--nodes", "128",
-                       "--out", str(path)])
-        assert res.returncode == 0
-    assert a.read_bytes() == b.read_bytes()
+@pytest.mark.parametrize("args", [
+    ["glue", "--n", "4", "--ell", "30", "--nodes", "128", "--out", "{dir}/profile.csv"],
+    ["solve", "--n", "3", "--ell", "10", "--nodes", "128", "--tol", "1e-7"],
+    ["estimate", "--n", "4", "--R", "16", "--alpha", "0.5", "--trials", "5",
+     "--seed", "11", "--nodes", "256"],
+], ids=lambda v: v[0])
+def test_two_processes_write_the_same_bytes(args, tmp_path):
+    # identical configuration and seed: the same output bytes from two
+    # processes of `python -m dehnfill.cli`
+    written = []
+    for run in ("a", "b"):
+        out_dir = tmp_path / run
+        out_dir.mkdir()
+        res = run_child([a.replace("{dir}", str(out_dir)) for a in args])
+        assert res.returncode == 0, res.stderr
+        files = sorted(out_dir.iterdir())
+        written.append([res.stdout, *(f.read_bytes() for f in files)])
+    assert written[0] == written[1]
+    assert any(written[0])
 
 
 def test_residual_field_csv(tmp_path):
-    out = tmp_path / "res.csv"
-    res = run_cli(["glue", "--n", "3", "--ell", "10", "--nodes", "128",
-                   "--out", str(tmp_path / "p.csv"), "--residuals", str(out)])
-    assert res.returncode == 0
-    lines = out.read_text().splitlines()
+    code, _, _ = run_cli(["glue", "--n", "3", "--ell", "10", "--nodes", "128",
+                          "--out", "{dir}/p.csv", "--residuals", "{dir}/res.csv"],
+                         tmp_path)
+    assert code == 0
+    lines = (tmp_path / "res.csv").read_text().splitlines()
     header = [l for l in lines if not l.startswith("#")][0]
     assert header == "s,r,E1_22,E1_33,E2"
 
@@ -170,15 +178,15 @@ def test_residual_csvs_parse_back_to_the_residual(n, tmp_path):
     # "%.17g" round-trips every double, so the glued and the solved residual
     # CSVs hold einstein_residual's arrays exactly, each field as "%.17g"
     # writes it on this Python and numpy
-    from dehnfill import cli, gluing, solver
+    from dehnfill import gluing, solver
     from dehnfill.operators import einstein_residual
     glued = gluing.glue(n, 14.0, 4.0, 256)
     solved, _ = solver.newton_solve(glued, solver.SolverConfig(residual_tolerance=1e-6))
     for command, profile in (("glue", glued), ("solve", solved)):
         out = tmp_path / f"{command}.csv"
-        assert cli.main([command, "--n", str(n), "--ell", "14", "--nodes", "256",
-                         *(["--tol", "1e-6"] if command == "solve" else []),
-                         "--out", str(tmp_path / "out"), "--residuals", str(out)]) == 0
+        assert run_cli([command, "--n", str(n), "--ell", "14", "--nodes", "256",
+                        *(["--tol", "1e-6"] if command == "solve" else []),
+                        "--out", "{dir}/out", "--residuals", str(out)], tmp_path)[0] == 0
         res = einstein_residual(profile)
         assert np.array_equal(_csv_numbers(out),
                               np.column_stack([res.s, res.r, res.e1.T, res.e2]))
@@ -206,17 +214,10 @@ def test_csv_writes_empty_and_one_column_tables_as_before(table):
             == _per_row_csv(config, header, table.tolist(), ["# slope=1"]))
 
 
-def test_solve_json_deterministic():
-    args = ["solve", "--n", "3", "--ell", "10", "--nodes", "128", "--tol", "1e-7"]
-    a, b = run_cli(args), run_cli(args)
-    assert a.returncode == b.returncode == 0
-    assert a.stdout == b.stdout
-
-
 def test_sweep_json_format():
-    res = run_cli(["sweep", "--n", "3", "--R", "6,12,24", "--format", "json"])
-    assert res.returncode == 0
-    doc = json.loads(res.stdout)
+    code, out, _ = run_cli(["sweep", "--n", "3", "--R", "6,12,24", "--format", "json"])
+    assert code == 0
+    doc = json.loads(out)
     assert len(doc["R"]) == 3
     assert -2.2 < doc["slope"] < -1.8
 
@@ -272,16 +273,15 @@ def test_missing_lapack_wrapper_names_its_path(monkeypatch, tmp_path):
         _lapack._load_flapack()
 
 
-def test_numerical_failure_exits_3(monkeypatch, capsys):
-    from dehnfill import cli, solver
+def test_numerical_failure_exits_3(monkeypatch):
+    from dehnfill import solver
 
     def nan_solve(profile, config):
         raise solver.NumericalError("the Newton matrix holds infs or NaNs")
 
     monkeypatch.setattr(solver, "newton_solve", nan_solve)
-    code = cli.main(["solve", "--n", "3", "--ell", "10", "--nodes", "128"])
+    code, _, err = run_cli(["solve", "--n", "3", "--ell", "10", "--nodes", "128"])
     assert code == 3
-    err = capsys.readouterr().err
     assert err.startswith("dehnfill: numerical failure: ")
     assert "configuration error" not in err
 
@@ -295,20 +295,20 @@ def test_unconverged_solve_exits_4_and_writes_its_report(
         args, cap, message, monkeypatch, tmp_path):
     import functools
 
-    from dehnfill import cli, solver
+    from dehnfill import solver
     if cap is not None:
         monkeypatch.setattr(solver, "SolverConfig", functools.partial(
             solver.SolverConfig, max_iterations=cap))
-    out = tmp_path / "report.json"
-    assert cli.main(["solve", "--n", "3", "--ell", "10", *args,
-                     "--out", str(out)]) == 4
-    doc = json.loads(out.read_text())
+    assert run_cli(["solve", "--n", "3", "--ell", "10", *args,
+                    "--out", "{dir}/report.json"], tmp_path)[0] == 4
+    doc = json.loads((tmp_path / "report.json").read_text())
     assert doc["converged"] is False and doc["diverged"] is False
     assert doc["message"] == message
 
 
+# each argv of the golden corpus's REJECTED list is checked there, on every
+# host, to its exact stderr
 @pytest.mark.parametrize("args, option", [
-    (["solve", "--n", "3", "--ell", "nan"], "ell"),
     (["solve", "--n", "3", "--ell", "1e300"], "ell"),
     (["solve", "--n", "3", "--ell", "10", "--tol", "inf"], "tol"),
     (["solve", "--n", "3", "--ell", "10", "--tol", "0"], "tol"),
@@ -318,69 +318,30 @@ def test_unconverged_solve_exits_4_and_writes_its_report(
     (["estimate", "--n", "4", "--R", "1e300"], "R"),
     (["norms", "--n", "4", "--R", "nan"], "R"),
     (["norms", "--n", "4", "--R", "inf"], "R"),
-    (["norms", "--n", "4", "--R", "1e200"], "R"),
-    (["solve", "--n", "3", "--ell", "1e60", "--nodes", "256"], "nodes"),
     (["sweep", "--n", "4", "--R", "8,inf,32"], "R"),
     (["sweep", "--n", "3", "--R", "8,1e300,32"], "R"),
     (["curvature", "--n", "3", "--r", "2", "nan", "3"], "r_max"),
-    (["curvature", "--n", "3", "--r", "1.5", "3", "nan"], "r"),
     (["curvature", "--n", "3", "--r", "1.5", "3", "inf"], "r"),
     (["curvature", "--n", "3", "--r", "1.5", "3", "2.9"], "r"),
     (["curvature", "--n", "3", "--r", "1.5", "3", "1e300"], "r"),
     (["estimate", "--n", "4", "--R", "16", "--trials", "-1"], "trials"),
-    (["sweep", "--n", "4", "--R", "1,2,3"], "R"),
     (["sweep", "--n", "4", "--R", "8,8,8"], "R"),
     (["norms", "--n", "4", "--R", "10", "--nodes", "1"], "nodes"),
-    (["norms", "--n", "4", "--R", "0"], "R"),
     (["norms", "--n", "4", "--R", "-1"], "R"),
-    (["norms", "--n", "4", "--R", "1.1"], "R"),
-    (["norms", "--n", "4", "--R", "1.2725202603939"], "R"),   # ulps above node 0
     (["glue", "--n", "3", "--ell", "0.5"], "ell"),
     (["solve", "--n", "3", "--ell", "1e-300"], "ell"),
     (["glue", "--n", "3", "--ell", "10", "--outer-factor", "1e300"], "outer-factor"),
     (["solve", "--n", "3", "--ell", "10", "--outer-factor", "1e300"], "outer-factor"),
     (["sweep", "--n", "4", "--R", "8,16,32", "--outer-factor", "1e300"], "outer-factor"),
-    (["curvature", "--n", "4", "--r", "2", "1e155", "3"], "r_max"),
     (["curvature", "--n", "4", "--r", "2",
       str(np.nextafter(np.finfo(float).max ** 0.5, np.inf)), "3"], "r_max"),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_non_finite_or_overflowing_option_exits_2(args, option, capsys, recwarn):
+def test_non_finite_or_overflowing_option_exits_2(args, option):
     # rejected where it enters, by name, before any numpy warning
-    from dehnfill import cli
-    assert cli.main(args) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("dehnfill: configuration error: ")
-    assert re.search(rf"\b{option}\b", captured.err)
-    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
-
-
-def test_estimate_without_trials_exits_2():
-    # in a child process: SciPy's dgtsv wrapper corrupts the heap on a
-    # right-hand side with no columns, which would abort this interpreter
-    res = run_cli(["estimate", "--n", "4", "--R", "16", "--trials", "0"])
-    assert res.returncode == 2
-    assert res.stdout == ""
-    assert res.stderr.startswith("dehnfill: configuration error: ")
-    assert re.search(r"\btrials\b", res.stderr)
-
-
-@pytest.mark.parametrize("args, option", [
-    (["curvature", "--n", "3", "--r", "1.5", "3", "100000000000"], "--r "),
-    (["glue", "--n", "3", "--ell", "10", "--nodes", "10"], "--nodes "),
-    (["solve", "--n", "3", "--ell", "10", "--nodes", "65"], "--nodes "),
-    (["estimate", "--n", "4", "--R", "16", "--nodes", "3"], "--nodes "),
-], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
-def test_count_out_of_range_exits_2_naming_its_option(args, option):
-    # a sample count too large to allocate, or fewer nodes than the command
-    # needs, is a configuration error that names the flag, with no traceback
-    res = run_cli(args)
-    assert res.returncode == 2
-    assert res.stdout == ""
-    assert res.stderr.startswith("dehnfill: configuration error: ")
-    assert option in res.stderr
-    assert "Traceback" not in res.stderr
+    code, out, err = run_cli(args)
+    assert (code, out) == (2, "")
+    assert err.startswith("dehnfill: configuration error: ")
+    assert re.search(rf"\b{option}\b", err)
 
 
 # the formats each command writes, its default first, and a small run of it
@@ -413,22 +374,17 @@ _SMALL = {command: _flags(command, values) for command, values in _BASE.items()}
 @pytest.mark.parametrize("command, fmt", [
     (c, f) for c, written in _WRITES.items() for f in ("csv", "json")
     if f not in written])
-def test_format_a_command_does_not_write_exits_2(command, fmt, capsys):
-    from dehnfill import cli
-    with pytest.raises(SystemExit) as exc:
-        cli.main([command, *_SMALL[command], "--format", fmt])
-    assert exc.value.code == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "--format" in captured.err
+def test_format_a_command_does_not_write_exits_2(command, fmt):
+    code, out, err = run_cli([command, *_SMALL[command], "--format", fmt])
+    assert (code, out) == (2, "")
+    assert "--format" in err
 
 
 @pytest.mark.parametrize("command, fmt", [
     (c, f) for c, written in _WRITES.items() for f in written])
-def test_format_a_command_writes_is_what_it_writes(command, fmt, capsys):
-    from dehnfill import cli
-    assert cli.main([command, *_SMALL[command], "--format", fmt]) == 0
-    out = capsys.readouterr().out
+def test_format_a_command_writes_is_what_it_writes(command, fmt):
+    code, out, _ = run_cli([command, *_SMALL[command], "--format", fmt])
+    assert code == 0
     if fmt == "json":
         assert json.loads(out)["config"]["format"] == "json"
     else:
@@ -442,25 +398,22 @@ def test_format_a_command_writes_is_what_it_writes(command, fmt, capsys):
     ("sweep", "format = xml", "format"),
     ("solve", "mode = bogus", "mode"),
 ])
-def test_config_file_value_outside_its_choices_exits_2(tmp_path, capsys,
-                                                       command, line, option):
-    from dehnfill import cli
+def test_config_file_value_outside_its_choices_exits_2(tmp_path, command, line,
+                                                       option):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(line + "\n")
-    assert cli.main([command, *_SMALL[command], "--config", str(cfg)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("dehnfill: configuration error: ")
-    assert re.search(rf"\b{option}\b", captured.err)
+    code, out, err = run_cli([command, *_SMALL[command], "--config", str(cfg)])
+    assert (code, out) == (2, "")
+    assert err.startswith("dehnfill: configuration error: ")
+    assert re.search(rf"\b{option}\b", err)
 
 
-def test_config_file_keys_of_other_commands_are_ignored(tmp_path, capsys):
-    from dehnfill import cli
+def test_config_file_keys_of_other_commands_are_ignored(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("n = 5\nell = 10\ntrials = x\n")
-    assert cli.main(["kernel", "--config", str(cfg)]) == 0
-    assert json.loads(capsys.readouterr().out)["config"] == {"format": "json",
-                                                             "n": 5}
+    code, out, _ = run_cli(["kernel", "--config", str(cfg)])
+    assert code == 0
+    assert json.loads(out)["config"] == {"format": "json", "n": 5}
 
 
 def _cap_address_space():
@@ -478,7 +431,7 @@ def _cap_address_space():
     ["estimate", "--n", "4", "--R", "16", "--trials", "100000000000"],
 ], ids=lambda v: " ".join(v))
 def test_unallocatable_size_exits_2(args):
-    res = run_cli(args, preexec_fn=_cap_address_space)
+    res = run_child(args, preexec_fn=_cap_address_space)
     assert res.returncode == 2
     assert res.stdout == ""
     assert res.stderr.startswith("dehnfill: configuration error: ")
@@ -486,12 +439,10 @@ def test_unallocatable_size_exits_2(args):
 
 
 @pytest.mark.parametrize("command", sorted(_WRITES))
-def test_help_lists_the_formats_a_command_writes(command, capsys):
-    from dehnfill import cli
-    with pytest.raises(SystemExit) as exc:
-        cli.main([command, "--help"])
-    assert exc.value.code == 0
-    assert f"--format {{{','.join(_WRITES[command])}}}" in capsys.readouterr().out
+def test_help_lists_the_formats_a_command_writes(command):
+    code, out, _ = run_cli([command, "--help"])
+    assert code == 0
+    assert f"--format {{{','.join(_WRITES[command])}}}" in out
 
 
 def _parsed(parser, argv, capsys):
@@ -526,29 +477,25 @@ def test_one_command_parser_reads_as_the_full_one(command, rest, capsys):
                                   ["-h", "solve"]], ids=" ".join)
 def test_main_without_a_command_uses_the_full_parser(argv, capsys):
     from dehnfill import cli
-    with pytest.raises(SystemExit) as exc:
-        cli.main(argv)
-    got = exc.value.code, *capsys.readouterr()
+    got = run_cli(argv)
     assert got == _parsed(cli.build_parser(), argv, capsys)
     assert got[0] == (0 if "-h" in argv or "--help" in argv else 2)
     if got[0] == 0:         # the help lists every command, each on its line
         assert all(f"\n    {c} " in got[1] for c in cli._COMMANDS)
 
 
-def test_main_declares_the_command_it_is_given(monkeypatch, capsys):
+def test_main_declares_the_command_it_is_given(monkeypatch):
     from dehnfill import cli
     built = []
     build = cli.build_parser
     monkeypatch.setattr(cli, "build_parser",
                         lambda only=None: built.append(only) or build(only))
-    assert cli.main(["kernel", "--n", "3"]) == 0
-    with pytest.raises(SystemExit):
-        cli.main(["bogus"])
-    with pytest.raises(SystemExit):
-        cli.main([])
+    assert run_cli(["kernel", "--n", "3"])[0] == 0
+    assert run_cli([])[0] == 2
+    code, _, err = run_cli(["bogus"])
+    assert code == 2
     assert built == ["kernel", None, None]
-    assert "usage: dehnfill [-h] {" + ",".join(cli._COMMANDS) + "} ..." \
-        in capsys.readouterr().err
+    assert "usage: dehnfill [-h] {" + ",".join(cli._COMMANDS) + "} ..." in err
 
 
 def _bound(command, key):
@@ -583,10 +530,9 @@ def _walk():
             for key in cli._COMMANDS[command][3] for value in _outside(command, key)]
 
 
-def _run_with(command, key, value, form, tmp_path, capsys):
+def _run_with(command, key, value, form, tmp_path):
     """(exit code, stdout, stderr) of the small run with key set to value, by
     a flag or by a configuration line, RuntimeWarning raised as an error."""
-    from dehnfill import cli
     values = {**_BASE[command], key: value}
     if form == "flag":
         argv = [command, *_flags(command, values)]
@@ -594,24 +540,17 @@ def _run_with(command, key, value, form, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
         argv = [command, "--config", str(cfg)]
-    if key == "trials":
-        # in a child process, as in test_estimate_without_trials_exits_2
-        res = run_cli(argv, env={**os.environ, "PYTHONWARNINGS": "error::RuntimeWarning"})
-        return res.returncode, res.stdout, res.stderr
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        code = cli.main(argv)
-    return (code, *capsys.readouterr())
+    return run_cli(argv)
 
 
 @pytest.mark.parametrize("form", ["flag", "config"])
 @pytest.mark.parametrize("command, key, value", _walk(),
                          ids=lambda v: v if isinstance(v, str) else None)
 def test_value_outside_its_options_domain_exits_2_naming_it(
-        command, key, value, form, tmp_path, capsys):
+        command, key, value, form, tmp_path):
     # every option of the table, at the edge of its domain: rejected before
     # any work, by its flag's name (curvature's range fields by their keys)
-    code, out, err = _run_with(command, key, value, form, tmp_path, capsys)
+    code, out, err = _run_with(command, key, value, form, tmp_path)
     name = key if key in _BY_R else "--" + key.replace("_", "-")
     assert code == 2
     assert out == ""
@@ -624,9 +563,9 @@ def test_value_outside_its_options_domain_exits_2_naming_it(
     *((command, "n") for command in _BASE), ("norms", "seed"),
     ("estimate", "seed"), ("estimate", "alpha"), ("curvature", "r_min")])
 def test_value_on_a_closed_bound_of_its_domain_is_accepted(
-        command, key, form, tmp_path, capsys):
+        command, key, form, tmp_path):
     word, bound = _bound(command, key)
     assert word == "at least"
-    code, out, err = _run_with(command, key, repr(bound), form, tmp_path, capsys)
+    code, out, err = _run_with(command, key, repr(bound), form, tmp_path)
     assert (code, err) == (0, "")
     assert out

@@ -5,18 +5,12 @@ do, since their stderr is the CLI's own text.  And the corpus's change
 report, which names what differs."""
 
 import hashlib
-import importlib.util
 import json
 import math
 import re
-from pathlib import Path
 
 import pytest
-
-_SPEC = importlib.util.spec_from_file_location(
-    "golden_corpus", Path(__file__).parent / "golden" / "corpus.py")
-corpus = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(corpus)
+from golden import corpus
 
 MANIFEST = json.loads(corpus.MANIFEST.read_text())
 
@@ -38,7 +32,7 @@ def test_golden_cli_output(name, tmp_path):
     assert code == entry["exit"]
     assert hashlib.sha256(err).hexdigest() == entry["stderr"], err.decode()
     for key, data in outputs.items():     # a readable diff where one is kept
-        kept = corpus.OUTPUTS / (f"{name}.stdout" if key == "stdout" else key)
+        kept = corpus.kept(name, key)
         if kept.exists():
             assert data.decode() == kept.read_bytes().decode(), key
     got = {k: hashlib.sha256(v).hexdigest() for k, v in outputs.items()}

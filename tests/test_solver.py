@@ -569,15 +569,21 @@ def test_frozen_jacobian_contracts():
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_cone_defect_scales_like_inverse_power_of_radius(n):
     # the glued end closes with cone angle 2 pi (1 + O(R^(1-n))): the
-    # Newton-solved defect falls with slope -(n-1) in log-log
+    # Newton-solved defect falls with slope -(n-1) in log-log.  So does the
+    # Einstein correction h, in the double-star norm, with a constant that
+    # does not depend on R: its ratio to the glued residual stays put
     radii = np.array([6.0, 8.0, 12.0, 16.0, 24.0])
-    defects = []
+    defects, corrections, ratios = [], [], []
     for R in radii:
         _, rep = newton_solve(glue(n, ell_for_radius(n, R), nodes=1024))
         assert rep.converged
         defects.append(abs(rep.cone_angle_ratio - 1.0))
-    slope = np.polyfit(np.log(radii), np.log(defects), 1)[0]
-    assert abs(slope + (n - 1)) <= 0.1
+        corrections.append(rep.double_star_history[-1])
+        ratios.append(rep.double_star_history[-1] / rep.residual_history[0])
+    for decay in (defects, corrections):
+        slope = np.polyfit(np.log(radii), np.log(decay), 1)[0]
+        assert abs(slope + (n - 1)) <= 0.1
+    assert max(ratios) / min(ratios) < 1.5
 
 
 def _perturbation_tensor(g0, profile):
