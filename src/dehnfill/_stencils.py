@@ -96,12 +96,12 @@ def matched_ratios(h, delta, partials=False):
     c = h[..., 1:-1]
     z_raw = (a + b - 2.0 * c) / c
     z = np.clip(z_raw, -_Z_CLAMP, _Z_CLAMP)
-    live = (z_raw > -_Z_CLAMP) & (z_raw < _Z_CLAMP)
     c1, c2 = _c1(z), _c2(z)
     q = z_raw / (delta * delta * c2)
     d = (a - b) / (2.0 * delta * c * c1)
     if not partials:
         return d, q
+    live = (z_raw > -_Z_CLAMP) & (z_raw < _Z_CLAMP)
     c1r = _c1p(z) / c1
     c2r = _c2p(z) / c2
     dz_a = np.where(live, 1.0 / c, 0.0)

@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import operator
 import sys
 
 import numpy as np
@@ -80,11 +81,10 @@ def _resolve(args):
             raise ConfigError(f"{_name(key)} must be one of {', '.join(kind)}, got {val!r}")
         if isinstance(val, float) and not np.isfinite(val):
             raise ConfigError(f"{_name(key)} must be finite, got {val!r}")
-        if domain:
-            op, bound = domain
-            least = _OF_N[bound](cfg["n"]) if bound in _OF_N else bound
-            if not (val > least if op == "above" else val >= least):
-                shown = f"{bound} = {least!r}" if bound in _OF_N else bound
+        for op, bound in _bounds(domain):
+            limit = _OF_N[bound](cfg["n"]) if bound in _OF_N else bound
+            if not _HOLDS[op](val, limit):
+                shown = f"{bound} = {limit!r}" if bound in _OF_N else bound
                 raise ConfigError(f"{_name(key)} must be {op} {shown}, got {val!r}")
     return cfg
 
@@ -227,7 +227,9 @@ def cmd_norms(cfg, args):
     grid = RadialGrid(r, n)
     k = n - 1
     hij = rng.standard_normal((r.size, k, k))
-    hij = 0.5 * (hij + np.swapaxes(hij, 1, 2)) * (r**2)[:, None, None]
+    hij = hij + np.swapaxes(hij, 1, 2)      # 0.5 (b + b^T) r^2, one temporary
+    hij *= 0.5
+    hij *= (r**2)[:, None, None]
     h = InvariantTensor(grid, rng.standard_normal(r.size) / r**2,
                         rng.standard_normal((k, r.size)), hij)
     wf = gluing.WeightFunction(n, R)
@@ -275,9 +277,10 @@ _GLUED = {"n": _N, "ell": (float, None, ("above", 0)),
 # command -> (its function, help, the formats it writes, its options as
 # key -> (type, default, domain)).  The first format is the default; a tuple
 # type lists the values an option may take; a None default marks a required
-# option; a domain ("above" or "at least", bound), or None for every value,
-# bounds the values, a bound named in _OF_N being that function of n, which
-# each command lists first.  Every command also takes out and format.
+# option; a domain, (word, bound) pairs laid end to end with word "above",
+# "at least" or "below", or None for every value, bounds the values, a bound
+# named in _OF_N being that function of n, which each command lists first.
+# Every command also takes out and format.
 _COMMANDS = {
     "curvature": (cmd_curvature, "sectional curvatures of the cap metric", ("csv",),
                   {"n": _N, "r_min": (float, None, ("at least", "r_plus")),
@@ -295,14 +298,21 @@ _COMMANDS = {
               "radii R", ("csv", "json"),
               {"n": _N, "R": (str, None, None), "outer_factor": _GLUED["outer_factor"]}),
     "estimate": (cmd_estimate, "randomized interior-bound harness", ("json",),
-                 {"n": _N, "R": (float, None, ("above", "r_plus + 2")),
-                  "alpha": (float, 0.5, ("at least", 0)),
+                 {"n": _N, "R": (float, None, ("above", "r_plus + 2",
+                                               "below", asymptotics._R_MAX)),
+                  "alpha": (float, 0.5, ("at least", 0, "below", 1)),
                   "trials": (int, 50, ("at least", 1)), "seed": (int, 0, ("at least", 0)),
                   "nodes": (int, 1024, ("at least", asymptotics.MIN_NODES))}),
 }
 _OF_N = {"r_plus": r_plus, "1.01 r_plus": lambda n: 1.01 * r_plus(n),
          "r_plus + 2": lambda n: r_plus(n) + 2.0}
+_HOLDS = {"above": operator.gt, "at least": operator.ge, "below": operator.lt}
 _BY_R = ("r_min", "r_max", "samples")     # curvature's, set by --r
+
+
+def _bounds(domain):
+    """The (word, bound) pairs of an option's domain."""
+    return zip(domain[::2], domain[1::2]) if domain else ()
 
 
 def _options(command):
@@ -337,7 +347,7 @@ def build_parser(only=None):
         for key, (kind, default, domain) in _options(command).items():
             choices = kind if isinstance(kind, tuple) else None
             text = "required" if default is None else f"default {default}"
-            text += f", {domain[0]} {domain[1]}" if domain else ""
+            text += "".join(f", {op} {bound}" for op, bound in _bounds(domain))
             if key not in _BY_R:
                 p.add_argument(_name(key), dest=key, type=str if choices else kind,
                                choices=choices, help=text)

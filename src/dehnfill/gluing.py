@@ -40,13 +40,6 @@ __all__ = [
 
 # -- smooth cutoff -------------------------------------------------------------
 
-def _psi(t):
-    out = np.zeros_like(t)
-    m = t > 0
-    out[m] = np.exp(-1.0 / t[m])
-    return out
-
-
 def _psi_derivatives(t):
     """psi, psi' and psi'' at t, from one exp."""
     u, up, upp = np.zeros_like(t), np.zeros_like(t), np.zeros_like(t)
@@ -68,9 +61,14 @@ def _bump_from_psi(t, u, v):
 
 
 def _bump01_value(t):
-    """B(t) = psi(t) / (psi(t) + psi(1-t)) alone, where no derivative is read."""
+    """B(t) = psi(t) / (psi(t) + psi(1-t)), psi(x) = exp(-1/x) for x > 0, alone,
+    where no derivative is read: in closed form at t clamped to [0, 1], where
+    psi(0) = exp(-inf) = 0 gives B(0) = 0 and B(1) = 1; a NaN reads as 0."""
     t = np.asarray(t, dtype=float)
-    return _bump_from_psi(t, _psi(t), _psi(1.0 - t))
+    x = np.where(t > 0.0, np.minimum(t, 1.0), 0.0)
+    with np.errstate(divide="ignore", over="ignore"):
+        u, v = np.exp(-1.0 / x), np.exp(-1.0 / (1.0 - x))
+    return u / (u + v)
 
 
 def _bump01(t):
@@ -477,6 +475,19 @@ def _window_max(values, level, first, second):
     return np.maximum(table[level, first], table[level, second])
 
 
+def _least_over_windows(w, lo, hi):
+    """Least w_k over the windows [lo_k, hi_k) that hold each node j.
+
+    lo and hi increase with k and window k holds node k, so the windows
+    holding j run from the first k with hi_k > j, the count of hi_k <= j,
+    to the last k with lo_k <= j, one less than the count of lo_k <= j:
+    both read off cumulative bincounts.
+    """
+    first = np.cumsum(np.bincount(hi, minlength=w.size + 1)[:w.size])
+    stop = np.cumsum(np.bincount(lo, minlength=w.size))
+    return -_window_max(-w, *_window_spans(first, stop))
+
+
 def _center_cutoff(r, s, wf):
     """c_k and rho of the center-point decomposition, from the grid alone."""
     ck = int(np.argmin(np.abs(r - np.sqrt(wf.R_k))))
@@ -492,8 +503,13 @@ def _trace_free(block):
 
 class _NormPlan:
     """What the norms compute from the grid, the weight and the order alone,
-    built once for every tensor measured on that grid: log r, the window
-    spans, W, the torus pairs, r^2, c_k and rho.
+    built once for every tensor measured on that grid: log r, the least W
+    over the windows holding each node, the torus pairs, r^2, c_k and rho.
+
+    Every window holds its own node, and a correctly rounded division by
+    W > 0 is monotone, so the star norm max_k max_{j in window k} v_j / W_k
+    is max_j v_j / Wmin_j bit for bit, and the sup is max_j v_j: no window
+    maximum is taken of a measured tensor.
 
     One core, `_report`, reads a tensor's torus rows h_ij (i <= j, the k
     diagonal ones first) and its mixed row's squares.  `double_star` feeds
@@ -505,8 +521,8 @@ class _NormPlan:
 
     def __init__(self, grid, wf: WeightFunction, order):
         self.s = np.log(grid.nodes)
-        self.spans = _window_spans(*_window_bounds(self.s))
-        self.w = weight(wf, grid.nodes)
+        self.wmin = _least_over_windows(weight(wf, grid.nodes),
+                                        *_window_bounds(self.s))
         self.order = order
         self.k = grid.n - 1
         self.pairs = _torus_pairs(self.k)
@@ -514,15 +530,15 @@ class _NormPlan:
         self.ck, self.rho = _center_cutoff(grid.nodes, self.s, wf)
 
     def _sup_star(self, mixed, rows):
-        """(sup, star, local norm) from the torus rows and the mixed row's
-        _squares (None where that row vanishes): the largest frame norm over
-        the derivative orders, maximized over each window, weighted by 1/W."""
+        """(sup, star) from the torus rows and the mixed row's _squares (None
+        where that row vanishes): the largest frame norm over the derivative
+        orders and the nodes, and its largest ratio to Wmin."""
         # rows / r^2 is _squares' only reference, freed once differentiated
         sq = _squares(rows / self.scale, self.k, self.s, self.order)
         if mixed is not None:
             sq += mixed
-        local = _window_max(np.sqrt(sq.max(axis=0)), *self.spans)
-        return float(local.max()), float((local / self.w).max()), local
+        point = np.sqrt(sq.max(axis=0))
+        return float(point.max()), float((point / self.wmin).max())
 
     def _split(self, h: InvariantTensor):
         """The torus rows of h and the _squares of its mixed row."""
@@ -533,10 +549,10 @@ class _NormPlan:
         """NormReport from the torus rows, the torus frame block at c_k and
         the mixed row's squares (None where that row vanishes)."""
         u = _trace_free(block)
-        sup, star, _ = self._sup_star(mixed, rows)
+        sup, star = self._sup_star(mixed, rows)
         i, j = (p[:len(rows)] for p in self.pairs)
         # hbar differs from h only in its torus rows
-        _, star_bar, _ = self._sup_star(
+        _, star_bar = self._sup_star(
             mixed, rows - self.rho * u[i, j, None] * self.scale)
         constructive = star_bar + TrivialVariation(u).size
         return NormReport(sup=sup, star=star,
@@ -557,7 +573,7 @@ class _NormPlan:
 
 
 def weighted_norms(h: InvariantTensor, wf: WeightFunction, order=2):
-    """Sup and weighted-sup (star) norms of an invariant tensor.
+    """(sup, star): the sup and weighted-sup norms of an invariant tensor.
 
     The local Hoelder seminorm is replaced by the max of the unit-frame
     magnitude and its discrete s-derivatives up to `order`, s = log r the

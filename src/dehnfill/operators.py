@@ -63,7 +63,8 @@ class InvariantTensor:
         self.hij = np.zeros((N, k, k)) if self.hij is None else np.asarray(self.hij, float)
         if self.h11.shape != (N,) or self.h1i.shape != (k, N) or self.hij.shape != (N, k, k):
             raise ValueError("component arrays do not match the grid")
-        if np.any(np.abs(self.hij - np.swapaxes(self.hij, 1, 2)) > 1e-12):
+        i, j = np.triu_indices(k, 1)        # the diagonal is symmetric as it is
+        if np.any(np.abs(self.hij[:, i, j] - self.hij[:, j, i]) > 1e-12):
             raise ValueError("torus block must be symmetric")
 
     @classmethod

@@ -83,7 +83,8 @@ REJECTED = ["solve --n 3 --ell nan", "norms --n 4 --R 1e200",
             "norms --n 4 --R 64 --seed -1",
             "glue --n 3 --ell 10 --outer-factor 1",
             "norms --n 4 --R 1.2725202603939",
-            "curvature --n 4 --r 2 1e155 3"]
+            "curvature --n 4 --r 2 1e155 3",
+            "estimate --n 4 --R 1e300", "estimate --n 4 --R 16 --alpha 1"]
 for _i, _cmd in enumerate(REJECTED):
     COMMANDS[f"rejected_{_i:02d}_{_cmd.split()[0]}"] = _cmd.split()
 

@@ -498,26 +498,27 @@ def test_main_declares_the_command_it_is_given(monkeypatch):
     assert "usage: dehnfill [-h] {" + ",".join(cli._COMMANDS) + "} ..." in err
 
 
-def _bound(command, key):
-    """(word, value) of an option's domain, a bound that depends on n taken
-    at the small run's n."""
+def _bounds(command, key):
+    """The (word, value) pairs of an option's domain, as Python numbers, a
+    bound that depends on n taken at the small run's n."""
     from dehnfill import cli
-    word, bound = cli._options(command)[key][2]
-    if bound in cli._OF_N:
-        bound = cli._OF_N[bound](int(_BASE[command]["n"]))
-    return word, bound
+    pairs = []
+    for word, bound in cli._bounds(cli._options(command)[key][2]):
+        if bound in cli._OF_N:
+            bound = cli._OF_N[bound](int(_BASE[command]["n"]))
+        pairs.append((word, float(bound) if isinstance(bound, np.floating) else bound))
+    return pairs
 
 
 def _outside(command, key):
-    """The values just outside an option's domain, the bound itself where it
-    is strict and the number just below it where it is not, and for a float
-    nan and inf."""
+    """The values just outside an option's domain, each bound itself where
+    it is strict and the number just below it where it is not, and for a
+    float nan and inf."""
     from dehnfill import cli
-    kind, _, domain = cli._options(command)[key]
+    kind = cli._options(command)[key][0]
     values = []
-    if domain:
-        word, bound = _bound(command, key)
-        values.append(bound if word == "above" else
+    for word, bound in _bounds(command, key):
+        values.append(bound if word in ("above", "below") else
                       bound - 1 if kind is int else math.nextafter(bound, -math.inf))
     if kind is float:
         values += [math.nan, math.inf]
@@ -564,7 +565,7 @@ def test_value_outside_its_options_domain_exits_2_naming_it(
     ("estimate", "seed"), ("estimate", "alpha"), ("curvature", "r_min")])
 def test_value_on_a_closed_bound_of_its_domain_is_accepted(
         command, key, form, tmp_path):
-    word, bound = _bound(command, key)
+    word, bound = _bounds(command, key)[0]
     assert word == "at least"
     code, out, err = _run_with(command, key, repr(bound), form, tmp_path)
     assert (code, err) == (0, "")

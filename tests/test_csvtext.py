@@ -8,8 +8,6 @@ import pytest
 from dehnfill import _csvtext
 from dehnfill._csvtext import csv_lines
 
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 def _per_value(table):
     return "".join(",".join("%.17g" % v for v in row) + "\n" for row in table.tolist())
