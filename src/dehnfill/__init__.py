@@ -15,9 +15,8 @@ from .geometry import (ArclengthMap, DiagonalMetricProfile, RadialGrid,
 from .operators import (EinsteinResidual, InvariantTensor,
                         bh_kernel_variation, einstein_residual,
                         linearized_residual, sqrtdet_sinh_check)
-from .asymptotics import (EulerODE, IndicialRoots, ResonanceError,
-                          cusp_block_exponents, cusp_kernel_classification,
-                          euler_particular_coefficient, indicial_roots,
+from .asymptotics import (EulerODE, IndicialRoots, cusp_block_exponents,
+                          cusp_kernel_classification, indicial_roots,
                           solve_euler_bvp, ugly_estimate_harness)
 from .gluing import (GluedEnd, NormReport, WeightFunction,
                      double_star_decompose, double_star_norm, glue,

@@ -1,5 +1,5 @@
-"""Equidimensional (Euler) ODE toolkit: indicial roots, particular
-solutions, the decay classification of invariant deformations of the cusp,
+"""Equidimensional (Euler) ODE toolkit: indicial roots, the decay
+classification of invariant deformations of the cusp, a two-point solver,
 and the randomized sup-bound harness for the cap estimate.
 
 Every second-order block of the invariant linearized system on the cusp is
@@ -19,18 +19,12 @@ from .geometry import _check_dimension, r_plus
 __all__ = [
     "EulerODE",
     "IndicialRoots",
-    "ResonanceError",
     "indicial_roots",
-    "euler_particular_coefficient",
     "cusp_block_exponents",
     "cusp_kernel_classification",
     "solve_euler_bvp",
     "ugly_estimate_harness",
 ]
-
-
-class ResonanceError(ValueError):
-    """Raised when a forcing exponent collides with an indicial root."""
 
 
 @dataclass(frozen=True)
@@ -47,7 +41,6 @@ class IndicialRoots:
 
     gamma1: float
     gamma2: float
-    discriminant: float
 
 
 def indicial_roots(ode: EulerODE):
@@ -62,16 +55,7 @@ def indicial_roots(ode: EulerODE):
     root = np.sqrt(disc)
     g1 = 0.5 * (1.0 - ode.a + root)
     g2 = 0.5 * (1.0 - ode.a - root)
-    return IndicialRoots(g1, g2, disc)
-
-
-def euler_particular_coefficient(ode: EulerODE, delta):
-    """Coefficient c with c r^delta solving the ODE with right side r^delta."""
-    roots = indicial_roots(ode)
-    if min(abs(delta - roots.gamma1), abs(delta - roots.gamma2)) < 1e-9:
-        raise ResonanceError(
-            f"forcing exponent {delta} resonates with an indicial root")
-    return 1.0 / (delta * (delta - 1.0) + ode.a * delta + ode.b)
+    return IndicialRoots(g1, g2)
 
 
 def cusp_block_exponents(n):

@@ -40,53 +40,38 @@ __all__ = [
 
 # -- smooth cutoff -------------------------------------------------------------
 
-def _psi_derivatives(t):
-    """psi, psi' and psi'' at t, from one exp."""
-    u, up, upp = np.zeros_like(t), np.zeros_like(t), np.zeros_like(t)
-    m = t > 0
-    tm = t[m]
-    e = np.exp(-1.0 / tm)
-    u[m] = e
-    up[m] = e / tm ** 2
-    upp[m] = e * (1.0 / tm ** 4 - 2.0 / tm ** 3)
-    return u, up, upp
-
-
-def _bump_from_psi(t, u, v):
-    """B(t) from u = psi(t), v = psi(1-t); 0 for t <= 0, 1 for t >= 1."""
-    s = u + v
-    with np.errstate(divide="ignore", invalid="ignore"):
-        b = np.where(s > 0, u / np.where(s > 0, s, 1.0), 0.0)
-    return np.where(t >= 1.0, 1.0, np.where(t <= 0.0, 0.0, b))
-
-
-def _bump01_value(t):
-    """B(t) = psi(t) / (psi(t) + psi(1-t)), psi(x) = exp(-1/x) for x > 0, alone,
-    where no derivative is read: in closed form at t clamped to [0, 1], where
-    psi(0) = exp(-inf) = 0 gives B(0) = 0 and B(1) = 1; a NaN reads as 0."""
+def _psi_pair(t):
+    """x = t clamped to [0, 1], a NaN read as 0, with psi(x) and psi(1-x),
+    psi(x) = exp(-1/x), where psi(0) = exp(-inf) = 0."""
     t = np.asarray(t, dtype=float)
     x = np.where(t > 0.0, np.minimum(t, 1.0), 0.0)
     with np.errstate(divide="ignore", over="ignore"):
-        u, v = np.exp(-1.0 / x), np.exp(-1.0 / (1.0 - x))
+        return x, np.exp(-1.0 / x), np.exp(-1.0 / (1.0 - x))
+
+
+def _bump01_value(t):
+    """B(t) = psi(t) / (psi(t) + psi(1-t)) alone, where no derivative is read:
+    0 for t <= 0 and for a NaN, 1 for t >= 1."""
+    _, u, v = _psi_pair(t)
     return u / (u + v)
 
 
 def _bump01(t):
-    """B(t) and two derivatives; B(<=0)=0, B(>=1)=1."""
-    t = np.asarray(t, dtype=float)
-    u, up, upp = _psi_derivatives(t)
-    v, vp, vpp = _psi_derivatives(1.0 - t)
-    vp = -vp
+    """B(t) and two derivatives, from the closed form of _bump01_value.
+
+    The derivatives are 0 outside (0, 1), and where psi(t) underflows to 0
+    (t below about 1/745), where they are subnormal at most.
+    """
+    x, u, v = _psi_pair(t)
+    y = 1.0 - x
     s = u + v
-    with np.errstate(divide="ignore", invalid="ignore"):
-        b1 = np.where(s > 0, (up * v - u * vp) / s**2, 0.0)
-        b2 = np.where(s > 0,
-                      (upp * v - u * vpp) / s**2
-                      - 2.0 * (up * v - u * vp) * (up + vp) / s**3,
-                      0.0)
-    b1 = np.where((t >= 1.0) | (t <= 0.0), 0.0, b1)
-    b2 = np.where((t >= 1.0) | (t <= 0.0), 0.0, b2)
-    return _bump_from_psi(t, u, v), b1, b2
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        up, upp = u / x**2, u * (1.0 / x**4 - 2.0 / x**3)
+        vp, vpp = -(v / y**2), v * (1.0 / y**4 - 2.0 / y**3)
+        b1 = (up * v - u * vp) / s**2
+        b2 = (upp * v - u * vpp) / s**2 - 2.0 * (up * v - u * vp) * (up + vp) / s**3
+    live = (u > 0.0) & (x < 1.0)
+    return u / s, np.where(live, b1, 0.0), np.where(live, b2, 0.0)
 
 
 # -- the glued end -------------------------------------------------------------
@@ -452,40 +437,27 @@ def _window_bounds(s):
             np.searchsorted(s, s + half, side="right"))
 
 
-def _window_spans(lo, hi):
-    """Sparse-table level of each window [lo, hi) and the starts of the two
-    spans of length 2^level flush with its ends."""
-    level = np.frexp(hi - lo)[1] - 1          # floor(log2(window length))
-    return level, lo, hi - (1 << level)
-
-
-def _window_max(values, level, first, second):
-    """max over every window, each non-empty, from its _window_spans.
-
-    Sparse table: row p holds the maxima over spans of length 2^p, and a
-    window is covered by the two such spans flush with its ends.  Max is
-    exact, so the result does not depend on how the window is split.
-    """
-    table = np.empty((int(level.max()) + 1, values.size))
-    table[0] = values
-    for p in range(1, table.shape[0]):
-        w = 1 << (p - 1)
-        m = values.size - 2 * w + 1
-        table[p, :m] = np.maximum(table[p - 1, :m], table[p - 1, w:w + m])
-    return np.maximum(table[level, first], table[level, second])
-
-
 def _least_over_windows(w, lo, hi):
     """Least w_k over the windows [lo_k, hi_k) that hold each node j.
 
     lo and hi increase with k and window k holds node k, so the windows
     holding j run from the first k with hi_k > j, the count of hi_k <= j,
     to the last k with lo_k <= j, one less than the count of lo_k <= j:
-    both read off cumulative bincounts.
+    both read off cumulative bincounts.  The least w over each such range
+    of k comes from a sparse table, whose row p holds the minima over spans
+    of length 2^p: the two spans flush with the range's ends cover it, and
+    min is exact, so the result does not depend on how it is split.
     """
     first = np.cumsum(np.bincount(hi, minlength=w.size + 1)[:w.size])
     stop = np.cumsum(np.bincount(lo, minlength=w.size))
-    return -_window_max(-w, *_window_spans(first, stop))
+    level = np.frexp(stop - first)[1] - 1       # floor(log2(range length))
+    table = np.empty((int(level.max()) + 1, w.size))
+    table[0] = w
+    for p in range(1, table.shape[0]):
+        h = 1 << (p - 1)
+        m = w.size - 2 * h + 1
+        np.minimum(table[p - 1, :m], table[p - 1, h:h + m], out=table[p, :m])
+    return np.minimum(table[level, first], table[level, stop - (1 << level)])
 
 
 def _center_cutoff(r, s, wf):

@@ -10,7 +10,8 @@ Record (rewrites the manifest and the committed outputs):
 
 Re-record only for a stated reason: the corpus is the check that a change
 leaves every CLI output byte for byte as it was.  Before re-recording,
-report what would change (reruns the corpus, re-records nothing):
+report what would change (reruns the corpus, re-records nothing; exits 1
+when any entry differs or any numeric field moved, 0 otherwise):
 
     PYTHONPATH=src python tests/golden/corpus.py --report
 
@@ -229,7 +230,8 @@ def report():
     """Rerun the corpus into a temporary directory and print, per entry, how
     its exit code, stderr and output hashes differ from the manifest, and
     per committed CSV or JSON output the largest change of every numeric
-    field.  Re-records nothing."""
+    field.  Re-records nothing.  Returns the exit status: 1 when any entry
+    differs or any numeric field moved, 0 otherwise."""
     manifest = json.loads(MANIFEST.read_text())
     if fingerprint() != manifest["fingerprint"]:
         print(f"fingerprint: recorded {manifest['fingerprint']}, here {fingerprint()}")
@@ -268,6 +270,7 @@ def report():
                           f"added or dropped)")
     print(f"{differ} of {len(COMMANDS)} entries differ; "
           f"{moved} numeric fields of committed outputs changed")
+    return int(bool(differ or moved))
 
 
 if __name__ == "__main__":

@@ -228,7 +228,7 @@ def test_criterion_11_norm_machinery():
 def test_criterion_12_weighted_invertibility():
     n, nodes = 4, 768
     radii = (8.0, 16.0, 32.0, 64.0)
-    conj, plain = [], []
+    conj, plain, ratios = [], [], []
     for R in radii:
         ell = theta_period(n) * np.sqrt(v_profile(n, R)[0])
         p = glue(n, ell, nodes=nodes)
@@ -237,12 +237,18 @@ def test_criterion_12_weighted_invertibility():
         vec = trivial_direction(p, np.array([0.0, 0.7, -0.7]), lin)
         plain.append(rayleigh_quotient(p, vec, lin=lin))
         conj.append(float(kernel_spectrum(p, weight_fn=wf, conjugate=True)[0]))
+        # reported, not bounded: the Einstein correction against the glued
+        # residual, the constant the invertibility makes independent of R
+        _, rep = newton_solve(p)
+        ratios.append(rep.double_star_history[-1] / rep.residual_history[0])
     mono = all(plain[i + 1] < plain[i] for i in range(len(plain) - 1))
     spread = max(conj) / min(conj)
     ok = mono and spread < 2.0
     report(12, ok, f"conjugated sigma_min spread over R=8..64: {spread:.2f}x "
                    f"(<2); unweighted trivial-direction quotient "
-                   f"{['%.3g' % q for q in plain]} monotone decreasing: {mono}")
+                   f"{['%.3g' % q for q in plain]} monotone decreasing: {mono}; "
+                   f"Newton correction ||h||_** / glued residual per R: "
+                   f"{['%.3g' % q for q in ratios]}")
 
 
 def test_criterion_13_interior_bound_harness():

@@ -2,10 +2,8 @@ import numpy as np
 import pytest
 from scipy.linalg import LinAlgError, solve_banded
 
-from dehnfill.asymptotics import (EulerODE, ResonanceError,
-                                  cusp_block_exponents,
-                                  cusp_kernel_classification,
-                                  euler_particular_coefficient, indicial_roots,
+from dehnfill.asymptotics import (EulerODE, cusp_block_exponents,
+                                  cusp_kernel_classification, indicial_roots,
                                   solve_euler_bvp, ugly_estimate_harness)
 
 
@@ -43,35 +41,6 @@ def test_indicial_roots_block_II_and_simple():
 def test_indicial_roots_complex_regime():
     with pytest.raises(ValueError):
         indicial_roots(EulerODE(1.0, 25.0))
-
-
-def test_particular_coefficient():
-    ode = EulerODE(2.0, -2.0)
-    c = euler_particular_coefficient(ode, 3.0)
-    assert c == pytest.approx(0.1, rel=1e-14)
-    # substitution oracle: r^2 (c r^3)'' + 2 r (c r^3)' - 2 c r^3 = r^3
-    r = np.linspace(0.5, 2.0, 7)
-    lhs = c * (6.0 * r**3) + 2.0 * c * 3.0 * r**3 - 2.0 * c * r**3
-    assert np.allclose(lhs, r**3, rtol=1e-13)
-    # n = 4 block-I with forcing r^(-n+1)
-    n = 4
-    c = euler_particular_coefficient(EulerODE(float(n), -2.0 * (n - 1)), -n + 1.0)
-    assert c == pytest.approx(-1.0 / 6.0, rel=1e-14)
-    with pytest.raises(ResonanceError):
-        euler_particular_coefficient(ode, 1.0)
-
-
-def test_particular_coefficient_identity():
-    rng = np.random.Generator(np.random.Philox(21))
-    for _ in range(30):
-        a, b = rng.uniform(-4, 8), rng.uniform(-10, -0.5)
-        ode = EulerODE(a, b)
-        delta = rng.uniform(-5, 5)
-        try:
-            c = euler_particular_coefficient(ode, delta)
-        except (ResonanceError, ValueError):
-            continue
-        assert c * (delta * (delta - 1) + a * delta + b) == pytest.approx(1.0, rel=1e-14)
 
 
 def test_cusp_block_exponents():
@@ -120,8 +89,8 @@ def test_bvp_superposition():
     # forcing r^d1 + r^d2 with fitted homogeneous part
     ode = EulerODE(3.0, -4.0)
     roots = indicial_roots(ode)
-    c1 = euler_particular_coefficient(ode, 2.5)
-    c2 = euler_particular_coefficient(ode, -0.5)
+    # c r^d solves the ODE with right side r^d for c = 1 / (d(d-1) + a d + b)
+    c1, c2 = (1.0 / (d * (d - 1.0) + ode.a * d + ode.b) for d in (2.5, -0.5))
     r = np.geomspace(0.6, 3.0, 1200)
     exact = (c1 * r**2.5 + c2 * r**-0.5
              + 0.3 * r**roots.gamma1 - 0.2 * r**roots.gamma2)

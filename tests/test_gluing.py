@@ -10,7 +10,6 @@ from dehnfill.geometry import (ArclengthMap, RadialGrid, r_plus,
 from dehnfill.gluing import (_COLLAR_WIDTH, GluedEnd, WeightFunction, _bump01,
                              _GAUSS_LEGENDRE_16, _bump01_value, _gradient,
                              _GluedArclength, _least_over_windows,
-                             _window_max, _window_spans,
                              double_star_decompose, double_star_norm, glue,
                              residual_decay_sweep, rho_cutoff,
                              unit_frame_components, weight, weighted_norms)
@@ -135,21 +134,20 @@ def test_norms_zero_and_homogeneous():
 
 @settings(max_examples=30, deadline=None)
 @given(size=st.integers(1, 3000), half=st.floats(0.0, 2.0), seed=st.integers(0, 2**32 - 1))
-def test_window_max_matches_slices(size, half, seed):
-    # the sparse-table range max equals the max of each window's slice on
-    # an irregular grid; monotone values expose a span that overruns either
-    # end of its window, and a NaN must propagate
+def test_least_over_windows_matches_brute_force(size, half, seed):
+    # the sparse-table range min equals, per node, the least w over the
+    # windows holding it on an irregular grid; monotone weights expose a
+    # span that overruns either end of its range, and a NaN must propagate
     rng = np.random.default_rng(seed)
     s = np.cumsum(rng.exponential(0.01, size))
     lo = np.searchsorted(s, s - half, side="left")
     hi = np.searchsorted(s, s + half, side="right")
-    values = rng.standard_normal(size) ** 2
-    with_nan = values.copy()
+    weights = np.exp(rng.standard_normal(size))
+    with_nan = weights.copy()
     with_nan[rng.integers(size)] = np.nan
-    for v in (values, np.sort(values), np.sort(values)[::-1], with_nan):
-        ref = np.array([v[a:b].max() for a, b in zip(lo, hi)])
-        assert np.array_equal(_window_max(v, *_window_spans(lo, hi)), ref,
-                              equal_nan=True)
+    for w in (weights, np.sort(weights), np.sort(weights)[::-1], with_nan):
+        ref = [w[(lo <= j) & (hi > j)].min() for j in range(size)]
+        assert np.array_equal(_least_over_windows(w, lo, hi), ref, equal_nan=True)
 
 
 @settings(max_examples=30, deadline=None)
@@ -175,7 +173,7 @@ def test_least_weight_per_node_gives_the_windowed_norms(size, seed):
     with_nan = values.copy()
     with_nan[rng.integers(size)] = np.nan
     for v in (values, np.sort(values), np.sort(values)[::-1], with_nan):
-        local = _window_max(v, *_window_spans(lo, hi))
+        local = np.array([v[a:b].max() for a, b in zip(lo, hi)])
         assert np.array_equal(v.max(), local.max(), equal_nan=True)
         assert np.array_equal((v / wmin).max(), (local / w).max(), equal_nan=True)
 
@@ -409,10 +407,9 @@ def test_bump_value_matches_bump01():
                          np.nextafter(1.0, 2.0), 1e300, -1e300, np.inf, -np.inf,
                          np.nan]])
     b = _bump01_value(t)
-    with np.errstate(all="ignore"):     # psi'' at t = 1e-300 overflows
-        assert np.array_equal(b, _bump01(t)[0], equal_nan=True)
-        inside = (t > 0.0) & (t < 1.0)
-        u, v = np.exp(-1.0 / t[inside]), np.exp(-1.0 / (1.0 - t[inside]))
+    assert np.array_equal(b, _bump01(t)[0], equal_nan=True)
+    inside = (t > 0.0) & (t < 1.0)
+    u, v = np.exp(-1.0 / t[inside]), np.exp(-1.0 / (1.0 - t[inside]))
     assert np.array_equal(b[inside], u / (u + v))
     assert np.all(b[t <= 0.0] == 0.0) and np.all(b[t >= 1.0] == 1.0)
     assert np.all(b[np.isnan(t)] == 0.0)
@@ -421,6 +418,15 @@ def test_bump_value_matches_bump01():
     assert np.array_equal(rho_cutoff(s, 5.0),
                           np.where(s > 5.0, 0.0,
                                    _bump01(s - 1.0)[0] * _bump01(5.0 - s)[0]))
+
+
+def test_bump01_vanishes_where_psi_underflows():
+    # below t ~ 1/745 psi(t) = exp(-1/t) is 0 in double, and so are B and
+    # both derivatives, with no warning even where t^2 or t^4 underflows;
+    # pytest raises RuntimeWarning as an error
+    t = np.array([5e-324, 1e-300, 1e-160, 1e-100, 1e-78])
+    for b in _bump01(t):
+        assert np.array_equal(b, np.zeros_like(t))
 
 
 def test_glued_end_rejects_overflowing_radii():

@@ -80,9 +80,15 @@ def test_report_reruns_and_names_what_differs(monkeypatch, tmp_path, capsys):
     manifest.write_text(json.dumps(doc))
     monkeypatch.setattr(corpus, "MANIFEST", manifest)
     monkeypatch.setattr(corpus, "COMMANDS", {name: corpus.COMMANDS[name]})
-    corpus.report()
+    assert corpus.report() == 1
     out = capsys.readouterr().out
     assert f"{name}: exit 0 -> 2\n" in out
     assert out.endswith("1 of 1 entries differ; 0 numeric fields of committed "
                         "outputs changed\n")
     assert json.loads(manifest.read_text()) == doc      # re-records nothing
+    # the entry as recorded: identical, and the status is 0
+    manifest.write_text(json.dumps(
+        dict(MANIFEST, commands={name: MANIFEST["commands"][name]})))
+    assert corpus.report() == 0
+    assert capsys.readouterr().out.endswith("0 of 1 entries differ; 0 numeric "
+                                            "fields of committed outputs changed\n")
