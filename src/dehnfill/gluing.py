@@ -381,45 +381,50 @@ def _torus_pairs(k):
     return np.concatenate([d, i]), np.concatenate([d, j])
 
 
-def _gradient(f, s):
-    """np.gradient(f, s, axis=1), bit for bit, with one temporary the size
-    of the interior."""
+def _gradient_weights(s):
+    """np.gradient's weights for the grid s, computed once: (mid, first,
+    last).  mid is the even step's 2 dx when s is evenly spaced, as
+    np.gradient tests it, else the three rows a, b, c of its second-order
+    uneven rule, (3, N - 2); first and last are the end steps of its
+    first-order edges."""
     dx = np.diff(s)
-    out = np.empty_like(f)
-    mid = out[:, 1:-1]
-    if (dx == dx[0]).all():                  # np.gradient's even-step rule
-        np.subtract(f[:, 2:], f[:, :-2], out=mid)
-        mid /= 2.0 * dx[0]
+    if (dx == dx[0]).all():
+        mid = 2.0 * dx[0]
     else:
         dx1, dx2 = dx[:-1], dx[1:]
-        np.multiply(-dx2 / (dx1 * (dx1 + dx2)), f[:, :-2], out=mid)
-        tmp = (dx2 - dx1) / (dx1 * dx2) * f[:, 1:-1]
-        mid += tmp
-        mid += np.multiply(dx1 / (dx2 * (dx1 + dx2)), f[:, 2:], out=tmp)
-    out[:, 0] = (f[:, 1] - f[:, 0]) / dx[0]
-    out[:, -1] = (f[:, -1] - f[:, -2]) / dx[-1]
+        mid = np.stack([-dx2 / (dx1 * (dx1 + dx2)),
+                        (dx2 - dx1) / (dx1 * dx2),
+                        dx1 / (dx2 * (dx1 + dx2))])
+    return mid, dx[0], dx[-1]
+
+
+def _gradient(f, weights):
+    """np.gradient(f, s, axis=-1), bit for bit, from _gradient_weights(s),
+    with one temporary the size of the interior."""
+    mid, first, last = weights
+    out = np.empty_like(f)
+    inner = out[..., 1:-1]
+    if np.ndim(mid) == 0:
+        np.subtract(f[..., 2:], f[..., :-2], out=inner)
+        inner /= mid
+    else:
+        a, b, c = mid
+        np.multiply(a, f[..., :-2], out=inner)
+        tmp = b * f[..., 1:-1]
+        inner += tmp
+        inner += np.multiply(c, f[..., 2:], out=tmp)
+    out[..., 0] = (f[..., 1] - f[..., 0]) / first
+    out[..., -1] = (f[..., -1] - f[..., -2]) / last
     return out
 
 
-def _squares(rows, n_diag, s, order):
-    """Share of a set of frame components in the squared norm of the frame
-    and of its s-derivatives: row p of the result is the share of the p-th
-    derivative, p = 0..order.
-
-    rows holds the components on and above the diagonal, (m, N), the first
-    n_diag of them diagonal; each other one stands for two entries.  One
-    derivative is alive at a time.
-    """
-    if order > 2:
-        raise ValueError("discrete derivatives available up to order 2")
-    out = np.empty((max(order, 0) + 1, rows.shape[1]))
-    for p in range(out.shape[0]):
-        if p:
-            rows = _gradient(rows, s)
-        sq = rows * rows
-        sq[n_diag:] *= 2.0
-        sq.sum(axis=0, out=out[p])
-    return out
+def _check_order(order):
+    """order, the highest s-derivative the norms read: an integer in 0..2."""
+    if (isinstance(order, bool) or not isinstance(order, (int, np.integer))
+            or not 0 <= order <= 2):
+        raise ValueError("order must be an integer from 0 to 2, the discrete "
+                         f"derivatives available, got {order!r}")
+    return int(order)
 
 
 def fits_window(r):
@@ -475,8 +480,10 @@ def _trace_free(block):
 
 class _NormPlan:
     """What the norms compute from the grid, the weight and the order alone,
-    built once for every tensor measured on that grid: log r, the least W
-    over the windows holding each node, the torus pairs, r^2, c_k and rho.
+    built once for every tensor measured on that grid: the order, checked
+    here for every caller, log r, the least W over the windows holding each
+    node, np.gradient's weights for the log r grid, the torus pairs, r^2,
+    c_k and rho.
 
     Every window holds its own node, and a correctly rounded division by
     W > 0 is monotone, so the star norm max_k max_{j in window k} v_j / W_k
@@ -492,21 +499,57 @@ class _NormPlan:
     """
 
     def __init__(self, grid, wf: WeightFunction, order):
+        self.order = _check_order(order)
         self.s = np.log(grid.nodes)
         self.wmin = _least_over_windows(weight(wf, grid.nodes),
                                         *_window_bounds(self.s))
-        self.order = order
+        self.weights = _gradient_weights(self.s)
         self.k = grid.n - 1
         self.pairs = _torus_pairs(self.k)
         self.scale = grid.nodes * grid.nodes     # a torus row's frame is row / r^2
         self.ck, self.rho = _center_cutoff(grid.nodes, self.s, wf)
 
-    def _sup_star(self, mixed, rows):
-        """(sup, star) from the torus rows and the mixed row's _squares (None
-        where that row vanishes): the largest frame norm over the derivative
-        orders and the nodes, and its largest ratio to Wmin."""
-        # rows / r^2 is _squares' only reference, freed once differentiated
-        sq = _squares(rows / self.scale, self.k, self.s, self.order)
+    def _squares(self, rows, n_diag):
+        """Share of a set of frame components in the squared norm of the
+        frame and of its s-derivatives: row p of the result, (order + 1, N),
+        is the share of the p-th derivative.
+
+        rows yields the components on and above the diagonal one at a time,
+        the first n_diag of them diagonal; each other one stands for two
+        entries.  Each row is differentiated up to the order, squared and
+        added in, so one row and one derivative are alive at a time; the
+        rows are added in order, the sum sq.sum(axis=0) takes of the
+        stacked squares.
+        """
+        out = np.zeros((self.order + 1, self.s.size))
+        for m, row in enumerate(rows):
+            for p in range(self.order + 1):
+                if p:
+                    row = _gradient(row, self.weights)
+                sq = row * row
+                if m >= n_diag:
+                    sq *= 2.0
+                out[p] += sq
+        return out
+
+    def _torus_squares(self, rows, u=None):
+        """_squares of the frame of the torus rows h_ij (i <= j, the k
+        diagonal ones first), h_ij / r^2.  Given u, the u_ij of the
+        center-point decomposition, one a row, they are hbar's instead:
+        (h_ij - rho u_ij r^2) / r^2, the arithmetic of
+        unit_frame_components(double_star_decompose(h)[0])."""
+        scale = self.scale
+        if u is None:
+            frame = (row / scale for row in rows)
+        else:
+            frame = ((row - self.rho * uij * scale) / scale
+                     for row, uij in zip(rows, u))
+        return self._squares(frame, self.k)
+
+    def _sup_star(self, sq, mixed):
+        """(sup, star) from the torus rows' _torus_squares and the mixed row's
+        _squares (None where that row vanishes): the largest frame norm over
+        the derivative orders and the nodes, and its largest ratio to Wmin."""
         if mixed is not None:
             sq += mixed
         point = np.sqrt(sq.max(axis=0))
@@ -515,17 +558,16 @@ class _NormPlan:
     def _split(self, h: InvariantTensor):
         """The torus rows of h and the _squares of its mixed row."""
         return (np.moveaxis(h.hij, 0, -1)[self.pairs],
-                _squares(_mixed_row(h), 1, self.s, self.order))
+                self._squares(_mixed_row(h), 1))
 
     def _report(self, rows, block, mixed):
         """NormReport from the torus rows, the torus frame block at c_k and
         the mixed row's squares (None where that row vanishes)."""
         u = _trace_free(block)
-        sup, star = self._sup_star(mixed, rows)
+        sup, star = self._sup_star(self._torus_squares(rows), mixed)
         i, j = (p[:len(rows)] for p in self.pairs)
         # hbar differs from h only in its torus rows
-        _, star_bar = self._sup_star(
-            mixed, rows - self.rho * u[i, j, None] * self.scale)
+        _, star_bar = self._sup_star(self._torus_squares(rows, u[i, j]), mixed)
         constructive = star_bar + TrivialVariation(u).size
         return NormReport(sup=sup, star=star,
                           double_star=min(star, constructive),
@@ -548,12 +590,13 @@ def weighted_norms(h: InvariantTensor, wf: WeightFunction, order=2):
     """(sup, star): the sup and weighted-sup norms of an invariant tensor.
 
     The local Hoelder seminorm is replaced by the max of the unit-frame
-    magnitude and its discrete s-derivatives up to `order`, s = log r the
-    cusp arclength, over a window of fixed arclength width _WINDOW.
+    magnitude and its discrete s-derivatives up to `order` (0, 1 or 2),
+    s = log r the cusp arclength, over a window of fixed arclength width
+    _WINDOW.
     """
     plan = _NormPlan(h.grid, wf, order)
     rows, mixed = plan._split(h)
-    return plan._sup_star(mixed, rows)
+    return plan._sup_star(plan._torus_squares(rows), mixed)
 
 
 def double_star_decompose(h: InvariantTensor, wf: WeightFunction):
@@ -582,10 +625,11 @@ def double_star_norm(h: InvariantTensor, wf: WeightFunction, order=2):
     the two-candidate infimum, so double_star <= star holds exactly.
 
     One pass over h: the grid-only work (arclength grid, weight, windows,
-    c_k and rho) is a _NormPlan, which a caller measuring many tensors on
-    one grid builds once, and no (n, n, N) frame is built.  hbar differs
-    from h only in its torus components, which are formed as
-    (h_ij - rho u_ij r^2) / r^2, the arithmetic of
+    np.gradient's weights, c_k and rho) is a _NormPlan, which a caller
+    measuring many tensors on one grid builds once.  No (n, n, N) frame is
+    built: the frame rows stream through, one row and one derivative alive
+    at a time.  hbar differs from h only in its torus components, which are
+    formed as (h_ij - rho u_ij r^2) / r^2, the arithmetic of
     unit_frame_components(double_star_decompose(h)[0]), and only they are
     differentiated again; the values equal those of weighted_norms on the
     decomposed tensor.

@@ -9,7 +9,8 @@ from dehnfill.geometry import (ArclengthMap, RadialGrid, r_plus,
                                radius_for_meridian, theta_period, v_profile)
 from dehnfill.gluing import (_COLLAR_WIDTH, GluedEnd, WeightFunction, _bump01,
                              _GAUSS_LEGENDRE_16, _bump01_value, _gradient,
-                             _GluedArclength, _least_over_windows,
+                             _gradient_weights, _GluedArclength,
+                             _least_over_windows,
                              double_star_decompose, double_star_norm, glue,
                              residual_decay_sweep, rho_cutoff,
                              unit_frame_components, weight, weighted_norms)
@@ -368,9 +369,68 @@ def test_diagonal_entry_matches_double_star_exactly(n, spacing):
 @pytest.mark.parametrize("s", [np.log(np.linspace(1.3, 64.0, 500)),
                                np.arange(40.0) * 3.0, np.array([0.0, 0.5])])
 def test_gradient_is_numpys(s):
-    # nonuniform and evenly spaced grids (np.gradient's two interior rules)
+    # nonuniform and evenly spaced grids (np.gradient's two interior rules),
+    # on one row and on a stack of rows, from the weights computed once
     f = np.random.default_rng(s.size).standard_normal((5, s.size))
-    assert np.array_equal(_gradient(f, s), np.gradient(f, s, axis=1))
+    weights = _gradient_weights(s)
+    assert np.array_equal(_gradient(f, weights), np.gradient(f, s, axis=-1))
+    assert np.array_equal(_gradient(f[2], weights), np.gradient(f[2], s))
+
+
+def _reference_squares(frame, n_diag, s, order):
+    """_squares the whole-array way: every frame row and derivative at once,
+    squared, the off-diagonal rows doubled, summed with .sum(axis=0)."""
+    out = np.empty((order + 1, frame.shape[1]))
+    g = frame
+    for p in range(order + 1):
+        if p:
+            g = np.gradient(g, s, axis=-1)
+        sq = g * g
+        sq[n_diag:] *= 2.0
+        sq.sum(axis=0, out=out[p])
+    return out
+
+
+@pytest.mark.parametrize("even", [False, True])
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
+def test_streamed_squares_equal_the_whole_array_formula(m, even):
+    # one row and one derivative at a time, added in row order, equals the
+    # stacked squares summed over rows, bit for bit, for h's torus rows and
+    # hbar's, at every order, a NaN entry included.  The even grid's log r
+    # steps by 2^-8 within [2, 4), where log(exp(s)) gives s back exactly
+    n, R, N = 4, 64.0, 400
+    r = (np.exp(2.0 + np.arange(N) / 256.0) if even
+         else np.geomspace(r_plus(n) * 1.01, R, N))
+    wf = WeightFunction(n, R)
+    rng = np.random.default_rng(m)
+    rows = rng.standard_normal((m, N)) * r**2
+    rows[m - 1, N // 3] = np.nan
+    u = rng.standard_normal((n - 1, n - 1))
+    i, j = (p[:m] for p in gluing._torus_pairs(n - 1))
+    s = np.log(r)
+    for order in range(3):
+        plan = gluing._NormPlan(RadialGrid(r, n), wf, order)
+        assert (np.ndim(plan.weights[0]) == 0) == even
+        ref = _reference_squares(rows / r**2, n - 1, s, order)
+        assert np.array_equal(plan._torus_squares(rows), ref, equal_nan=True)
+        hbar = (rows - plan.rho * u[i, j, None] * r**2) / r**2
+        ref_bar = _reference_squares(hbar, n - 1, s, order)
+        assert np.array_equal(plan._torus_squares(rows, u[i, j]), ref_bar,
+                              equal_nan=True)
+        # the NaN reaches every derivative order, and not the far end
+        assert np.isnan(ref).any(axis=1).all() and not np.isnan(ref[:, 0]).any()
+
+
+@pytest.mark.parametrize("order", [-1, -5, True, 1.0, 3])
+def test_order_outside_0_to_2_is_rejected(order):
+    n, R = 4, 64.0
+    r = np.geomspace(r_plus(n) * 1.01, R, 200)
+    h, wf = _random_tensor(n, r, 0), WeightFunction(n, R)
+    for call in (lambda: weighted_norms(h, wf, order),
+                 lambda: double_star_norm(h, wf, order),
+                 lambda: gluing._NormPlan(h.grid, wf, order)):
+        with pytest.raises(ValueError, match="order"):
+            call()
 
 
 def test_unit_frame_components_is_a_node_major_view():
@@ -384,9 +444,9 @@ def test_unit_frame_components_is_a_node_major_view():
 
 
 def test_double_star_norm_memory_peak():
-    # no frame is built, hbar's pass reads only its torus rows, and one
-    # derivative is alive at a time: the traced peak of an order-2 call
-    # stays below 3.5 frames of (N, n, n) floats
+    # no frame is built, hbar's pass reads only its torus rows, and one row
+    # and one derivative are alive at a time: the traced peak of an order-2
+    # call stays below 2 frames of (N, n, n) floats (1.50 measured)
     import tracemalloc
     n, R, N = 4, 64.0, 16384
     h = _random_tensor(n, np.linspace(r_plus(n) * 1.01, R, N), 0)
@@ -398,7 +458,7 @@ def test_double_star_norm_memory_peak():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 3.5 * N * n * n * 8
+    assert peak <= 2.0 * N * n * n * 8
 
 
 def test_bump_value_matches_bump01():
