@@ -27,7 +27,10 @@ Two stencil families are used:
 
 The discrete operator has one representation: one fixed-width table,
 indexed by component, node and offset, built for all components in one
-pass over their stacked samples.  The ratios of component i at interior
+pass over their stacked samples, and written in place: the parity
+window fills columns :kz and the matched stencils the rest of one set
+of full-width arrays, so no part is joined to another.  The ratios of
+component i at interior
 node k read at most the five samples k-2, ..., k+2, and slot m of the row
 always means sample k+m-2: wd[i, k-1, m] and wq[i, k-1, m] are the exact
 partials of d and q with respect to that sample.  Matched 3-point rows
@@ -37,7 +40,8 @@ g = f_2/s with the extrapolated g(0) at nodes 1-2) lands in the slots of
 the samples it folds into.  The linearization has one representation,
 the per-slot product of `DiagonalSystem.jacobian_writer`, so it is the
 exact derivative of the reported residual: the solver writes each
-(component, component, slot) of it straight into its band, and
+(component, component, slot) of it into its band, formed in a contiguous
+row and stored by one strided write, and
 `jacobian_triples` collects the same products into the one table that
 `operators.linearized_residual` contracts with a direction.  The
 parity-window sums run left to right in column order rather than through
@@ -83,13 +87,14 @@ def _c2p(z):
     return 1.0 / 12.0 + z / 180.0 + z * z / 6720.0
 
 
-def matched_ratios(h, delta, partials=False):
+def matched_ratios(h, delta, d, q, wd=None, wq=None):
     """d = h'/h and q = h''/h at interior nodes by curvature-matched stencils.
 
-    h holds samples along its last axis, (..., N).  Returns (d, q), each
-    (..., N-2), and, when requested, their partial derivatives as offset
-    table rows of shape (..., N-2, 5): with respect to h[k-1], h[k], h[k+1]
-    in slots 1-3, slots 0 and 4 zero.
+    h holds samples along its last axis, (..., N); the ratios are written
+    into d and q, each (..., N-2), and, when wd and wq are given, their
+    partial derivatives into those offset table rows of shape (..., N-2, 5):
+    with respect to h[k-1], h[k], h[k+1] in slots 1-3.  Slots 0 and 4 are
+    not written; the caller zeroes them.
     """
     a = h[..., 2:]
     b = h[..., :-2]
@@ -97,26 +102,23 @@ def matched_ratios(h, delta, partials=False):
     z_raw = (a + b - 2.0 * c) / c
     z = np.clip(z_raw, -_Z_CLAMP, _Z_CLAMP)
     c1, c2 = _c1(z), _c2(z)
-    q = z_raw / (delta * delta * c2)
-    d = (a - b) / (2.0 * delta * c * c1)
-    if not partials:
-        return d, q
+    np.divide(z_raw, delta * delta * c2, out=q)
+    np.divide(a - b, 2.0 * delta * c * c1, out=d)
+    if wd is None:
+        return
     live = (z_raw > -_Z_CLAMP) & (z_raw < _Z_CLAMP)
     c1r = _c1p(z) / c1
     c2r = _c2p(z) / c2
     dz_a = np.where(live, 1.0 / c, 0.0)
     dz_c = np.where(live, -(z_raw + 2.0) / c, 0.0)
     inv = 1.0 / (delta * delta * c2)
-    pd = np.zeros(d.shape + (_WIDTH,))
-    pq = np.zeros(d.shape + (_WIDTH,))
     # q = z_raw / (d^2 c2(z)); z enters both numerator and the correction;
     # q is symmetric in a <-> b
-    pq[..., 1] = pq[..., 3] = inv * (1.0 / c) - q * c2r * dz_a
-    pq[..., 2] = inv * (-(z_raw + 2.0) / c) - q * c2r * dz_c
-    pd[..., 3] = 1.0 / (2.0 * delta * c * c1) - d * c1r * dz_a
-    pd[..., 1] = -1.0 / (2.0 * delta * c * c1) - d * c1r * dz_a
-    pd[..., 2] = -d / c - d * c1r * dz_c
-    return d, q, pd, pq
+    wq[..., 1] = wq[..., 3] = inv * (1.0 / c) - q * c2r * dz_a
+    wq[..., 2] = inv * (-(z_raw + 2.0) / c) - q * c2r * dz_c
+    wd[..., 3] = 1.0 / (2.0 * delta * c * c1) - d * c1r * dz_a
+    wd[..., 1] = -1.0 / (2.0 * delta * c * c1) - d * c1r * dz_a
+    wd[..., 2] = -d / c - d * c1r * dz_c
 
 
 def _windows(v):
@@ -135,41 +137,31 @@ def _slot_sum(w, v):
     return acc
 
 
-def _zone_table(w, w_node1, kmax):
-    """Parity-window weights by offset slot at nodes 1..kmax, (kmax, 5)."""
-    table = np.tile(w, (kmax, 1))
-    table[0] = w_node1[_NODE1_SLOTS]
-    return table
-
-
-def zone_rows(h, delta, kmax, partials=False):
+def zone_rows(h, delta, d, q, wd=None, wq=None):
     """Fourth-order d, q at nodes 1..kmax with even-parity ghosts across 0.
 
-    h holds samples along its last axis.  Returns (d, q) and, when
-    requested, their offset table rows (wd, wq).  At node 1 the ghost
-    h[-1] = h[1] folds onto the centre slot, and its sums read the columns
-    [1, 0, 2, 3] in that order; every other node's sum is one shifted
-    slice of the samples per slot.
+    h holds samples along its last axis; the ratios are written into d and
+    q, each (..., kmax), and, when wd and wq are given, all five slots of
+    their offset table rows into those (..., kmax, 5) arrays.  At node 1
+    the ghost h[-1] = h[1] folds onto the centre slot, and its sums read
+    the columns [1, 0, 2, 3] in that order; every other node's sum is one
+    shifted slice of the samples per slot.
     """
+    kmax = d.shape[-1]
     h0 = h[..., 1:kmax + 1]
-    sums = []
-    for w, w_node1 in ((_W1, _W1_NODE1), (_W2, _W2_NODE1)):
-        acc = np.empty(h0.shape)
+    for acc, table, w, w_node1, scale in (
+            (d, wd, _W1, _W1_NODE1, delta * h0),
+            (q, wq, _W2, _W2_NODE1, delta * delta * h0)):
         acc[..., 0] = _slot_sum(w_node1, h[..., _NODE1_COLS])
         rest = acc[..., 1:]         # nodes 2..kmax read samples k-2..k+2
         np.multiply(w[0], h[..., :kmax - 1], out=rest)
         for m in range(1, _WIDTH):
             rest += w[m] * h[..., m:kmax - 1 + m]
-        sums.append(acc)
-    d = sums[0] / (delta * h0)
-    q = sums[1] / (delta * delta * h0)
-    if not partials:
-        return d, q
-    wd = _zone_table(_W1, _W1_NODE1, kmax) / (delta * h0)[..., None]
-    wq = _zone_table(_W2, _W2_NODE1, kmax) / (delta * delta * h0)[..., None]
-    wd[..., 2] -= d / h0
-    wq[..., 2] -= q / h0
-    return d, q, wd, wq
+        acc /= scale
+        if table is not None:
+            np.divide(w, scale[..., None], out=table)
+            table[..., 0, :] = w_node1[_NODE1_SLOTS] / scale[..., :1]
+            table[..., 2] -= acc / h0
 
 
 def e2_constant(n):
@@ -191,14 +183,17 @@ class DiagonalSystem:
     All n-1 components are evaluated in one pass over an (n-1, N) stack of
     samples whose row 0 holds g = f_2/s when the profile is capped: the
     parity window on nodes 1..kz and the matched stencils beyond it each
-    run once on the stack, and row 0 is then mapped back to f_2.  With
+    run once on the stack, writing columns :kz and kz: of the full-width
+    d and q, and row 0 is then mapped back to f_2 in place.  With
     partials, wd and wq hold the offset tables, each of shape
-    (n-1, N-2, 5): d[i, k-1] has partial wd[i, k-1, m] with respect to
-    f_i[k+m-2], and q likewise with wq.  The linearization is read from
+    (n-1, N-2, 5), written the same way: d[i, k-1] has partial
+    wd[i, k-1, m] with respect to f_i[k+m-2], and q likewise with wq.
+    The private `_tables`, a spent system's (wd, wq), are zeroed and
+    rewritten in place of new tables.  The linearization is read from
     them in one place, `jacobian_writer`.
     """
 
-    def __init__(self, n, s, f, partials=False):
+    def __init__(self, n, s, f, partials=False, *, _tables=None):
         self.n = n
         self.s = s
         self.f = f
@@ -211,18 +206,24 @@ class DiagonalSystem:
             h = f.copy()    # row 0 becomes g = f_2/s, g[0] its even extension
             h[0, 1:] /= s[1:]
             h[0, 0] = _G0_COEF @ h[0, 1:4]
-        # matched stencils beyond the parity window, nodes kz+1..N-2
-        parts = matched_ratios(h[:, self.kz:], self.delta, partials)
-        if self.kz:
-            zone = zone_rows(h, self.delta, self.kz, partials)
-            parts = [np.concatenate(pair, axis=1) for pair in zip(zone, parts)]
-        d, q, *tables = parts
-        if self.capped:
-            self._theta_from_g(d, q, *tables)
-        self.d, self.q = d, q
-        self.S = d.sum(axis=0)
+        shape = (n - 1, s.size - 2)
+        out = [np.empty(shape), np.empty(shape)]
         if partials:
-            self.wd, self.wq = tables
+            if _tables is None:
+                _tables = (np.zeros(shape + (_WIDTH,)), np.zeros(shape + (_WIDTH,)))
+            else:
+                for table in _tables:
+                    table.fill(0.0)
+            self.wd, self.wq = _tables
+            out += _tables
+        # matched stencils beyond the parity window, nodes kz+1..N-2
+        matched_ratios(h[:, self.kz:], self.delta, *(a[:, self.kz:] for a in out))
+        if self.kz:
+            zone_rows(h, self.delta, *(a[:, :self.kz] for a in out))
+        if self.capped:
+            self._theta_from_g(*out)
+        self.d, self.q = out[:2]
+        self.S = self.d.sum(axis=0)
 
     def _theta_from_g(self, d, q, wd=None, wq=None):
         """Map row 0 from the ratios of g = f_2/s to those of f_2, in place.
@@ -267,21 +268,25 @@ class DiagonalSystem:
         on component j through S, and for i = j also through q_j and d_j:
         the products are (2 d_i wd_j[m]) f_j off the diagonal and
         2 (wq_i[m] + wd_i[m] (S - d_i)) f_i on it, in that order, so an
-        entry is the same double whatever slice it is written with.  out
-        may be a strided view, such as a diagonal of a band matrix.
+        entry is the same double whatever slice it is written with.  They
+        are formed in a contiguous scratch row and stored in out by one
+        write; out may be a strided view, such as a diagonal of a band.
         """
         two_d, s_less_d = 2.0 * self.d, self.S - self.d
         f_col = _windows(self.f)
         wd, wq = self.wd, self.wq
+        scratch = np.empty(self.d.shape[1])
 
         def write(i, j, m, nodes, out):
+            row = scratch[nodes]
             if i == j:
-                np.multiply(wd[i, nodes, m], s_less_d[i, nodes], out=out)
-                out += wq[i, nodes, m]
-                out *= 2.0
+                np.multiply(wd[i, nodes, m], s_less_d[i, nodes], out=row)
+                row += wq[i, nodes, m]
+                row *= 2.0
             else:
-                np.multiply(two_d[i, nodes], wd[j, nodes, m], out=out)
-            out *= f_col[j, nodes, m]
+                np.multiply(two_d[i, nodes], wd[j, nodes, m], out=row)
+            row *= f_col[j, nodes, m]
+            out[...] = row
 
         return write
 

@@ -143,10 +143,12 @@ class BandedLinearization:
     the partials is written there, by `DiagonalSystem.jacobian_writer`,
     into one strided slice, clipped at the pinned f_2(0) and the Dirichlet
     node; each sample of the parity rows is one more slice.  No table of
-    the partials and no copy of the band is made.  The first solve, in
-    either direction, factors that array in place and `_lu` holds the
-    factors from then on; until then `ab`, the band rows, is a view of it,
-    and afterwards `ab` and `matvec` write the band anew from `sys`.
+    the partials and no copy of the band is made; the private `_work`, a
+    spent linearization's `_lu`, is zeroed and written in place of a new
+    array.  The first solve, in either direction, factors that array in
+    place and `_lu` holds the factors from then on; until then `ab`, the
+    band rows, is a view of it, and afterwards `ab` and `matvec` write
+    the band anew from `sys`.
 
     `solve` and `solve_transpose` (A^T x = b) sweep A's factors, on one
     right-hand side or a matrix of them.  `sigma_min` factors no LU: it
@@ -154,7 +156,7 @@ class BandedLinearization:
     system at the profile when the caller already built it with partials.
     """
 
-    def __init__(self, profile: DiagonalMetricProfile, sys=None):
+    def __init__(self, profile: DiagonalMetricProfile, sys=None, *, _work=None):
         if not profile.has_cap:
             raise ValueError("the solver expects a capped profile")
         self.profile = profile
@@ -166,15 +168,19 @@ class BandedLinearization:
         self.size = int(self.index.max()) + 1
         # E1_{n-1} at node t reads f_2 at t-2; the parity rows reach node 4
         self.l, self.u = 3 * n - 4, 4 * (n - 1)
-        self._lu = self._band()          # factored in place by the first solve
+        self._lu = self._band(_work)     # factored in place by the first solve
         self._piv = None
 
-    def _band(self):
-        """A's band under the fill rows of a dgbtrf work array."""
+    def _band(self, work=None):
+        """A's band under the fill rows of a dgbtrf work array: a new one,
+        or `work`, zeroed and rewritten."""
         n, N, kz, index = self.n, self.N, self.sys.kz, self.index
         l, u = self.l, self.u
         step = n - 1                    # unknowns per node, node-major
-        work = np.zeros((2 * l + u + 1, self.size), order="F")
+        if work is None:
+            work = np.zeros((2 * l + u + 1, self.size), order="F")
+        else:
+            work.fill(0.0)
         write = self.sys.jacobian_writer()
         for i, j, m in np.ndindex(step, step, 5):
             # the nodes t whose table fills slot m and whose sample t+m-2 is
@@ -208,7 +214,7 @@ class BandedLinearization:
         _check_finite(self._lu[self.l:])
         lu, piv, info = dgbtrf(self._lu, self.l, self.u, overwrite_ab=True)
         if info:
-            self._lu = self._band()     # dgbtrf has overwritten the band
+            self._band(self._lu)        # dgbtrf has overwritten the band
         check_info(info, "dgbtrf")
         self._lu, self._piv = lu, piv
 
@@ -388,9 +394,9 @@ def newton_solve(g0: DiagonalMetricProfile, cfg: SolverConfig | None = None):
     afterwards evaluates only the residual, realizing the fixed point
     iteration h -> h - L^{-1} Phi(g + h).  A matrix is assembled only when
     a step follows.  At most one linearization is alive: a Newton step
-    drops the previous one, and the system it was built from, before it
-    builds the next, so a step holds one band, its LU factors and one
-    system's stencil tables; a residual-only step builds no tables.  When
+    keeps only the spent step's dgbtrf work array and stencil tables, and
+    writes the next system and band into them, so a solve allocates one
+    band and one pair of tables; a residual-only step builds none.  When
     the profile carries its radii and cap radius, each iterate's
     perturbation is measured in the star and double-star norms of the
     weight at the cap radius, through one norm plan built per solve: from
@@ -407,17 +413,20 @@ def newton_solve(g0: DiagonalMetricProfile, cfg: SolverConfig | None = None):
         f0_squared = g0.f**2
     index = _unknown_index(profile.n, profile.s.size)
     free = index >= 0
-    lin = None
+    lin = work = tables = None
     history, stars, dstars = [], [], []
     grow = 0
     diverged = False
     message = ""
     for it in range(cfg.max_iterations + 1):
         if cfg.mode == "newton":
-            lin = sys = None     # free the last step's matrix before the next
+            if lin is not None:     # keep the spent step's arrays, not its objects
+                work, tables = lin._lu, (sys.wd, sys.wq)
+            lin = sys = None
         # partials only where a matrix may be assembled from this system
         fresh = lin is None
-        sys = _stencils.DiagonalSystem(profile.n, profile.s, profile.f, partials=fresh)
+        sys = _stencils.DiagonalSystem(profile.n, profile.s, profile.f, partials=fresh,
+                                       _tables=tables)
         e1n, e2 = sys.residual()
         rnorm = float(np.abs(e1n).max())
         history.append(rnorm)
@@ -442,7 +451,7 @@ def newton_solve(g0: DiagonalMetricProfile, cfg: SolverConfig | None = None):
             message = "maximum iterations reached"
             break
         if fresh:
-            lin = BandedLinearization(profile, sys)
+            lin = BandedLinearization(profile, sys, _work=work)
         step = np.clip(lin.solve(-_stacked_residual(index, sys, e1n)),
                        -_STEP_CLIP, _STEP_CLIP)
         profile.f[free] *= np.exp(step[index[free]])

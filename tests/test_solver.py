@@ -415,6 +415,39 @@ def test_newton_step_frees_the_previous_matrix(monkeypatch):
     assert alive == [0] * len(refs)
 
 
+def test_newton_solve_factors_one_band(monkeypatch):
+    # each Newton step writes its band into the spent step's work array, so
+    # every dgbtrf call of a solve factors the same buffer; each factored
+    # array is held, or a fresh one could be given a freed one's address
+    factored, factor = [], solver.dgbtrf
+
+    def recording_factor(ab, *args, **kwargs):
+        factored.append(ab)
+        return factor(ab, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "dgbtrf", recording_factor)
+    _, rep = newton_solve(glue(3, 10.0, nodes=256))
+    assert rep.converged and len(factored) >= 2
+    assert len({ab.ctypes.data for ab in factored}) == 1
+
+
+def test_linearization_in_a_spent_work_array_matches_a_fresh_one():
+    # a band written into an array another profile's factors fill is the
+    # band of a fresh array, and solves to the same bits
+    p = glue(4, 20.0, nodes=256)
+    other = p.copy()
+    other.f[:, 1:] *= 1.0 + 0.1 * np.sin(np.arange(1, p.s.size))
+    spent = BandedLinearization(other)
+    b = np.linspace(-1.0, 1.0, spent.size)
+    spent.solve(b)
+    work = spent._lu
+    fresh = BandedLinearization(p)
+    reused = BandedLinearization(p, _work=work)
+    assert reused._lu is work
+    assert np.array_equal(reused.ab, fresh.ab)
+    assert np.array_equal(reused.solve(b), fresh.solve(b))
+
+
 def _count_calls(monkeypatch, owner, name):
     """Patch owner.name to record its calls; returns the record."""
     calls, fn = [], getattr(owner, name)
