@@ -71,20 +71,35 @@ _W2_NODE1 = np.array([_W2[0] + _W2[2], _W2[1], _W2[3], _W2[4], 0.0])
 _G0_COEF = np.array([1.5, -0.6, 0.1])   # g(0) from g(1..3), even extension, O(d^6)
 
 
+def _series(z, c0, k1, k2, k3=None):
+    """c0 + z/k1 + z*z/k2 (+ z**3/k3), each term formed and added in that
+    order, in the returned array and one scratch array."""
+    acc = np.divide(z, k1)
+    acc += c0
+    term = np.multiply(z, z)
+    term /= k2
+    acc += term
+    if k3 is not None:
+        np.power(z, 3, out=term)
+        term /= k3
+        acc += term
+    return acc
+
+
 def _c1(z):
-    return 1.0 + z / 6.0 + z * z / 120.0 + z**3 / 5040.0
+    return _series(z, 1.0, 6.0, 120.0, 5040.0)
 
 
 def _c1p(z):
-    return 1.0 / 6.0 + z / 60.0 + z * z / 1680.0
+    return _series(z, 1.0 / 6.0, 60.0, 1680.0)
 
 
 def _c2(z):
-    return 1.0 + z / 12.0 + z * z / 360.0 + z**3 / 20160.0
+    return _series(z, 1.0, 12.0, 360.0, 20160.0)
 
 
 def _c2p(z):
-    return 1.0 / 12.0 + z / 180.0 + z * z / 6720.0
+    return _series(z, 1.0 / 12.0, 180.0, 6720.0)
 
 
 def matched_ratios(h, delta, d, q, wd=None, wq=None):
@@ -94,31 +109,82 @@ def matched_ratios(h, delta, d, q, wd=None, wq=None):
     into d and q, each (..., N-2), and, when wd and wq are given, their
     partial derivatives into those offset table rows of shape (..., N-2, 5):
     with respect to h[k-1], h[k], h[k+1] in slots 1-3.  Slots 0 and 4 are
-    not written; the caller zeroes them.
+    not written; the caller zeroes them.  The (..., N-2) intermediates are
+    formed in place and each is dropped after its last use, at most six
+    alive at once; the operations, their operands and their order are those
+    of the plain expressions in the comments, so the results are the same
+    to the bit.
     """
-    a = h[..., 2:]
-    b = h[..., :-2]
-    c = h[..., 1:-1]
-    z_raw = (a + b - 2.0 * c) / c
+    partials = wd is not None
+    a, b, c = h[..., 2:], h[..., :-2], h[..., 1:-1]
+    z_raw = a + b                       # (a + b - 2 c) / c
+    z_raw -= 2.0 * c
+    z_raw /= c
     z = np.clip(z_raw, -_Z_CLAMP, _Z_CLAMP)
-    c1, c2 = _c1(z), _c2(z)
-    np.divide(z_raw, delta * delta * c2, out=q)
-    np.divide(a - b, 2.0 * delta * c * c1, out=d)
-    if wd is None:
+    den = _c1(z)                        # d = (a - b) / (2 delta c c1(z))
+    if partials:
+        r = _c1p(z)
+        r /= den
+    np.multiply(2.0 * delta * c, den, out=den)
+    np.subtract(a, b, out=d)
+    d /= den
+    if partials:
+        # z's partials, dz_a = 1/c by a and b and dz_c = -(z_raw + 2)/c by
+        # c, are 0 where z is clamped
+        dead = ~((z_raw > -_Z_CLAMP) & (z_raw < _Z_CLAMP))
+        dz, row = np.empty_like(d), np.empty_like(d)
+        np.multiply(d, r, out=r)        # d c1'/c1
+        np.divide(1.0, c, out=dz)
+        np.copyto(dz, 0.0, where=dead)
+        dz *= r                         # d c1r dz_a
+        np.divide(1.0, den, out=row)    # 1 / (2 delta c c1) - d c1r dz_a
+        row -= dz
+        wd[..., 3] = row
+        np.divide(-1.0, den, out=row)   # -1 / (2 delta c c1) - d c1r dz_a
+        row -= dz
+        wd[..., 1] = row
+        _dz_by_centre(z_raw, c, dz)
+        np.copyto(dz, 0.0, where=dead)
+        dz *= r                         # d c1r dz_c
+        np.negative(d, out=row)         # -d / c - d c1r dz_c
+        row /= c
+        row -= dz
+        wd[..., 2] = row
+        del r, dz, row
+    del den
+    den = _c2(z)                        # q = z_raw / (delta^2 c2(z))
+    if partials:
+        r = _c2p(z)
+        r /= den
+    del z
+    np.multiply(delta * delta, den, out=den)
+    np.divide(z_raw, den, out=q)
+    if not partials:
         return
-    live = (z_raw > -_Z_CLAMP) & (z_raw < _Z_CLAMP)
-    c1r = _c1p(z) / c1
-    c2r = _c2p(z) / c2
-    dz_a = np.where(live, 1.0 / c, 0.0)
-    dz_c = np.where(live, -(z_raw + 2.0) / c, 0.0)
-    inv = 1.0 / (delta * delta * c2)
-    # q = z_raw / (d^2 c2(z)); z enters both numerator and the correction;
-    # q is symmetric in a <-> b
-    wq[..., 1] = wq[..., 3] = inv * (1.0 / c) - q * c2r * dz_a
-    wq[..., 2] = inv * (-(z_raw + 2.0) / c) - q * c2r * dz_c
-    wd[..., 3] = 1.0 / (2.0 * delta * c * c1) - d * c1r * dz_a
-    wd[..., 1] = -1.0 / (2.0 * delta * c * c1) - d * c1r * dz_a
-    wd[..., 2] = -d / c - d * c1r * dz_c
+    # z enters both the numerator and the correction; q is symmetric in
+    # a <-> b
+    np.divide(1.0, den, out=den)        # inv = 1 / (delta^2 c2)
+    np.multiply(q, r, out=r)            # q c2'/c2
+    dz, row = np.empty_like(d), np.empty_like(d)
+    np.divide(1.0, c, out=dz)
+    np.multiply(den, dz, out=row)       # inv (1/c) - q c2r dz_a
+    np.copyto(dz, 0.0, where=dead)
+    dz *= r
+    row -= dz
+    wq[..., 1] = wq[..., 3] = row
+    _dz_by_centre(z_raw, c, dz)
+    np.multiply(den, dz, out=row)       # inv (-(z_raw + 2)/c) - q c2r dz_c
+    np.copyto(dz, 0.0, where=dead)
+    dz *= r
+    row -= dz
+    wq[..., 2] = row
+
+
+def _dz_by_centre(z_raw, c, out):
+    """z's partial by the centre sample, -(z_raw + 2) / c, into out."""
+    np.add(z_raw, 2.0, out=out)
+    np.negative(out, out=out)
+    out /= c
 
 
 def _windows(v):

@@ -244,8 +244,11 @@ def test_criterion_12_weighted_invertibility():
     mono = all(plain[i + 1] < plain[i] for i in range(len(plain) - 1))
     spread = max(conj) / min(conj)
     ok = mono and spread < 2.0
-    report(12, ok, f"conjugated sigma_min spread over R=8..64: {spread:.2f}x "
-                   f"(<2); unweighted trivial-direction quotient "
+    # the bound is checked over R = 8..64 only: past R = 64 the proxy keeps
+    # falling, and its spread over R = 8..512 at 768 nodes is 2.44
+    report(12, ok, f"conjugated sigma_min spread over R=8..64 at {nodes} nodes: "
+                   f"{spread:.2f}x (<2; past R=64 it keeps falling, 2.44x over "
+                   f"R=8..512); unweighted trivial-direction quotient "
                    f"{['%.3g' % q for q in plain]} monotone decreasing: {mono}; "
                    f"Newton correction ||h||_** / glued residual per R: "
                    f"{['%.3g' % q for q in ratios]}")

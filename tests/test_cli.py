@@ -231,14 +231,15 @@ def _run_python(code):
 
 
 def test_import_loads_no_optimize_or_integrate():
-    # start-up cost: the package and its CLI import numpy, the top-level
-    # scipy package and SciPy's compiled LAPACK wrapper, not the scipy.linalg
+    # start-up cost: the package and its CLI import numpy and SciPy's
+    # compiled LAPACK wrapper, not the scipy package (whose init imports
+    # its test utilities, subprocess and sysconfig) nor the scipy.linalg
     # package with its array-API layer (scipy._lib._util, which pulls in
     # numpy.ma and unittest); no module of the package imports
     # scipy.optimize or scipy.integrate, which only tests use as oracles;
     # and a solve, which glues, holds its quadrature rule as constants
     # rather than importing numpy.polynomial to compute it
-    heavy = ("scipy.linalg", "scipy._lib._util", "numpy.ma", "unittest",
+    heavy = ("scipy", "scipy.linalg", "scipy._lib._util", "numpy.ma", "unittest",
              "scipy.optimize", "scipy.integrate", "numpy.polynomial")
     code = ("import os, sys, dehnfill, dehnfill.cli; "
             "dehnfill.cli.main(['solve', '--n', '3', '--ell', '10', "
@@ -261,13 +262,48 @@ def test_lapack_routines_are_scipys(first, second):
     assert _run_python(code) == "True True"
 
 
+def test_import_loads_the_lapack_wrapper_without_scipys_package():
+    # the wrapper is loaded from the file find_spec locates; on Linux it
+    # finds its bundled OpenBLAS by its own RPATH, so the scipy package
+    # never runs
+    code = ("import sys, dehnfill, dehnfill.cli; "
+            "print('scipy' in sys.modules, 'scipy.linalg._flapack' in sys.modules)")
+    assert _run_python(code) == "False True"
+
+
+def test_failed_wrapper_load_imports_scipy_and_loads_again():
+    # where the wrapper's bundled libraries are not yet on the search path,
+    # its load raises ImportError; the loader then imports scipy, whose
+    # init puts them there, and loads once more
+    code = ("import sys, importlib.machinery as M\n"
+            "create = M.ExtensionFileLoader.create_module\n"
+            "seen = []\n"
+            "def create_once_scipy_runs(self, spec):\n"
+            "    if spec.name == 'scipy.linalg._flapack':\n"
+            "        seen.append('scipy' in sys.modules)\n"
+            "        if not seen[-1]:\n"
+            "            raise ImportError('bundled library not found')\n"
+            "    return create(self, spec)\n"
+            "M.ExtensionFileLoader.create_module = create_once_scipy_runs\n"
+            "import dehnfill._lapack as L\n"
+            "print(seen, L._flapack is sys.modules[L._NAME])")
+    assert _run_python(code) == "[False, True] True"
+
+
 def test_missing_lapack_wrapper_names_its_path(monkeypatch, tmp_path):
-    from types import SimpleNamespace
+    import importlib.util
+    from importlib.machinery import ModuleSpec
 
     from dehnfill import _lapack
+    find_spec = importlib.util.find_spec
+
+    def scipy_in_tmp_path(name, *args):
+        if name != "scipy":
+            return find_spec(name, *args)
+        return ModuleSpec(name, None, origin=str(tmp_path / "__init__.py"))
+
     monkeypatch.delitem(sys.modules, _lapack._NAME)
-    monkeypatch.setattr(_lapack, "scipy",
-                        SimpleNamespace(__file__=str(tmp_path / "__init__.py")))
+    monkeypatch.setattr(importlib.util, "find_spec", scipy_in_tmp_path)
     looked_for = re.escape(str(tmp_path / "linalg" / "_flapack"))
     with pytest.raises(ImportError, match=looked_for):
         _lapack._load_flapack()

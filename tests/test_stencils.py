@@ -12,11 +12,29 @@ import numpy as np
 import pytest
 
 from dehnfill import _stencils
-from dehnfill._stencils import (_G0_COEF, _W1, _W2, _Z_CLAMP, S_ZONE, _c1,
-                                _c1p, _c2, _c2p, _slot_sum, _windows)
+from dehnfill._stencils import (_G0_COEF, _W1, _W2, _Z_CLAMP, S_ZONE, _slot_sum,
+                                _windows)
 from dehnfill.geometry import _closed_cap, cusp_profile, theta_period, v_profile
 from dehnfill.gluing import glue
 from dehnfill.solver import SolverConfig, newton_solve
+
+
+# the curvature corrections as plain expressions: the module forms them in
+# place, term by term in this order
+def _c1(z):
+    return 1.0 + z / 6.0 + z * z / 120.0 + z**3 / 5040.0
+
+
+def _c1p(z):
+    return 1.0 / 6.0 + z / 60.0 + z * z / 1680.0
+
+
+def _c2(z):
+    return 1.0 + z / 12.0 + z * z / 360.0 + z**3 / 20160.0
+
+
+def _c2p(z):
+    return 1.0 / 12.0 + z / 180.0 + z * z / 6720.0
 
 
 def _matched(h, delta, partials):
