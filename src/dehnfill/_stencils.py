@@ -29,7 +29,10 @@ The discrete operator has one representation: one fixed-width table,
 indexed by component, node and offset, built for all components in one
 pass over their stacked samples, and written in place: the parity
 window fills columns :kz and the matched stencils the rest of one set
-of full-width arrays, so no part is joined to another.  The ratios of
+of full-width arrays, so no part is joined to another.  The tables are
+slot-major in memory behind their (component, node, slot) view: each
+slot of a component is one contiguous row over the nodes, as the
+stencils write it and the Jacobian reads it.  The ratios of
 component i at interior
 node k read at most the five samples k-2, ..., k+2, and slot m of the row
 always means sample k+m-2: wd[i, k-1, m] and wq[i, k-1, m] are the exact
@@ -250,13 +253,14 @@ class DiagonalSystem:
     samples whose row 0 holds g = f_2/s when the profile is capped: the
     parity window on nodes 1..kz and the matched stencils beyond it each
     run once on the stack, writing columns :kz and kz: of the full-width
-    d and q, and row 0 is then mapped back to f_2 in place.  With
-    partials, wd and wq hold the offset tables, each of shape
+    d and q, and row 0 is then mapped back to f_2 in place, one slot at a
+    time.  With partials, wd and wq hold the offset tables, each of shape
     (n-1, N-2, 5), written the same way: d[i, k-1] has partial
     wd[i, k-1, m] with respect to f_i[k+m-2], and q likewise with wq.
-    The private `_tables`, a spent system's (wd, wq), are zeroed and
-    rewritten in place of new tables.  The linearization is read from
-    them in one place, `jacobian_writer`.
+    Each is a view of an (n-1, 5, N-2) array, so wd[i, :, m] is
+    contiguous.  The private `_tables`, a spent system's (wd, wq), are
+    zeroed and rewritten in place of new tables.  The linearization is
+    read from them in one place, `jacobian_writer`.
     """
 
     def __init__(self, n, s, f, partials=False, *, _tables=None):
@@ -275,8 +279,9 @@ class DiagonalSystem:
         shape = (n - 1, s.size - 2)
         out = [np.empty(shape), np.empty(shape)]
         if partials:
-            if _tables is None:
-                _tables = (np.zeros(shape + (_WIDTH,)), np.zeros(shape + (_WIDTH,)))
+            if _tables is None:     # slot-major memory behind node-major views
+                _tables = tuple(np.zeros((n - 1, _WIDTH, s.size - 2)).transpose(0, 2, 1)
+                                for _ in range(2))
             else:
                 for table in _tables:
                     table.fill(0.0)
@@ -298,7 +303,9 @@ class DiagonalSystem:
         back to the f_2 samples through dg[c]/df_2[c] = 1/s[c].  The rows of
         nodes 1 and 2, which read g[0] in slots 1 and 0, pick up its
         sensitivity on the slots of samples 1..3; the slot of sample 0 is
-        left zero.
+        left zero.  The tables are mapped one slot at a time through one
+        scratch row, each entry by the operations of the whole-table
+        expressions, in their order, so no table-sized temporary is made.
         """
         s = self.s
         sm = s[1:-1]
@@ -306,14 +313,18 @@ class DiagonalSystem:
         d[0] = 1.0 / sm + d[0]
         if wd is None:
             return
-        wdg, wqg = wd[0], 2.0 * wd[0] / sm[:, None] + wq[0]
-        ghosts = [(row, ghost, wdg[row, ghost], wqg[row, ghost])
-                  for row, ghost in ((0, 1), (1, 0))]
-        inv_s = np.zeros(s.size)      # g[0] is no sample of f_2: merged below
-        inv_s[1:] = 1.0 / s[1:]
-        inv_s = _windows(inv_s)
-        np.multiply(wdg, inv_s, out=wd[0])
-        np.multiply(wqg, inv_s, out=wq[0])
+        inv_s = np.zeros(s.size + 2)    # 1/s at samples -1..N; g[0] is no
+        inv_s[2:-1] = 1.0 / s[1:]       # sample of f_2: merged below
+        wqg = np.empty(sm.size)
+        ghosts = []
+        for m in range(_WIDTH):
+            wdg, wqm, inv_m = wd[0, :, m], wq[0, :, m], inv_s[m:m + sm.size]
+            np.multiply(wdg, 2.0, out=wqg)      # 2 wd / s + wq
+            wqg /= sm
+            wqg += wqm
+            ghosts += [(row, m, wdg[row], wqg[row]) for row in (0, 1) if row + m == 1]
+            np.multiply(wqg, inv_m, out=wqm)
+            wdg *= inv_m
         w0 = _G0_COEF / s[1:4]
         for row, ghost, gd, gq in ghosts:
             wd[0, row, ghost + 1:ghost + 4] += gd * w0
@@ -328,31 +339,37 @@ class DiagonalSystem:
         """The partials of the E1 rows by the log-profile samples, one
         (i, j, slot) at a time.
 
-        Returns write(i, j, m, nodes, out), which stores in out the
-        derivative of E1_i at the interior nodes k with k-1 in the slice
-        `nodes` by log f_j at sample k+m-2 (d f = f d log f).  E1_i depends
-        on component j through S, and for i = j also through q_j and d_j:
-        the products are (2 d_i wd_j[m]) f_j off the diagonal and
+        Returns write(i, j, m, nodes), which returns the derivative of E1_i
+        at the interior nodes k with k-1 in the slice `nodes` by log f_j at
+        sample k+m-2 (d f = f d log f), in a contiguous scratch row that the
+        next call overwrites.  E1_i depends on component j through S, and
+        for i = j also through q_j and d_j: the products are
+        (2 d_i wd_j[m]) f_j off the diagonal and
         2 (wq_i[m] + wd_i[m] (S - d_i)) f_i on it, in that order, so an
-        entry is the same double whatever slice it is written with.  They
-        are formed in a contiguous scratch row and stored in out by one
-        write; out may be a strided view, such as a diagonal of a band.
+        entry is the same double whatever slice it is written with.  2 d_i
+        and S - d_i are formed for one i at a time, when a call names a new
+        i.
         """
-        two_d, s_less_d = 2.0 * self.d, self.S - self.d
+        d, S, wd, wq = self.d, self.S, self.wd, self.wq
         f_col = _windows(self.f)
-        wd, wq = self.wd, self.wq
-        scratch = np.empty(self.d.shape[1])
+        scratch, two_d, s_less_d = np.empty((3, d.shape[1]))
+        own = None                      # the i of two_d and s_less_d
 
-        def write(i, j, m, nodes, out):
+        def write(i, j, m, nodes):
+            nonlocal own
+            if i != own:
+                np.multiply(2.0, d[i], out=two_d)
+                np.subtract(S, d[i], out=s_less_d)
+                own = i
             row = scratch[nodes]
             if i == j:
-                np.multiply(wd[i, nodes, m], s_less_d[i, nodes], out=row)
+                np.multiply(wd[i, nodes, m], s_less_d[nodes], out=row)
                 row += wq[i, nodes, m]
                 row *= 2.0
             else:
-                np.multiply(two_d[i, nodes], wd[j, nodes, m], out=row)
+                np.multiply(two_d[nodes], wd[j, nodes, m], out=row)
             row *= f_col[j, nodes, m]
-            out[...] = row
+            return row
 
         return write
 
@@ -366,7 +383,7 @@ class DiagonalSystem:
         vals = np.empty((k, k, _WIDTH, self.d.shape[1]))
         write = self.jacobian_writer()
         for i, j, m in np.ndindex(k, k, _WIDTH):
-            write(i, j, m, slice(None), vals[i, j, m])
+            vals[i, j, m] = write(i, j, m, slice(None))
         return vals
 
 

@@ -13,6 +13,7 @@ rows it propagates automatically and is monitored as drift.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass, field
 
@@ -128,35 +129,50 @@ class NewtonReport:
 class BandedLinearization:
     """Banded Newton matrix of the discrete system in the log-profile unknowns.
 
-    Rows/columns are node-major over the free unknowns: all components at
-    node 0 except the pinned theta fiber, then nodes 1..N-2 (the Dirichlet
-    node N-1 is eliminated).  Row slots: parity rows for the node-0
-    unknowns, then the evolution rows (E1 normalized) node by node.  The
-    band widths follow from the numbering: l = 3n-4 and u = 4(n-1).
+    Columns are node-major over the free unknowns, numbered by `index`: all
+    components at node 0 except the pinned theta fiber, then nodes
+    1..N-2 (the Dirichlet node N-1 is eliminated).  Each unknown owns one
+    equation: the parity row f_i'(0) = 0 at node 0, E1_i (normalized) at
+    node t >= 1.  The row map `rows`, built with `index`, puts node 1's E1
+    rows first, then the parity rows, and from node 2 on each equation on
+    its unknown's number.  The parity rows read nodes 0..4; placed first
+    they alone set u = 4(n-1), and after node 1's rows, whose E1_2 on row 0
+    reads f_n at node 3, the band widths are l = 3n-4 and u = 4n-6.  The
+    order changes the cost, not the bits: LU with partial pivoting picks
+    the same pivot rows, eliminating with the same arithmetic, whatever
+    order the rows start in, so each `solve` is bit for bit that of the
+    band with the parity rows first (tested for n = 3..7).  Vectors in
+    and out of `solve`, `solve_transpose`, `matvec` and `residual_vector`
+    are in the unknown order; `solve` puts its right-hand side in row
+    order.  The transpose solve's dot products run over the narrower band,
+    so its last bits may differ from the wider band's.
 
     The matrix is written once, by `_band`, straight into the array that
     LAPACK's dgbtrf factors in place: a Fortran-ordered (2l+u+1, size)
     array whose first l rows are spare for the fill-in and whose rows
-    l.. hold the band, A[i, j] at row l + u + i - j of column j.  With
-    n-1 unknowns per node, E1_i at node t and f_j at sample t+m-2 always
-    meet on band row u + (2-m)(n-1) + i - j, so each (i, j, slot m) of
-    the partials is written there, by `DiagonalSystem.jacobian_writer`,
-    into one strided slice, clipped at the pinned f_2(0) and the Dirichlet
-    node; each sample of the parity rows is one more slice.  No table of
-    the partials and no copy of the band is made; the private `_work`, a
-    spent linearization's `_lu`, is zeroed and written in place of a new
-    array.  The first solve, in either direction, factors that array in
-    place and `_lu` holds the factors from then on; until then `ab`, the
-    band rows, is a view of it, and afterwards `ab` and `matvec` write
-    the band anew from `sys`.
+    l.. hold the band, A[r, c] at row l + u + r - c of column c.  With
+    n-1 unknowns per node, E1_i at node t >= 2 and f_j at sample t+m-2
+    always meet on band row u + (2-m)(n-1) + i - j, so each (i, j, slot m)
+    of the partials, formed by `DiagonalSystem.jacobian_writer`, is written
+    there into one strided slice, clipped at the pinned f_2(0) and the
+    Dirichlet node; node 1's entry is one more write, and each sample of
+    the parity rows one more slice.  No table of the partials and no copy
+    of the band is made; the private `_work`, a spent linearization's
+    `_lu`, is zeroed and written in place of a new array, and `_index`, a
+    solve's (index, rows), is used in place of new ones.  The first solve,
+    in either direction, factors that array in place and `_lu` holds the
+    factors from then on; until then `ab`, the band rows, is a view of it,
+    and afterwards `ab` and `matvec` write the band anew from `sys`.
 
     `solve` and `solve_transpose` (A^T x = b) sweep A's factors, on one
     right-hand side or a matrix of them.  `sigma_min` factors no LU: it
-    reads the band into the R of a banded QR and sweeps R.  `sys` is the
-    system at the profile when the caller already built it with partials.
+    reads the band, its rows back in the unknown order, into the R of a
+    banded QR and sweeps R.  `sys` is the system at the profile when the
+    caller already built it with partials.
     """
 
-    def __init__(self, profile: DiagonalMetricProfile, sys=None, *, _work=None):
+    def __init__(self, profile: DiagonalMetricProfile, sys=None, *, _work=None,
+                 _index=None):
         if not profile.has_cap:
             raise ValueError("the solver expects a capped profile")
         self.profile = profile
@@ -164,17 +180,23 @@ class BandedLinearization:
         self.n, self.N = n, N
         self.sys = (_stencils.DiagonalSystem(n, profile.s, profile.f, partials=True)
                     if sys is None else sys)
-        self.index = _unknown_index(n, N)
+        self.index, self.rows = _unknown_index(n, N) if _index is None else _index
         self.size = int(self.index.max()) + 1
-        # E1_{n-1} at node t reads f_2 at t-2; the parity rows reach node 4
-        self.l, self.u = 3 * n - 4, 4 * (n - 1)
+        # the unknowns whose equations sit on rows 0..2n-4, node 1's E1 rows
+        # and then the parity rows; every later row is its unknown's
+        head = self.index[:, :2] >= 0
+        self._head = np.empty(2 * n - 3, dtype=int)
+        self._head[self.rows[:, :2][head]] = self.index[:, :2][head]
+        # E1_{n-1} at node t reads f_2 at t-2; E1_2 at node 1, on row 0,
+        # reads f_n at node 3
+        self.l, self.u = 3 * n - 4, 4 * n - 6
         self._lu = self._band(_work)     # factored in place by the first solve
         self._piv = None
 
     def _band(self, work=None):
         """A's band under the fill rows of a dgbtrf work array: a new one,
         or `work`, zeroed and rewritten."""
-        n, N, kz, index = self.n, self.N, self.sys.kz, self.index
+        n, N, kz, index, rows = self.n, self.N, self.sys.kz, self.index, self.rows
         l, u = self.l, self.u
         step = n - 1                    # unknowns per node, node-major
         if work is None:
@@ -187,26 +209,31 @@ class BandedLinearization:
             # an unknown: not f_2(0), not the Dirichlet node
             lo = max(1, 2 - m + (j == 0))
             hi = min(N - 2, N - m) if 1 <= m <= 3 else min(kz, N - m)
-            r0, c0 = index[i, lo], index[j, lo + m - 2]
+            row = write(i, j, m, slice(lo - 1, hi))
+            if lo == 1:                 # node 1's row is off the others' stride
+                c = index[j, m - 1]
+                work[l + u + rows[i, 1] - c, c] = row[0]
+                row, lo = row[1:], 2
+            r0, c0 = rows[i, lo], index[j, lo + m - 2]
             span = (hi - lo) * step + 1
-            out = work[l + u + r0 - c0, c0:c0 + span:step]
-            write(i, j, m, slice(lo - 1, hi), out)
-        # the parity rows f_i'(0) = 0, i >= 1, in the node-0 slots
+            work[l + u + r0 - c0, c0:c0 + span:step] = row
+        # the parity rows f_i'(0) = 0, i >= 1, each reading its node-0..4 samples
         w = _PARITY_W / self.sys.delta
         for p in range(5):
             cols = slice(index[1, p], index[-1, p] + 1)
-            work[l + u - p * step, cols] = w[p] * self.sys.f[1:, p]
+            work[l + u + rows[1, 0] - index[1, p], cols] = w[p] * self.sys.f[1:, p]
         return work
 
     @property
     def ab(self):
-        """A's band in LAPACK layout, A[i, j] at ab[u + i - j, j]: a view of
-        the array the first solve factors, or, once it is factored, the
-        band written anew from `sys`."""
+        """A's band in LAPACK layout, A[r, c] at ab[u + r - c, c] with the
+        rows in row order: a view of the array the first solve factors, or,
+        once it is factored, the band written anew from `sys`."""
         return (self._lu if self._piv is None else self._band())[self.l:]
 
     def residual_vector(self):
-        """Stacked residual in row order: parity rows, then E1 rows."""
+        """Stacked residual in the unknown order: each unknown's own
+        equation, the parity rows at node 0 and the E1 rows after them."""
         return _stacked_residual(self.index, self.sys, self.sys.residual()[0])
 
     def _factor(self):
@@ -226,9 +253,20 @@ class BandedLinearization:
             raise NumericalError("right-hand side holds infs or NaNs")
         if self._piv is None:
             self._factor()
-        x, info = dgbtrs(self._lu, self.l, self.u, rhs, self._piv, trans=trans)
+        if not trans:       # the right-hand side in row order, solved in place
+            b = np.array(rhs, order="F")
+            b[:self._head.size] = rhs[self._head]
+            rhs = b
+        x, info = dgbtrs(self._lu, self.l, self.u, rhs, self._piv, trans=trans,
+                         overwrite_b=not trans)
         check_info(info, "dgbtrs")
+        if trans:           # A^T's solution comes in row order
+            self._to_unknown_order(x)
         return x
+
+    def _to_unknown_order(self, y):
+        """Put a vector or matrix in row order into unknown order, in place."""
+        y[self._head] = y[:self._head.size].copy()
 
     def solve(self, rhs):
         """A x = rhs for a vector or for each column of a matrix."""
@@ -246,6 +284,7 @@ class BandedLinearization:
             off = band_row - self.u          # row - col on this diagonal
             lo, hi = max(0, -off), min(self.size, self.size - off)
             out[lo + off:hi + off] += ab[band_row, lo:hi] * x[lo:hi]
+        self._to_unknown_order(out)
         return out
 
     def sigma_min(self, count=1, scale=None, seed=7):
@@ -277,35 +316,39 @@ class BandedLinearization:
             raise np.linalg.LinAlgError("singular matrix")
         rng = np.random.Generator(np.random.Philox(seed))
         X, _ = np.linalg.qr(rng.standard_normal((self.size, count)))
-        lam = np.zeros(count)
+        lam = 0.0 if count == 1 else np.zeros(count)
         for _ in range(_PROBE_STEPS):
             X, info = dpbtrs(r, X, overwrite_b=True)    # R^{-1} R^{-T} X
             check_info(info, "dpbtrs")
             if count == 1:
-                norm = np.linalg.norm(X)
-                X /= norm
-                lam_new = np.array([norm])
+                x = X.ravel()
+                lam_new = math.sqrt(x @ x)
+                X /= lam_new
+                done = abs(lam_new - lam) <= _PROBE_TOL * lam_new
             else:
                 X, R = np.linalg.qr(X)
                 lam_new = np.linalg.svd(R, compute_uv=False)    # descending
-            done = np.all(np.abs(lam_new - lam) <= _PROBE_TOL * lam_new)
+                done = np.all(np.abs(lam_new - lam) <= _PROBE_TOL * lam_new)
             lam = lam_new
             if done:
                 break
-        return 1.0 / np.sqrt(lam)
+        return 1.0 / np.sqrt(np.atleast_1d(lam))
 
     def _r_factor(self, d):
-        """R of the Householder QR of B = diag(d) A diag(d)^{-1}, banded
-        with kd = l + u, in LAPACK 'U' band storage (R[i, j] at
+        """R of the Householder QR of B = diag(d) A diag(d)^{-1}, A's rows
+        in the unknown order, banded with kd = l + 4(n-1), A's upper width
+        in that order, in LAPACK 'U' band storage (R[i, j] at
         r[kd + i - j, j]); Q is never formed.  The panel at column k holds
         rows k..k+_PANEL+l-1 in columns k..k+_PANEL+kd-1, all their entries.
         Its first l rows carry over, transformed, from the last panel; the
-        rest are read from the band by a strided view, masked and scaled.
-        dgeqrf factors its first _PANEL columns and dormqr applies Q^T to
-        the others; its first _PANEL rows are R's, its last l carry on.
-        Rows and columns past the matrix are zero and leave R unchanged."""
+        rest are read from the band by a strided view, masked, put in the
+        unknown order (the first panel's rows 0..2n-4) and scaled, so R is
+        the same whatever the band's row order.  dgeqrf factors its first
+        _PANEL columns and dormqr applies Q^T to the others; its first
+        _PANEL rows are R's, its last l carry on.  Rows and columns past the
+        matrix are zero and leave R unchanged."""
         l, u, size, b = self.l, self.u, self.size, _PANEL
-        kd = l + u
+        kd = l + 4 * (self.n - 1)
         ab = self.ab
         _check_finite(ab)
         i, j = np.indices((b + l, b + kd))
@@ -322,6 +365,8 @@ class BandedLinearization:
                 fresh = panel[first:m, :w]
                 np.copyto(fresh, _diagonals(ab, u + first, k, fresh.shape),
                           where=in_band[first:m, :w])
+                if not k:
+                    self._to_unknown_order(fresh)
                 fresh *= d[k + first:k + m, None]
                 fresh /= d[k:k + w]
             _, tau, _, info = dgeqrf(panel[:, :b], overwrite_a=True)
@@ -336,18 +381,24 @@ class BandedLinearization:
 
 
 def _unknown_index(n, N):
-    """Node-major unknown numbering; -1 marks the pinned f_2(0) and the
-    Dirichlet last node."""
+    """Node-major unknown numbering, -1 at the pinned f_2(0) and the
+    Dirichlet last node, and the row map beside it: the row of each free
+    sample's own equation, E1_i at node t >= 1 and the parity row of f_i at
+    node 0.  Node 1's E1 rows come first, then the parity rows; from node 2
+    on a row is its unknown's number."""
     free = np.ones((n - 1, N), dtype=bool)
     free[0, 0] = free[:, -1] = False
     index = np.full((n - 1, N), -1)
     index.T[free.T] = np.arange(int(free.sum()))
-    return index
+    rows = index.copy()
+    rows[:, 1] = np.arange(n - 1)
+    rows[1:, 0] = np.arange(n - 1, 2 * n - 3)
+    return index, rows
 
 
 def _stacked_residual(index, sys, e1n):
-    """Residual of a system at any iterate, in the row order of index, from
-    its normalized E1 rows e1n."""
+    """Residual of a system at any iterate, in the order of index, from its
+    normalized E1 rows e1n."""
     out = np.zeros(int(index.max()) + 1)
     out[index[:, 1:-1]] = e1n
     for comp in range(1, index.shape[0]):
@@ -396,7 +447,9 @@ def newton_solve(g0: DiagonalMetricProfile, cfg: SolverConfig | None = None):
     a step follows.  At most one linearization is alive: a Newton step
     keeps only the spent step's dgbtrf work array and stencil tables, and
     writes the next system and band into them, so a solve allocates one
-    band and one pair of tables; a residual-only step builds none.  When
+    band and one pair of tables, and numbers the unknowns and rows once; a
+    residual-only step builds none.  Each step is negated, clipped and
+    exponentiated in the solve's output array.  When
     the profile carries its radii and cap radius, each iterate's
     perturbation is measured in the star and double-star norms of the
     weight at the cap radius, through one norm plan built per solve: from
@@ -411,7 +464,8 @@ def newton_solve(g0: DiagonalMetricProfile, cfg: SolverConfig | None = None):
         plan = _NormPlan(RadialGrid(g0.r, g0.n),
                          WeightFunction(g0.n, g0.cap_radius), order=0)
         f0_squared = g0.f**2
-    index = _unknown_index(profile.n, profile.s.size)
+    numbering = _unknown_index(profile.n, profile.s.size)
+    index = numbering[0]
     free = index >= 0
     lin = work = tables = None
     history, stars, dstars = [], [], []
@@ -451,10 +505,13 @@ def newton_solve(g0: DiagonalMetricProfile, cfg: SolverConfig | None = None):
             message = "maximum iterations reached"
             break
         if fresh:
-            lin = BandedLinearization(profile, sys, _work=work)
-        step = np.clip(lin.solve(-_stacked_residual(index, sys, e1n)),
-                       -_STEP_CLIP, _STEP_CLIP)
-        profile.f[free] *= np.exp(step[index[free]])
+            lin = BandedLinearization(profile, sys, _work=work, _index=numbering)
+        # -solve(r) is solve(-r), bit for bit: negation is exact
+        step = lin.solve(_stacked_residual(index, sys, e1n))
+        np.negative(step, out=step)
+        np.clip(step, -_STEP_CLIP, _STEP_CLIP, out=step)
+        np.exp(step, out=step)
+        profile.f[free] *= step[index[free]]
         profile.f[0, 0] = 0.0
     orders = _fit_orders(history)
     report = NewtonReport(

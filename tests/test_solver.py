@@ -24,14 +24,25 @@ def ell_for_radius(n, R):
     return theta_period(n) * np.sqrt(v_profile(n, R)[0])
 
 
+def _row_owner(lin):
+    """owner[r], the unknown whose own equation is row r of the band."""
+    free = lin.index >= 0
+    owner = np.empty(lin.size, dtype=int)
+    owner[lin.rows[free]] = lin.index[free]
+    return owner
+
+
 def dense_matrix(lin):
-    """The matrix held in the band: A[i, j] = ab[u + i - j, j]."""
+    """The matrix held in the band, A[r, j] = ab[u + r - j, j], with each
+    row r put back on the number of the unknown that owns it."""
     A = np.zeros((lin.size, lin.size))
     j = np.arange(lin.size)
     for off in range(-lin.u, lin.l + 1):        # row - col
         c = j[max(0, -off):lin.size - max(0, off)]
         A[c + off, c] = lin.ab[lin.u + off, c]
-    return A
+    out = np.empty_like(A)
+    out[_row_owner(lin)] = A
+    return out
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
@@ -137,9 +148,10 @@ def test_band_entries_are_unique(n, ell, nodes, seed):
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
 def test_band_widths_follow_from_the_numbering(n):
-    # E1_{n-1} at node t reads f_2 at t-2; the parity rows reach node 4
+    # E1_{n-1} at node t reads f_2 at t-2; E1_2 at node 1, on row 0, reads
+    # f_n at node 3; the parity rows, after node 1's, reach node 4
     lin = BandedLinearization(glue(n, 14.0, nodes=256))
-    assert (lin.l, lin.u) == (3 * n - 4, 4 * (n - 1))
+    assert (lin.l, lin.u) == (3 * n - 4, 4 * n - 6)
     assert lin.ab[0].any() and lin.ab[-1].any()
 
 
@@ -158,29 +170,36 @@ def _table_triples(sys):
     return vals
 
 
-def _sliced_band(lin):
-    """A's band in a C-ordered array of its own, each (i, j, slot) of the
-    table of partials copied there by one strided slice."""
+def _sliced_band(lin, rows=None, u=None):
+    """A's band in a C-ordered array of its own, (l, u) = (lin.l, u), the
+    equation of sample (i, t) on row rows[i, t], each (i, j, slot) of the
+    table of partials copied there by one indexed write.  By default lin's
+    row map and u; the unknown numbering and u = 4(n-1) give the band with
+    the parity rows first, the order the rows first had."""
+    rows = lin.rows if rows is None else rows
+    u = lin.u if u is None else u
     n, N, kz, index = lin.n, lin.N, lin.sys.kz, lin.index
     step, vals = n - 1, _table_triples(lin.sys)
-    ab = np.zeros((lin.l + lin.u + 1, lin.size))
+    ab = np.zeros((lin.l + u + 1, lin.size))
     for i, j, m in np.ndindex(step, step, 5):
         lo = max(1, 2 - m + (j == 0))
         hi = min(N - 2, N - m) if 1 <= m <= 3 else min(kz, N - m)
-        c0 = index[j, lo + m - 2]
-        cols = slice(c0, c0 + (hi - lo) * step + 1, step)
-        ab[lin.u + index[i, lo] - c0, cols] = vals[i, j, m, lo - 1:hi]
+        nodes = np.arange(lo, hi + 1)
+        cols = index[j, nodes + m - 2]
+        ab[u + rows[i, nodes] - cols, cols] = vals[i, j, m, lo - 1:hi]
     w = solver._PARITY_W / lin.sys.delta
     for p in range(5):
-        ab[lin.u - p * step, index[1:, p]] = w[p] * lin.sys.f[1:, p]
+        cols = index[1:, p]
+        ab[u + rows[1:, 0] - cols, cols] = w[p] * lin.sys.f[1:, p]
     return ab
 
 
-def _copied_work(lin, fill=0.0):
+def _copied_work(lin, fill=0.0, rows=None, u=None):
     """A dgbtrf work array holding a copy of the band of _sliced_band under
     fill rows set to fill."""
-    work = np.full((2 * lin.l + lin.u + 1, lin.size), fill, order="F")
-    work[lin.l:] = _sliced_band(lin)
+    band = _sliced_band(lin, rows, u)
+    work = np.full((lin.l + band.shape[0], lin.size), fill, order="F")
+    work[lin.l:] = band
     return work
 
 
@@ -213,6 +232,28 @@ def test_band_written_in_place_equals_the_sliced_table(n, solved):
     ref = BandedLinearization(p)
     ref._lu = _copied_work(ref)
     assert np.array_equal(ref._r_factor(ones), r)
+
+
+@pytest.mark.parametrize("solved", [False, True])
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+def test_row_order_leaves_the_solve_bit_for_bit(n, solved):
+    # partial pivoting picks the same pivots, with the same arithmetic,
+    # whatever the rows' first order: the solve through the band with node
+    # 1's E1 rows above the parity rows is, bit for bit, dgbtrf and dgbtrs
+    # on the band with the parity rows first, whose u is two rows wider
+    p = glue(n, ell_for_radius(n, 8.0), nodes=256)
+    if solved:
+        p, _ = newton_solve(p)
+    lin = BandedLinearization(p)
+    u = 4 * (n - 1)
+    lu, piv, info = dgbtrf(_copied_work(lin, 0.0, lin.index, u), lin.l, u)
+    check_info(info, "dgbtrf")
+    rng = np.random.default_rng(n)
+    for b in (lin.residual_vector(), rng.standard_normal(lin.size),
+              rng.standard_normal((lin.size, 3))):
+        x, info = dgbtrs(lu, lin.l, u, b, piv)
+        check_info(info, "dgbtrs")
+        assert np.array_equal(lin.solve(b), x)
 
 
 @pytest.mark.parametrize("calls", list(itertools.permutations(
@@ -265,10 +306,12 @@ def _dense_r(r):
 @example(n=6, nodes=78, seed=0, scaled=True, full=True)    # 384 unknowns: 8 panels
 @example(n=3, nodes=8, seed=1, scaled=False, full=True)    # 13: under one panel
 def test_r_factor_is_the_banded_qr_of_the_scaled_matrix(n, nodes, seed, scaled, full):
-    # R^T R = C^T C for C = diag(d) A diag(d)^{-1}: R is the triangular
-    # factor of C's QR up to row signs, upper banded with kd = l + u.  A's
-    # outer band rows are sparse, so R's top rows stay zero; a full random
-    # band, corners of the band storage included, fills all of them
+    # R^T R = C^T C for C = diag(d) A diag(d)^{-1}, A's rows in the unknown
+    # order: R is the triangular factor of C's QR up to row signs, upper
+    # banded with kd = l + 4(n-1), A's upper width in that order.  A full
+    # random band, corners of the band storage included, stays inside it:
+    # in the unknown order its parity rows reach 5n-7 columns up, and R's
+    # rows l + 4n-6 at most
     p = glue(n, 14.0, nodes=nodes) if nodes >= 128 else black_hole_profile(n, 15.0, nodes)
     lin = BandedLinearization(p)
     rng = np.random.default_rng(seed)
@@ -276,7 +319,7 @@ def test_r_factor_is_the_banded_qr_of_the_scaled_matrix(n, nodes, seed, scaled, 
         lin.ab[:] = rng.standard_normal(lin.ab.shape)
     d = np.exp(rng.uniform(-3.0, 3.0, lin.size)) if scaled else np.ones(lin.size)
     r = lin._r_factor(d)
-    kd = lin.l + lin.u
+    kd = lin.l + 4 * (n - 1)        # A's upper width in the unknown order
     assert r.shape == (kd + 1, lin.size)
     # the corner of the band storage above R's first rows holds nothing
     k, j = np.indices(r.shape)
@@ -304,7 +347,8 @@ def test_solves_match_column_solves_and_solve_banded(n, ell, nodes, seed):
     B = np.random.default_rng(seed).standard_normal((lin.size, 3))
     # the forward solve is LAPACK's gbsv split into its two halves
     x = lin.solve(B[:, 0])
-    assert np.array_equal(x, solve_banded((lin.l, lin.u), lin.ab, B[:, 0]))
+    b = B[_row_owner(lin), 0]       # in the band's row order
+    assert np.array_equal(x, solve_banded((lin.l, lin.u), lin.ab, b))
     for solve in (lin.solve, lin.solve_transpose):
         X = solve(B)
         assert X.shape == B.shape
@@ -380,7 +424,7 @@ def test_assembly_and_solve_hold_one_matrix():
     # factors that array in place: one band-sized array survives both
     p = glue(4, 20.0, nodes=2048)
     sys = _stencils.DiagonalSystem(p.n, p.s, p.f, partials=True)
-    rhs = np.ones(int(solver._unknown_index(p.n, p.s.size).max()) + 1)
+    rhs = np.ones(int(solver._unknown_index(p.n, p.s.size)[0].max()) + 1)
     tracemalloc.start()
     try:
         start, _ = tracemalloc.get_traced_memory()
@@ -429,6 +473,27 @@ def test_newton_solve_factors_one_band(monkeypatch):
     _, rep = newton_solve(glue(3, 10.0, nodes=256))
     assert rep.converged and len(factored) >= 2
     assert len({ab.ctypes.data for ab in factored}) == 1
+
+
+def test_newton_solve_peak_stays_under_2_2_bands(monkeypatch):
+    # a Newton solve holds one band, one pair of slot-major stencil tables
+    # and one system at a time: at (4, 20, 2048) its traced peak is 1.99
+    # bands (2.64 MB against a band of 1.33 MB), 10 % under the bound; the
+    # unknown numbering and the row map are built once per solve
+    newton_solve(glue(3, 10.0, nodes=256))      # numpy's lazy imports
+    g0 = glue(4, 20.0, nodes=2048)
+    numberings = _count_calls(monkeypatch, solver, "_unknown_index")
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        _, rep = newton_solve(g0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.converged and rep.iterations >= 2
+    assert numberings == ["_unknown_index"]
+    band = BandedLinearization(g0)._lu.nbytes
+    assert peak - start <= 2.2 * band
 
 
 def test_linearization_in_a_spent_work_array_matches_a_fresh_one():
@@ -509,7 +574,7 @@ def test_probe_holds_r_and_no_factor():
     p = glue(4, 20.0, nodes=2048)
     lin = BandedLinearization(p)
     scale = 1.0 / solver._unknown_weights(lin, p, WeightFunction(4, p.cap_radius))
-    r_bytes = (lin.l + lin.u + 1) * lin.size * 8
+    r_bytes = (lin.l + 4 * (lin.n - 1) + 1) * lin.size * 8
     tracemalloc.start()
     try:
         start, _ = tracemalloc.get_traced_memory()
@@ -819,12 +884,9 @@ def _qr_probe(lin, scale, seed):
     d = scale[:, None]
     rng = np.random.Generator(np.random.Philox(seed))
     X, _ = np.linalg.qr(rng.standard_normal((lin.size, 1)))
-    lin.solve(X)                # factors A
     lam = np.zeros(1)
     for step in range(1, solver._PROBE_STEPS + 1):
-        Y, info = dgbtrs(lin._lu, lin.l, lin.u, d * X, lin._piv, trans=1)
-        check_info(info, "dgbtrs")
-        Y = d * lin.solve(Y / d / d)
+        Y = d * lin.solve(lin.solve_transpose(d * X) / d / d)
         X, R = np.linalg.qr(Y)
         lam_new = np.linalg.svd(R, compute_uv=False)
         done = np.all(np.abs(lam_new - lam) <= solver._PROBE_TOL * lam_new)

@@ -140,16 +140,22 @@ def _profiles(n):
 def test_one_pass_system_matches_per_component_code(n):
     # with partials the system is also written into tables holding stale
     # values, which it zeroes first, as new ones are zero: no stencil writes
-    # slots 0 and 4 of a matched row, so a NaN left there would show
+    # slots 0 and 4 of a matched row, so a NaN left there would show.  The
+    # tables are slot-major, as a spent system hands them over: each slot
+    # of a component is one contiguous row
     for name, p in _profiles(n).items():
-        shape = (n - 1, p.s.size - 2, 5)
+        shape = (n - 1, 5, p.s.size - 2)
         for partials, stale in ((False, False), (True, False), (True, True)):
-            tables = (np.full(shape, np.nan), np.full(shape, np.nan)) if stale else None
+            tables = tuple(np.full(shape, np.nan).transpose(0, 2, 1)
+                           for _ in range(2)) if stale else None
             sys = _stencils.DiagonalSystem(n, p.s, p.f, partials=partials, _tables=tables)
             ref = _per_component(n, p.s, p.f, partials)
             got = [sys.d, sys.q] + ([sys.wd, sys.wq] if partials else [])
             if stale:
                 assert sys.wd is tables[0] and sys.wq is tables[1]
+            if partials:
+                assert sys.wd[-1, :, 4].flags.c_contiguous
+                assert sys.wq[-1, :, 4].flags.c_contiguous
             for label, a, b in zip(("d", "q", "wd", "wq"), got, ref):
                 assert a.shape == b.shape, (name, label)
                 assert np.array_equal(a, b), (name, partials, stale, label)
