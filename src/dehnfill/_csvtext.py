@@ -177,13 +177,17 @@ def _block(t):
     return cells[cells != 0].tobytes()
 
 
-def csv_lines(table):
-    """The rows of a 2-D float table as CSV lines, each ending in a newline,
-    each value written exactly as "%.17g" % value writes it."""
+def csv_lines(table, header=""):
+    """header, then the rows of a 2-D float table as CSV lines, each ending
+    in a newline, each value written exactly as "%.17g" % value writes it.
+    The header's bytes and the rows' are joined once and decoded once, as
+    UTF-8: a header may hold any text."""
     table = np.asarray(table, dtype=np.float64)
     if not table.shape[0]:
-        return ""
+        return header
     step = max(1, _BLOCK // table.shape[1])
     blocks = [_block(table[i:i + step]) for i in range(0, table.shape[0], step)]
     blocks[0] = blocks[0][1:]                   # no newline before the first row
-    return b"".join([*blocks, b"\n"]).decode("ascii")
+    text = b"".join([header.encode("utf-8"), *blocks, b"\n"])
+    del blocks                                  # before the decode's copy
+    return text.decode("utf-8")

@@ -108,7 +108,7 @@ def _csv(config, header, table, extra_comments=()):
     lines.extend(extra_comments)
     lines.append(",".join(header))
     from ._csvtext import csv_lines     # its tables cost the JSON commands nothing
-    return "\n".join(lines) + "\n" + csv_lines(table)
+    return csv_lines(table, "\n".join(lines) + "\n")
 
 
 def _json(config, payload):

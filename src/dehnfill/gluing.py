@@ -60,18 +60,20 @@ def _bump01(t):
     """B(t) and two derivatives, from the closed form of _bump01_value.
 
     The derivatives are 0 outside (0, 1), and where psi(t) underflows to 0
-    (t below about 1/745), where they are subnormal at most.
+    (t below about 1/745), where they are subnormal at most.  They are
+    formed only where neither holds, each sample by the same operations.
     """
     x, u, v = _psi_pair(t)
-    y = 1.0 - x
     s = u + v
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        up, upp = u / x**2, u * (1.0 / x**4 - 2.0 / x**3)
-        vp, vpp = -(v / y**2), v * (1.0 / y**4 - 2.0 / y**3)
-        b1 = (up * v - u * vp) / s**2
-        b2 = (upp * v - u * vpp) / s**2 - 2.0 * (up * v - u * vp) * (up + vp) / s**3
+    b0, b1, b2 = u / s, np.zeros(x.shape), np.zeros(x.shape)
     live = (u > 0.0) & (x < 1.0)
-    return u / s, np.where(live, b1, 0.0), np.where(live, b2, 0.0)
+    x, u, v, s = x[live], u[live], v[live], s[live]
+    y = 1.0 - x         # integer powers by ** alone give pow's doubles
+    up, upp = u / x**2, u * (1.0 / x**4 - 2.0 / x**3)
+    vp, vpp = -(v / y**2), v * (1.0 / y**4 - 2.0 / y**3)
+    b1[live] = (up * v - u * vp) / s**2
+    b2[live] = (upp * v - u * vpp) / s**2 - 2.0 * (up * v - u * vp) * (up + vp) / s**3
+    return b0, b1, b2
 
 
 # -- the glued end -------------------------------------------------------------
@@ -482,8 +484,8 @@ class _NormPlan:
     """What the norms compute from the grid, the weight and the order alone,
     built once for every tensor measured on that grid: the order, checked
     here for every caller, log r, the least W over the windows holding each
-    node, np.gradient's weights for the log r grid, the torus pairs, r^2,
-    c_k and rho.
+    node, np.gradient's weights for the log r grid (None at order 0, which
+    takes no derivative), the torus pairs, r^2, c_k and rho.
 
     Every window holds its own node, and a correctly rounded division by
     W > 0 is monotone, so the star norm max_k max_{j in window k} v_j / W_k
@@ -503,7 +505,7 @@ class _NormPlan:
         self.s = np.log(grid.nodes)
         self.wmin = _least_over_windows(weight(wf, grid.nodes),
                                         *_window_bounds(self.s))
-        self.weights = _gradient_weights(self.s)
+        self.weights = _gradient_weights(self.s) if self.order else None
         self.k = grid.n - 1
         self.pairs = _torus_pairs(self.k)
         self.scale = grid.nodes * grid.nodes     # a torus row's frame is row / r^2

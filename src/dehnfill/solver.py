@@ -234,7 +234,7 @@ class BandedLinearization:
     def residual_vector(self):
         """Stacked residual in the unknown order: each unknown's own
         equation, the parity rows at node 0 and the E1 rows after them."""
-        return _stacked_residual(self.index, self.sys, self.sys.residual()[0])
+        return _stacked_residual(self.sys, self.sys.residual()[0])
 
     def _factor(self):
         """LU-factor A in place and hold the factors."""
@@ -386,23 +386,31 @@ def _unknown_index(n, N):
     sample's own equation, E1_i at node t >= 1 and the parity row of f_i at
     node 0.  Node 1's E1 rows come first, then the parity rows; from node 2
     on a row is its unknown's number."""
-    free = np.ones((n - 1, N), dtype=bool)
-    free[0, 0] = free[:, -1] = False
     index = np.full((n - 1, N), -1)
-    index.T[free.T] = np.arange(int(free.sum()))
+    parity, nodes = _node_major(np.arange((n - 1) * (N - 2) + n - 2), n)
+    index[1:, 0], index[:, 1:-1] = parity, nodes.T
     rows = index.copy()
     rows[:, 1] = np.arange(n - 1)
     rows[1:, 0] = np.arange(n - 1, 2 * n - 3)
     return index, rows
 
 
-def _stacked_residual(index, sys, e1n):
-    """Residual of a system at any iterate, in the order of index, from its
-    normalized E1 rows e1n."""
-    out = np.zeros(int(index.max()) + 1)
-    out[index[:, 1:-1]] = e1n
-    for comp in range(1, index.shape[0]):
-        out[index[comp, 0]] = (_PARITY_W @ sys.f[comp, :5]) / sys.delta
+def _node_major(vec, n):
+    """The pair of views of a vector in the unknown order that hold node 0's
+    n-2 free components, as f[1:, 0] does, and then, one (n-1)-row a node,
+    those of nodes 1..N-2, as f[:, 1:-1].T does."""
+    return vec[:n - 2], vec[n - 2:].reshape(-1, n - 1)
+
+
+def _stacked_residual(sys, e1n):
+    """Residual of a system at any iterate in the unknown order, from its
+    normalized E1 rows e1n, written through the _node_major views: the
+    parity rows, then e1n.T."""
+    out = np.empty(e1n.size + sys.n - 2)
+    parity, rows = _node_major(out, sys.n)
+    rows[:] = e1n.T
+    for comp in range(1, sys.n - 1):
+        parity[comp - 1] = (_PARITY_W @ sys.f[comp, :5]) / sys.delta
     return out
 
 
@@ -424,10 +432,11 @@ def trivial_direction(profile: DiagonalMetricProfile, u_diag, lin=None):
 
 
 def _to_unknowns(lin, per_sample):
-    """Unknown vector holding per_sample[i, node] at each free slot."""
-    free = lin.index >= 0
-    vec = np.zeros(lin.size)
-    vec[lin.index[free]] = per_sample[free]
+    """Unknown vector holding per_sample[i, node] at each free slot, read
+    through the _node_major views."""
+    vec = np.empty(lin.size)
+    parity, rows = _node_major(vec, lin.n)
+    parity[:], rows[:] = per_sample[1:, 0], per_sample[:, 1:-1].T
     return vec
 
 
@@ -444,18 +453,22 @@ def newton_solve(g0: DiagonalMetricProfile, cfg: SolverConfig | None = None):
     mode assembles and factors it once, at the initial profile, and
     afterwards evaluates only the residual, realizing the fixed point
     iteration h -> h - L^{-1} Phi(g + h).  A matrix is assembled only when
-    a step follows.  At most one linearization is alive: a Newton step
-    keeps only the spent step's dgbtrf work array and stencil tables, and
-    writes the next system and band into them, so a solve allocates one
-    band and one pair of tables, and numbers the unknowns and rows once; a
-    residual-only step builds none.  Each step is negated, clipped and
-    exponentiated in the solve's output array.  When
-    the profile carries its radii and cap radius, each iterate's
-    perturbation is measured in the star and double-star norms of the
-    weight at the cap radius, through one norm plan built per solve: from
-    its torus diagonal f_i^2 - f0_i^2 alone, through the same norm core as
-    double_star_norm, whose order-0 values on the full tensor it equals bit
-    for bit.  Returns (profile, report).
+    a step follows; the unknowns and rows are numbered once a solve.  Each
+    step is negated, clipped and exponentiated in the solve's output array
+    and multiplies f in place through the _node_major views.  Between
+    steps a solve holds only what the next step reads: in Newton mode the
+    spent step's dgbtrf work array and stencil tables, which the next
+    system and band are written into, so a solve allocates one band and one
+    pair of tables; in frozen mode the one linearization's factors, whose
+    stencil system is dropped once they exist.  A step's residual,
+    right-hand side and update are dropped once read.  When the profile
+    carries its radii and cap radius, each iterate's perturbation is
+    measured, before its system is built, in the star and double-star
+    norms of the weight at the cap radius, through one order-0 norm plan
+    built per solve: from its torus diagonal f_i^2 - f0_i^2 alone, formed
+    in one array, through the same norm core as double_star_norm, whose
+    order-0 values on the full tensor it equals bit for bit.  Returns
+    (profile, report).
     """
     cfg = SolverConfig() if cfg is None else cfg
     profile = g0.copy()
@@ -465,18 +478,17 @@ def newton_solve(g0: DiagonalMetricProfile, cfg: SolverConfig | None = None):
                          WeightFunction(g0.n, g0.cap_radius), order=0)
         f0_squared = g0.f**2
     numbering = _unknown_index(profile.n, profile.s.size)
-    index = numbering[0]
-    free = index >= 0
     lin = work = tables = None
     history, stars, dstars = [], [], []
-    grow = 0
-    diverged = False
-    message = ""
+    grow, diverged, message = 0, False, ""
     for it in range(cfg.max_iterations + 1):
-        if cfg.mode == "newton":
-            if lin is not None:     # keep the spent step's arrays, not its objects
-                work, tables = lin._lu, (sys.wd, sys.wq)
-            lin = sys = None
+        if plan is not None:
+            diag = np.square(profile.f)
+            diag -= f0_squared
+            norms = plan.double_star_diagonal(diag)
+            stars.append(norms.star)
+            dstars.append(norms.double_star)
+            del diag
         # partials only where a matrix may be assembled from this system
         fresh = lin is None
         sys = _stencils.DiagonalSystem(profile.n, profile.s, profile.f, partials=fresh,
@@ -484,20 +496,12 @@ def newton_solve(g0: DiagonalMetricProfile, cfg: SolverConfig | None = None):
         e1n, e2 = sys.residual()
         rnorm = float(np.abs(e1n).max())
         history.append(rnorm)
-        if plan is not None:
-            norms = plan.double_star_diagonal(profile.f**2 - f0_squared)
-            stars.append(norms.star)
-            dstars.append(norms.double_star)
+        grow = grow + 1 if len(history) >= 2 and rnorm > history[-2] else 0
         if rnorm < cfg.residual_tolerance:
             break
-        if len(history) >= 2 and history[-1] > history[-2]:
-            grow += 1
-            if grow >= 3:
-                diverged = True
-                message = "residual grew on three consecutive iterations"
-                break
-        else:
-            grow = 0
+        if grow >= 3:
+            diverged, message = True, "residual grew on three consecutive iterations"
+            break
         if len(history) >= 2 and rnorm < 1e-6 and rnorm > 0.7 * history[-2]:
             message = "residual stalled at the roundoff floor"
             break
@@ -506,13 +510,20 @@ def newton_solve(g0: DiagonalMetricProfile, cfg: SolverConfig | None = None):
             break
         if fresh:
             lin = BandedLinearization(profile, sys, _work=work, _index=numbering)
+        rhs = _stacked_residual(sys, e1n)
+        del e1n, e2             # read: none of a step is kept to the next
         # -solve(r) is solve(-r), bit for bit: negation is exact
-        step = lin.solve(_stacked_residual(index, sys, e1n))
+        step = lin.solve(rhs)
+        lin.sys = rhs = None    # later frozen steps read the factors alone
         np.negative(step, out=step)
         np.clip(step, -_STEP_CLIP, _STEP_CLIP, out=step)
         np.exp(step, out=step)
-        profile.f[free] *= step[index[free]]
-        profile.f[0, 0] = 0.0
+        parity, rows = _node_major(step, profile.n)
+        profile.f[1:, 0] *= parity
+        np.multiply(profile.f[:, 1:-1], rows.T, out=profile.f[:, 1:-1])
+        if cfg.mode == "newton":    # keep the spent step's arrays, not its objects
+            work, tables, lin = lin._lu, (sys.wd, sys.wq), None
+        del step, parity, rows, sys
     orders = _fit_orders(history)
     report = NewtonReport(
         converged=history[-1] < cfg.residual_tolerance and not diverged,

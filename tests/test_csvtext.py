@@ -97,3 +97,12 @@ def test_views_and_other_dtypes():
     base = np.random.default_rng(4).standard_normal((300, 6))
     for table in (base.T, base[::3, ::2], base.astype(np.float32), np.arange(12).reshape(4, 3)):
         assert not _differences(table)
+
+
+def test_header_comes_first_as_given():
+    # the header and the rows are joined as bytes and decoded once, as UTF-8,
+    # so a header of any text comes back as it went in
+    table = np.random.default_rng(5).standard_normal((700, 3))
+    for header in ("", "# a=1\nx,y,z\n", "# R=８,16\u00e9\U0001f600\ns,r\n"):
+        assert csv_lines(table, header) == header + csv_lines(table)
+        assert csv_lines(table[:0], header) == header

@@ -410,7 +410,10 @@ def test_streamed_squares_equal_the_whole_array_formula(m, even):
     s = np.log(r)
     for order in range(3):
         plan = gluing._NormPlan(RadialGrid(r, n), wf, order)
-        assert (np.ndim(plan.weights[0]) == 0) == even
+        if order:
+            assert (np.ndim(plan.weights[0]) == 0) == even
+        else:           # an order-0 plan takes no derivative
+            assert plan.weights is None
         ref = _reference_squares(rows / r**2, n - 1, s, order)
         assert np.array_equal(plan._torus_squares(rows), ref, equal_nan=True)
         hbar = (rows - plan.rho * u[i, j, None] * r**2) / r**2
@@ -478,6 +481,27 @@ def test_bump_value_matches_bump01():
     assert np.array_equal(rho_cutoff(s, 5.0),
                           np.where(s > 5.0, 0.0,
                                    _bump01(s - 1.0)[0] * _bump01(5.0 - s)[0]))
+
+
+def test_bump01_derivatives_equal_the_whole_array_formula():
+    # the derivatives are formed only where psi(x) > 0 and x < 1, each
+    # sample by the operations the formula applies to the whole array, with
+    # the same powers: the same doubles, and 0 elsewhere
+    t = np.concatenate([np.linspace(-1.0, 2.0, 30001), 2.0 ** -np.arange(60.0),
+                        1.0 - 2.0 ** -np.arange(1.0, 54.0),
+                        [1e-300, 1.0 / 745.0, 1.0 / 744.0, np.inf, -np.inf, np.nan]])
+    x, u, v = gluing._psi_pair(t)
+    y, s = 1.0 - x, u + v
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        up, upp = u / x**2, u * (1.0 / x**4 - 2.0 / x**3)
+        vp, vpp = -(v / y**2), v * (1.0 / y**4 - 2.0 / y**3)
+        b1 = (up * v - u * vp) / s**2
+        b2 = (upp * v - u * vpp) / s**2 - 2.0 * (up * v - u * vp) * (up + vp) / s**3
+    live = (u > 0.0) & (x < 1.0)
+    _, got1, got2 = _bump01(t)
+    assert got1.tobytes() == np.where(live, b1, 0.0).tobytes()
+    assert got2.tobytes() == np.where(live, b2, 0.0).tobytes()
+    assert live.sum() > 10000 and (got1[live] != 0.0).any()
 
 
 def test_bump01_vanishes_where_psi_underflows():
