@@ -133,15 +133,16 @@ class BandedLinearization:
     components at node 0 except the pinned theta fiber, then nodes
     1..N-2 (the Dirichlet node N-1 is eliminated).  Each unknown owns one
     equation: the parity row f_i'(0) = 0 at node 0, E1_i (normalized) at
-    node t >= 1.  The row map `rows`, built with `index`, puts node 1's E1
-    rows first, then the parity rows, and from node 2 on each equation on
-    its unknown's number.  The parity rows read nodes 0..4; placed first
-    they alone set u = 4(n-1), and after node 1's rows, whose E1_2 on row 0
-    reads f_n at node 3, the band widths are l = 3n-4 and u = 4n-6.  The
-    order changes the cost, not the bits: LU with partial pivoting picks
-    the same pivot rows, eliminating with the same arithmetic, whatever
-    order the rows start in, so each `solve` is bit for bit that of the
-    band with the parity rows first (tested for n = 3..7).  Vectors in
+    node t >= 1.  The band's rows are in closed form: node 1's E1 rows on
+    rows 0..n-2 and then the parity rows on rows n-1..2n-4, each in
+    component order (`_head` lists their unknowns), and from node 2 on each
+    equation on its unknown's number.  The parity rows read nodes 0..4;
+    placed first they alone set u = 4(n-1), and after node 1's rows, whose
+    E1_2 on row 0 reads f_n at node 3, the widths are l = 3n-4 and u = 4n-6.
+    The order changes the cost, not the bits: LU with partial pivoting
+    picks the same pivot rows, eliminating with the same arithmetic,
+    whatever order the rows start in, so each `solve` is bit for bit that
+    of the band with the parity rows first (tested for n = 3..7).  Vectors in
     and out of `solve`, `solve_transpose`, `matvec` and `residual_vector`
     are in the unknown order; `solve` puts its right-hand side in row
     order.  The transpose solve's dot products run over the narrower band,
@@ -159,7 +160,7 @@ class BandedLinearization:
     the parity rows one more slice.  No table of the partials and no copy
     of the band is made; the private `_work`, a spent linearization's
     `_lu`, is zeroed and written in place of a new array, and `_index`, a
-    solve's (index, rows), is used in place of new ones.  The first solve,
+    solve's numbering, is used in place of a new one.  The first solve,
     in either direction, factors that array in place and `_lu` holds the
     factors from then on; until then `ab`, the band rows, is a view of it,
     and afterwards `ab` and `matvec` write the band anew from `sys`.
@@ -175,18 +176,15 @@ class BandedLinearization:
                  _index=None):
         if not profile.has_cap:
             raise ValueError("the solver expects a capped profile")
-        self.profile = profile
         n, N = profile.n, profile.s.size
         self.n, self.N = n, N
         self.sys = (_stencils.DiagonalSystem(n, profile.s, profile.f, partials=True)
                     if sys is None else sys)
-        self.index, self.rows = _unknown_index(n, N) if _index is None else _index
+        self.index = _unknown_index(n, N) if _index is None else _index
         self.size = int(self.index.max()) + 1
         # the unknowns whose equations sit on rows 0..2n-4, node 1's E1 rows
         # and then the parity rows; every later row is its unknown's
-        head = self.index[:, :2] >= 0
-        self._head = np.empty(2 * n - 3, dtype=int)
-        self._head[self.rows[:, :2][head]] = self.index[:, :2][head]
+        self._head = np.concatenate((self.index[:, 1], self.index[1:, 0]))
         # E1_{n-1} at node t reads f_2 at t-2; E1_2 at node 1, on row 0,
         # reads f_n at node 3
         self.l, self.u = 3 * n - 4, 4 * n - 6
@@ -196,7 +194,7 @@ class BandedLinearization:
     def _band(self, work=None):
         """A's band under the fill rows of a dgbtrf work array: a new one,
         or `work`, zeroed and rewritten."""
-        n, N, kz, index, rows = self.n, self.N, self.sys.kz, self.index, self.rows
+        n, N, kz, index = self.n, self.N, self.sys.kz, self.index
         l, u = self.l, self.u
         step = n - 1                    # unknowns per node, node-major
         if work is None:
@@ -210,18 +208,19 @@ class BandedLinearization:
             lo = max(1, 2 - m + (j == 0))
             hi = min(N - 2, N - m) if 1 <= m <= 3 else min(kz, N - m)
             row = write(i, j, m, slice(lo - 1, hi))
-            if lo == 1:                 # node 1's row is off the others' stride
+            if lo == 1:                 # node 1's row, row i, is off the stride
                 c = index[j, m - 1]
-                work[l + u + rows[i, 1] - c, c] = row[0]
+                work[l + u + i - c, c] = row[0]
                 row, lo = row[1:], 2
-            r0, c0 = rows[i, lo], index[j, lo + m - 2]
+            r0, c0 = index[i, lo], index[j, lo + m - 2]
             span = (hi - lo) * step + 1
             work[l + u + r0 - c0, c0:c0 + span:step] = row
-        # the parity rows f_i'(0) = 0, i >= 1, each reading its node-0..4 samples
+        # the parity rows f_i'(0) = 0, i >= 1, from row n-1, each reading its
+        # node-0..4 samples
         w = _PARITY_W / self.sys.delta
         for p in range(5):
             cols = slice(index[1, p], index[-1, p] + 1)
-            work[l + u + rows[1, 0] - index[1, p], cols] = w[p] * self.sys.f[1:, p]
+            work[l + u + n - 1 - index[1, p], cols] = w[p] * self.sys.f[1:, p]
         return work
 
     @property
@@ -381,18 +380,12 @@ class BandedLinearization:
 
 
 def _unknown_index(n, N):
-    """Node-major unknown numbering, -1 at the pinned f_2(0) and the
-    Dirichlet last node, and the row map beside it: the row of each free
-    sample's own equation, E1_i at node t >= 1 and the parity row of f_i at
-    node 0.  Node 1's E1 rows come first, then the parity rows; from node 2
-    on a row is its unknown's number."""
+    """Node-major unknown numbering of the (n-1, N) samples, -1 at the
+    pinned f_2(0) and the Dirichlet last node."""
     index = np.full((n - 1, N), -1)
     parity, nodes = _node_major(np.arange((n - 1) * (N - 2) + n - 2), n)
     index[1:, 0], index[:, 1:-1] = parity, nodes.T
-    rows = index.copy()
-    rows[:, 1] = np.arange(n - 1)
-    rows[1:, 0] = np.arange(n - 1, 2 * n - 3)
-    return index, rows
+    return index
 
 
 def _node_major(vec, n):
@@ -414,12 +407,12 @@ def _stacked_residual(sys, e1n):
     return out
 
 
-def trivial_direction(profile: DiagonalMetricProfile, u_diag, lin=None):
-    """Unknown-vector of a cutoff trace-free trivial variation.
+def trivial_direction(profile: DiagonalMetricProfile, u_diag):
+    """Unknown-vector of a cutoff trace-free trivial variation, in the
+    unknown order of any linearization at the profile; none is built.
 
     delta(f_i^2) = rho(s) r^2 u_ii  =>  delta log f_i = rho r^2 u_ii / (2 f_i^2).
     """
-    lin = BandedLinearization(profile) if lin is None else lin
     u_diag = np.asarray(u_diag, dtype=float)
     if abs(u_diag.sum()) > 1e-12:
         raise ValueError("trivial direction must be trace free")
@@ -428,14 +421,15 @@ def trivial_direction(profile: DiagonalMetricProfile, u_diag, lin=None):
     rho = rho_cutoff(profile.s, s_b)
     r2 = profile.r**2
     dw = rho * r2 * u_diag[:, None] / (2.0 * profile.f**2 + 1e-300)
-    return _to_unknowns(lin, dw)
+    return _to_unknowns(dw)
 
 
-def _to_unknowns(lin, per_sample):
+def _to_unknowns(per_sample):
     """Unknown vector holding per_sample[i, node] at each free slot, read
-    through the _node_major views."""
-    vec = np.empty(lin.size)
-    parity, rows = _node_major(vec, lin.n)
+    through the _node_major views; the sizes are per_sample's, (n-1, N)."""
+    k, N = per_sample.shape
+    vec = np.empty(k * (N - 2) + k - 1)
+    parity, rows = _node_major(vec, k + 1)
     parity[:], rows[:] = per_sample[1:, 0], per_sample[:, 1:-1].T
     return vec
 
@@ -453,7 +447,7 @@ def newton_solve(g0: DiagonalMetricProfile, cfg: SolverConfig | None = None):
     mode assembles and factors it once, at the initial profile, and
     afterwards evaluates only the residual, realizing the fixed point
     iteration h -> h - L^{-1} Phi(g + h).  A matrix is assembled only when
-    a step follows; the unknowns and rows are numbered once a solve.  Each
+    a step follows; the unknowns are numbered once a solve.  Each
     step is negated, clipped and exponentiated in the solve's output array
     and multiplies f in place through the _node_major views.  Between
     steps a solve holds only what the next step reads: in Newton mode the
@@ -591,18 +585,17 @@ def kernel_spectrum(profile, count=1, weight_fn: WeightFunction | None = None,
     see BandedLinearization.sigma_min.
     """
     _check_count(count)
-    lin = BandedLinearization(profile)
     scale = None
     if conjugate:
         if weight_fn is None:
             raise ValueError("conjugation needs a weight function")
-        scale = 1.0 / _unknown_weights(lin, profile, weight_fn)
-    return lin.sigma_min(count, scale, seed)
+        scale = 1.0 / _unknown_weights(profile, weight_fn)
+    return BandedLinearization(profile).sigma_min(count, scale, seed)
 
 
-def _unknown_weights(lin, profile, weight_fn):
+def _unknown_weights(profile, weight_fn):
     w = weight(weight_fn, profile.r)
-    return _to_unknowns(lin, np.broadcast_to(w, lin.index.shape))
+    return _to_unknowns(np.broadcast_to(w, profile.f.shape))
 
 
 def rayleigh_quotient(profile, direction, lin=None):

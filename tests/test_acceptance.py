@@ -234,7 +234,7 @@ def test_criterion_12_weighted_invertibility():
         p = glue(n, ell, nodes=nodes)
         wf = WeightFunction(n, R)
         lin = BandedLinearization(p)
-        vec = trivial_direction(p, np.array([0.0, 0.7, -0.7]), lin)
+        vec = trivial_direction(p, np.array([0.0, 0.7, -0.7]))
         plain.append(rayleigh_quotient(p, vec, lin=lin))
         conj.append(float(kernel_spectrum(p, weight_fn=wf, conjugate=True)[0]))
         # reported, not bounded: the Einstein correction against the glued

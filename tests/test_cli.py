@@ -342,6 +342,21 @@ def test_unconverged_solve_exits_4_and_writes_its_report(
     assert doc["message"] == message
 
 
+def test_diverging_solve_exits_1_and_writes_its_report(monkeypatch, tmp_path):
+    # every step taken uphill: the residual grows on three consecutive
+    # iterations and the solve stops there
+    from dehnfill import solver
+    solve = solver.BandedLinearization.solve
+    monkeypatch.setattr(solver.BandedLinearization, "solve",
+                        lambda self, rhs: -solve(self, rhs))
+    assert run_cli(["solve", "--n", "3", "--ell", "10", "--nodes", "256",
+                    "--out", "{dir}/report.json"], tmp_path)[0] == 1
+    doc = json.loads((tmp_path / "report.json").read_text())
+    assert doc["converged"] is False and doc["diverged"] is True
+    assert doc["iterations"] == 3
+    assert doc["message"] == "residual grew on three consecutive iterations"
+
+
 # each argv of the golden corpus's REJECTED list is checked there, on every
 # host, to its exact stderr
 @pytest.mark.parametrize("args, option", [

@@ -24,11 +24,19 @@ def ell_for_radius(n, R):
     return theta_period(n) * np.sqrt(v_profile(n, R)[0])
 
 
+def _row_map(lin):
+    """rows[i, t], the band row of sample (i, t)'s own equation: node 1's
+    E1 rows first, then the parity rows, from node 2 on its unknown's number."""
+    rows, n = lin.index.copy(), lin.n
+    rows[:, 1], rows[1:, 0] = np.arange(n - 1), np.arange(n - 1, 2 * n - 3)
+    return rows
+
+
 def _row_owner(lin):
     """owner[r], the unknown whose own equation is row r of the band."""
     free = lin.index >= 0
     owner = np.empty(lin.size, dtype=int)
-    owner[lin.rows[free]] = lin.index[free]
+    owner[_row_map(lin)[free]] = lin.index[free]
     return owner
 
 
@@ -121,7 +129,8 @@ def test_band_entries_are_unique(n, ell, nodes, seed):
     # two partials landing on one (row, col): each partial of E1_i at node
     # t by a free sample f_j[t+m-2] has a (row, col) of its own, and the
     # band holds exactly these and the parity rows
-    lin = BandedLinearization(glue(n, ell, nodes=nodes))
+    p = glue(n, ell, nodes=nodes)
+    lin = BandedLinearization(p)
     dense = dense_matrix(lin)
     vals = lin.sys.jacobian_triples()
     i, j, m, node = np.indices(vals.shape)
@@ -137,7 +146,6 @@ def test_band_entries_are_unique(n, ell, nodes, seed):
     scale = np.abs(dense) @ np.abs(y)
     assert np.all(np.abs(lin.matvec(y) - dense @ y) <= 1e-14 * scale.max())
     dense[r, c] = 0.0
-    p = lin.profile
     for comp in range(1, n - 1):
         row = lin.index[comp, 0]
         assert np.array_equal(dense[row, lin.index[comp, :5]],
@@ -173,10 +181,10 @@ def _table_triples(sys):
 def _sliced_band(lin, rows=None, u=None):
     """A's band in a C-ordered array of its own, (l, u) = (lin.l, u), the
     equation of sample (i, t) on row rows[i, t], each (i, j, slot) of the
-    table of partials copied there by one indexed write.  By default lin's
-    row map and u; the unknown numbering and u = 4(n-1) give the band with
-    the parity rows first, the order the rows first had."""
-    rows = lin.rows if rows is None else rows
+    table of partials copied there by one indexed write.  By default
+    _row_map(lin) and lin.u; the unknown numbering and u = 4(n-1) give the
+    band with the parity rows first, the order the rows first had."""
+    rows = _row_map(lin) if rows is None else rows
     u = lin.u if u is None else u
     n, N, kz, index = lin.n, lin.N, lin.sys.kz, lin.index
     step, vals = n - 1, _table_triples(lin.sys)
@@ -286,7 +294,7 @@ def test_spectrum_on_copied_factors_is_bit_identical(conjugate, seed):
     got = kernel_spectrum(p, count, wf, conjugate, seed)
     ref = BandedLinearization(p)
     ref._lu = _copied_work(ref, np.nan)
-    scale = 1.0 / solver._unknown_weights(ref, p, wf) if conjugate else None
+    scale = 1.0 / solver._unknown_weights(p, wf) if conjugate else None
     assert np.array_equal(got, ref.sigma_min(count, scale, seed))
 
 
@@ -372,7 +380,8 @@ def test_non_finite_and_singular_bands_raise(monkeypatch):
         lin.solve(np.ones(lin.size))
     with pytest.raises(solver.NumericalError, match="Newton matrix"):
         kernel_spectrum(p)
-    lin = BandedLinearization(glue(4, 10.0, nodes=128))
+    q = glue(4, 10.0, nodes=128)
+    lin = BandedLinearization(q)
     with pytest.raises(ValueError, match="infs or NaNs"):
         lin.solve(np.full(lin.size, np.inf))
     with pytest.raises(solver.NumericalError, match="right-hand side"):
@@ -393,7 +402,7 @@ def test_non_finite_and_singular_bands_raise(monkeypatch):
     with pytest.raises(LinAlgError):
         lin.solve(np.ones(lin.size))
     # dgbtrf overwrote the band it failed on: the band is written anew
-    assert np.array_equal(lin.ab, BandedLinearization(lin.profile).ab)
+    assert np.array_equal(lin.ab, BandedLinearization(q).ab)
 
 
 @pytest.mark.parametrize("mode", ["newton", "frozen_jacobian"])
@@ -424,7 +433,7 @@ def test_assembly_and_solve_hold_one_matrix():
     # factors that array in place: one band-sized array survives both
     p = glue(4, 20.0, nodes=2048)
     sys = _stencils.DiagonalSystem(p.n, p.s, p.f, partials=True)
-    rhs = np.ones(int(solver._unknown_index(p.n, p.s.size)[0].max()) + 1)
+    rhs = np.ones(int(solver._unknown_index(p.n, p.s.size).max()) + 1)
     tracemalloc.start()
     try:
         start, _ = tracemalloc.get_traced_memory()
@@ -514,7 +523,7 @@ def test_newton_solve_factors_one_band(monkeypatch):
 
 def _solve_peak_in_bands(monkeypatch, mode):
     """Traced peak of a warm (4, 20, 2048) solve in the given mode, in bands,
-    with the unknown numbering and the row map built once per solve."""
+    with the unknown numbering built once per solve."""
     newton_solve(glue(3, 10.0, nodes=256))      # numpy's lazy imports
     g0 = glue(4, 20.0, nodes=2048)
     numberings = _count_calls(monkeypatch, solver, "_unknown_index")
@@ -561,7 +570,7 @@ def _free_mask_newton(g0, steps):
     the residual scattered to index[free], the update gathered from
     step[index[free]], as the solver once moved its vectors."""
     p = g0.copy()
-    index = solver._unknown_index(p.n, p.s.size)[0]
+    index = solver._unknown_index(p.n, p.s.size)
     free = index >= 0
     for _ in range(steps):
         lin = BandedLinearization(p)
@@ -599,7 +608,7 @@ def test_node_major_views_equal_the_free_mask_paths(n, solved):
     per_sample = np.random.default_rng(n).standard_normal(lin.index.shape)
     ref = np.zeros(lin.size)
     ref[lin.index[free]] = per_sample[free]
-    assert solver._to_unknowns(lin, per_sample).tobytes() == ref.tobytes()
+    assert solver._to_unknowns(per_sample).tobytes() == ref.tobytes()
 
 
 def test_linearization_in_a_spent_work_array_matches_a_fresh_one():
@@ -679,7 +688,7 @@ def test_probe_holds_r_and_no_factor():
     kernel_spectrum(glue(3, 10.0, nodes=256), count=2)    # numpy's lazy imports
     p = glue(4, 20.0, nodes=2048)
     lin = BandedLinearization(p)
-    scale = 1.0 / solver._unknown_weights(lin, p, WeightFunction(4, p.cap_radius))
+    scale = 1.0 / solver._unknown_weights(p, WeightFunction(4, p.cap_radius))
     r_bytes = (lin.l + 4 * (lin.n - 1) + 1) * lin.size * 8
     tracemalloc.start()
     try:
@@ -703,7 +712,7 @@ def test_trivial_direction_in_discrete_kernel():
     p = glue(n, ell_for_radius(n, 20.0), nodes=1024)
     lin = BandedLinearization(p)
     u = np.array([0.0, 0.5, -0.5, 0.0])
-    vec = trivial_direction(p, u, lin)
+    vec = trivial_direction(p, u)
     out = lin.matvec(vec)
     k = n - 1
     rows = np.array([[out[lin.index[comp, node]]
@@ -903,7 +912,7 @@ def test_kernel_spectrum_matches_dense_svd(case):
     lin = BandedLinearization(p)
     dense = dense_matrix(lin)
     if wf is not None:       # D_r A D_c^{-1} with D_r = D_c = 1/W
-        w = solver._unknown_weights(lin, p, wf)
+        w = solver._unknown_weights(p, wf)
         dense = dense * w[None, :] / w[:, None]
     exact = np.linalg.svd(dense, compute_uv=False)[::-1]
     conj = wf is not None
@@ -959,7 +968,7 @@ def test_probe_step_matches_two_sweeps_bit_for_bit(monkeypatch, count,
     p = glue(n, ell, nodes=256)
     lin = BandedLinearization(p)
     wf = WeightFunction(n, p.cap_radius) if conjugate else None
-    scale = 1.0 / solver._unknown_weights(lin, p, wf) if conjugate else np.ones(lin.size)
+    scale = 1.0 / solver._unknown_weights(p, wf) if conjugate else np.ones(lin.size)
     old, steps = _two_sweep_probe(lin, count, scale, seed)
     calls = _count_calls(monkeypatch, solver, "dpbtrs")
     new = lin.sigma_min(count, scale, seed)
@@ -981,6 +990,33 @@ def test_sigma_min_rejects_a_bad_scale(bad):
         scale[5] = {"zero": 0.0, "nan": np.nan, "inf": np.inf}[bad]
     with pytest.raises(ValueError, match="scale"):
         lin.sigma_min(1, scale)
+
+
+def test_uncapped_profile_has_no_linearization():
+    # the parity rows and the pinned f_2(0) close the system at a cap; a
+    # cusp end has none
+    with pytest.raises(ValueError, match="capped profile"):
+        BandedLinearization(cusp_profile(4, 0.3, 3.0, 128))
+
+
+def test_conjugation_without_a_weight_function_builds_no_matrix(monkeypatch):
+    # the missing weight function is named before any assembly
+    built = _count_calls(monkeypatch, BandedLinearization, "__init__")
+    with pytest.raises(ValueError, match="weight function"):
+        kernel_spectrum(glue(4, 20.0, nodes=256), conjugate=True)
+    assert built == []
+
+
+def test_trivial_direction_rejects_a_trace_and_builds_no_matrix(monkeypatch):
+    # a u with a trace is no trivial variation; a trace-free one is laid
+    # out in the unknown order from the profile's shape alone
+    p = glue(4, 20.0, nodes=256)
+    size = BandedLinearization(p).size
+    built = _count_calls(monkeypatch, BandedLinearization, "__init__")
+    with pytest.raises(ValueError, match="trace free"):
+        trivial_direction(p, np.array([0.0, 0.7, -0.6]))
+    assert trivial_direction(p, np.array([0.0, 0.7, -0.7])).shape == (size,)
+    assert built == []
 
 
 def _qr_probe(lin, scale, seed):
@@ -1011,7 +1047,7 @@ def test_one_column_probe_matches_the_qr_step(monkeypatch, conjugate, seed):
     lin = BandedLinearization(p)
     scale = np.ones(lin.size)
     if conjugate:
-        scale = 1.0 / solver._unknown_weights(lin, p, WeightFunction(4, p.cap_radius))
+        scale = 1.0 / solver._unknown_weights(p, WeightFunction(4, p.cap_radius))
     old, steps = _qr_probe(lin, scale, seed)
     calls = _count_calls(monkeypatch, solver, "dpbtrs")
     new = lin.sigma_min(1, scale, seed)
@@ -1030,7 +1066,7 @@ def test_weighted_conjugation_direction_of_effect():
         wf = WeightFunction(n, R)
         lin = BandedLinearization(p)
         u = np.array([0.0, 0.7, -0.7])
-        vec = trivial_direction(p, u, lin)
+        vec = trivial_direction(p, u)
         plain.append(rayleigh_quotient(p, vec, lin=lin))
         conj.append(kernel_spectrum(p, weight_fn=wf, conjugate=True)[0])
     assert plain[0] > plain[1] > plain[2]
