@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._lapack import check_info, dgtsv
-from .geometry import _check_dimension, r_plus
+from .geometry import _check_dimension, _check_integer, r_plus
+from .gluing import _WEIGHT_EXPONENT, WeightFunction, weight
 
 __all__ = [
     "EulerODE",
@@ -63,8 +64,8 @@ def cusp_block_exponents(n):
 
     Keys: "I" (the r^2 h11 block, shared with the trace equation "IV"),
     "II" (mixed components), "III" (trace-free torus block, exponents of
-    h_ij itself).  Asserts gamma1(I) > 0.1 and gamma2(I) < -n+1, the gap
-    every decay argument uses.
+    h_ij itself).  Asserts that gamma1(I) exceeds the decay weight's exponent
+    and gamma2(I) < -n+1, the gap every decay argument uses.
     """
     n = _check_dimension(n)
     r1 = indicial_roots(EulerODE(float(n), -2.0 * (n - 1)))
@@ -75,7 +76,7 @@ def cusp_block_exponents(n):
         "II": (r2.gamma1, r2.gamma2),
         "III": (2.0, float(3 - n)),
     }
-    if not (r1.gamma1 > 0.1 and r1.gamma2 < -n + 1):
+    if not (r1.gamma1 > _WEIGHT_EXPONENT and r1.gamma2 < -n + 1):
         raise AssertionError("indicial gap of block I violated")
     return out
 
@@ -85,9 +86,10 @@ _BLOCK_WEIGHTS = {"I": 0.0, "II": 0.0, "III": -2.0}
 # block I already solves for r^2 h11 (weight 0), II for h1i (0), III carries
 # r^2, so the frame-weighted exponent is gamma - 2.
 
-# the growth window of the weight W = (r/R)^0.1 + r^(-0.1); it contains 0
-# and, since cusp_block_exponents asserts gamma1(I) > 0.1, no indicial root
-_GROWTH_FLOOR, _GROWTH_CEIL = -0.1, 0.1
+# the growth window of the decay weight W (gluing.weight), its exponents
+# -e and e; it contains 0 and, since cusp_block_exponents asserts
+# gamma1(I) > e, no indicial root
+_GROWTH_FLOOR, _GROWTH_CEIL = -_WEIGHT_EXPONENT, _WEIGHT_EXPONENT
 
 
 def cusp_kernel_classification(n, strict=False):
@@ -95,9 +97,9 @@ def cusp_kernel_classification(n, strict=False):
 
     A mode r^gamma of a block is admissible when its unit-frame magnitude
     r^(gamma + w) fits the bound r^ceil + r^floor on (0, infinity), i.e.
-    floor <= gamma + w <= ceil, with floor = -0.1 and ceil = 0.1.  With
-    strict=True the bound is the two-sided min(r^floor, r^ceil), which no
-    power satisfies.
+    floor <= gamma + w <= ceil, with floor = -e and ceil = e for the decay
+    weight's exponent e.  With strict=True the bound is the two-sided
+    min(r^floor, r^ceil), which no power satisfies.
 
     Returns (description dict, dimension).  The admissible space is exactly
     the trace-free constant torus deformations, of dimension n(n-1)/2 - 1.
@@ -186,12 +188,12 @@ _R_MAX = np.finfo(float).max ** (1.0 / 3.0)   # the stencil forms r^3 terms
 def ugly_estimate_harness(n, R, alpha, trials=50, seed=0, nodes=1024):
     """Empirical constant of the interior bound |h| < C (|h|(R) + alpha + r^(-n+1.1)).
 
-    Each trial draws a forcing with |phi|(r) <= alpha [(r/R)^0.1 + r^(-0.1)]
-    (random weights on the two powers plus a smooth bump) and random
-    boundary data of size <= 1, solves the three scalar cusp blocks as
-    two-point problems on [r_+ + 1, R], and records the largest ratio
-    |h|(r) / (|h|(R) + alpha + r^(-n+1.1)).  Deterministic for a given seed
-    (Philox counter-based streams, one per trial).
+    Each trial draws a forcing with |phi|(r) <= alpha W(r), W the decay
+    weight at R (random weights on its two powers plus a smooth bump times
+    W), and random boundary data of size <= 1, solves the three scalar cusp
+    blocks as two-point problems on [r_+ + 1, R], and records the largest
+    ratio |h|(r) / (|h|(R) + alpha + r^(-n+1.1)).  Deterministic for a given
+    seed (Philox counter-based streams, one per trial).
     """
     n = _check_dimension(n)
     rp = r_plus(n)
@@ -199,14 +201,14 @@ def ugly_estimate_harness(n, R, alpha, trials=50, seed=0, nodes=1024):
         raise ValueError(f"R must exceed r_plus + 2 and stay below {_R_MAX:.3g}, got {R!r}")
     if not 0.0 <= alpha < 1.0:
         raise ValueError("alpha must lie in [0, 1)")
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials!r}")
+    trials = _check_integer(trials, "trials", 1)
     r_inner = rp + 1.0
     r = np.exp(np.linspace(np.log(r_inner), np.log(R), nodes))
     blocks = [EulerODE(float(n), -2.0 * (n - 1)),
               EulerODE(float(n), -float(n)),
               EulerODE(float(n), 0.0)]
-    envelope = (r / R) ** 0.1 + r ** (-0.1)
+    e = _WEIGHT_EXPONENT
+    envelope = weight(WeightFunction(n, R), r)
     denom_tail = r ** (-n + 1.1)
     t = (np.log(r) - np.log(r_inner)) / (np.log(R) - np.log(r_inner))
     bump = _bump(t)
@@ -218,7 +220,7 @@ def ugly_estimate_harness(n, R, alpha, trials=50, seed=0, nodes=1024):
         c[:, m] /= max(1.0, np.abs(c[:2, m]).sum() + abs(c[2, m]))
         ends[:, m] = rng.uniform(-1.0, 1.0, size=2)
     # one column of forcing per trial
-    phi = alpha * (c[0] * ((r / R) ** 0.1)[:, None] + c[1] * (r ** (-0.1))[:, None]
+    phi = alpha * (c[0] * ((r / R) ** e)[:, None] + c[1] * (r ** (-e))[:, None]
                    + c[2] * bump[:, None] * envelope[:, None])
     H = np.abs(ends[1])
     # interior sup: the endpoints are data, not solution

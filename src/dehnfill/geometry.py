@@ -15,6 +15,7 @@ ArclengthMap evaluates in log1p/expm1 form.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -43,10 +44,18 @@ def _closed_cap(s, f):
     return bool(s[0] == 0.0 and f[0, 0] == 0.0)
 
 
+def _check_integer(value, name, least, most=None, detail=""):
+    """value as an int, if an integer, not a bool, in least..most; else a
+    ValueError naming the argument `name`."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or value < least or (most is not None and value > most)):
+        bound = f">= {least}" if most is None else f"from {least} to {most}"
+        raise ValueError(f"{name} must be an integer {bound}{detail}, got {value!r}")
+    return int(value)
+
+
 def _check_dimension(n):
-    if not isinstance(n, (int, np.integer)) or n < 3:
-        raise ValueError(f"dimension must be an integer >= 3, got {n!r}")
-    return int(n)
+    return _check_integer(n, "dimension", 3)
 
 
 def r_plus(n):
@@ -266,6 +275,10 @@ class DiagonalMetricProfile:
         self.f = np.asarray(self.f, dtype=float)
         if self.f.shape != (self.n - 1, self.s.size):
             raise ValueError("f must have shape (n-1, len(s))")
+        self.check_positive()
+
+    def check_positive(self):
+        """Raise unless f > 0, but at a closed cap's first node."""
         interior = self.f[:, 1:] if self.has_cap else self.f
         if np.any(interior <= 0.0):
             raise ValueError("profile functions must be positive away from the cap")
@@ -370,8 +383,7 @@ class ArclengthMap:
 def black_hole_profile(n, r_max, nodes):
     """Cap metric sampled on a uniform arclength grid over r in [r_plus, r_max]."""
     n = _check_dimension(n)
-    if nodes < 8:
-        raise ValueError("need at least 8 nodes")
+    nodes = _check_integer(nodes, "nodes", 8)
     if r_max <= r_plus(n):
         raise ValueError("r_max must exceed r_plus")
     amap = ArclengthMap(n)

@@ -18,8 +18,8 @@ from functools import cached_property
 import numpy as np
 
 from ._stencils import MIN_NODES, e2_constant, reduced_residual
-from .geometry import (ArclengthMap, DiagonalMetricProfile,
-                       TrivialVariation, _check_dimension, _v_from_offset,
+from .geometry import (ArclengthMap, DiagonalMetricProfile, TrivialVariation,
+                       _check_dimension, _check_integer, _v_from_offset,
                        r_plus, radius_for_meridian, theta_period, v_profile)
 from .operators import InvariantTensor
 
@@ -273,8 +273,7 @@ class GluedEnd:
 
     def to_profile(self, nodes):
         """Sample on a uniform arclength grid over [r_+, r_out]."""
-        if nodes < MIN_NODES:
-            raise ValueError(f"need at least {MIN_NODES - 2} interior nodes")
+        nodes = _check_integer(nodes, "nodes", MIN_NODES)
         s = np.linspace(0.0, self.amap.s_max, nodes)
         x = self.amap.offset_of_s(s)
         r = self.rp * (1.0 + x)
@@ -420,24 +419,16 @@ def _gradient(f, weights):
     return out
 
 
-def _check_order(order):
-    """order, the highest s-derivative the norms read: an integer in 0..2."""
-    if (isinstance(order, bool) or not isinstance(order, (int, np.integer))
-            or not 0 <= order <= 2):
-        raise ValueError("order must be an integer from 0 to 2, the discrete "
-                         f"derivatives available, got {order!r}")
-    return int(order)
-
-
 def fits_window(r):
     """True when the cusp arclength log r of the radial samples r steps by at
     most the seminorm window, as the norms require."""
     return bool(np.diff(np.log(r)).max() <= _WINDOW)
 
 
-def _window_bounds(s):
-    """Index bounds of the seminorm window around each node."""
-    if np.diff(s).max() > _WINDOW:
+def _window_bounds(r, s):
+    """Index bounds of the seminorm window around each node of the radial
+    samples r, whose cusp arclength is s = log r."""
+    if not fits_window(r):
         raise ValueError("grid too coarse for the seminorm window")
     half = _WINDOW / 2.0
     return (np.searchsorted(s, s - half, side="left"),
@@ -501,10 +492,12 @@ class _NormPlan:
     """
 
     def __init__(self, grid, wf: WeightFunction, order):
-        self.order = _check_order(order)
+        # the highest s-derivative the norms read
+        self.order = _check_integer(order, "order", 0, 2,
+                                    ", the discrete derivatives available")
         self.s = np.log(grid.nodes)
         self.wmin = _least_over_windows(weight(wf, grid.nodes),
-                                        *_window_bounds(self.s))
+                                        *_window_bounds(grid.nodes, self.s))
         self.weights = _gradient_weights(self.s) if self.order else None
         self.k = grid.n - 1
         self.pairs = _torus_pairs(self.k)

@@ -38,7 +38,7 @@ __all__ = [
     "bh_kernel_variation",
 ]
 
-_SINH_CERTIFY_TOL = 1e-5   # residual a profile must reach before the sinh fit
+CERTIFY_TOL = 1e-6     # EinsteinResidual.worst() below which a profile is Einstein
 
 
 @dataclass
@@ -97,6 +97,11 @@ class EinsteinResidual:
     def max_e2_relative(self):
         return float(np.abs(self.e2 / _stencils.e2_constant(self.n)).max())
 
+    def worst(self):
+        """The certificate: the larger of max |E1| and max relative |E2|,
+        which CERTIFY_TOL bounds on an Einstein profile."""
+        return max(self.max_e1(), self.max_e2_relative())
+
 
 def _check_uniform(profile):
     if profile.s.size < _stencils.MIN_NODES:
@@ -117,8 +122,7 @@ def einstein_residual(profile: DiagonalMetricProfile):
 def _residual_and_system(profile):
     """einstein_residual, and the stencil system it evaluates."""
     _check_uniform(profile)
-    if np.any(profile.f[:, 1:] <= 0) or (not profile.has_cap and profile.f[0, 0] <= 0):
-        raise ValueError("torus block is not positive definite at an interior node")
+    profile.check_positive()
     sys = _stencils.DiagonalSystem(profile.n, profile.s, profile.f)
     e1n, e2 = sys.residual()
     r = None if profile.r is None else profile.r[1:-1]
@@ -199,14 +203,13 @@ def bh_kernel_variation(n, u: TrivialVariation, profile_samples):
 def sqrtdet_sinh_check(profile: DiagonalMetricProfile):
     """Least-squares fit sqrt(det M) = A sinh((n-1) s) on an Einstein profile.
 
-    Certifies the profile first (normalized residual below _SINH_CERTIFY_TOL)
+    Certifies the profile first (EinsteinResidual.worst() below CERTIFY_TOL)
     and returns (A, max relative deviation of the fit).
     """
-    res = einstein_residual(profile)
-    worst = max(res.max_e1(), res.max_e2_relative())
-    if worst > _SINH_CERTIFY_TOL:
+    worst = einstein_residual(profile).worst()
+    if not worst < CERTIFY_TOL:
         raise ValueError(
-            f"profile is not Einstein to tolerance {_SINH_CERTIFY_TOL:g} "
+            f"profile is not Einstein to tolerance {CERTIFY_TOL:g} "
             f"(residual {worst:.3e}); refusing to certify the sinh law")
     u = np.prod(profile.f, axis=0)
     sh = np.sinh((profile.n - 1) * profile.s)

@@ -21,9 +21,9 @@ import numpy as np
 
 from . import _stencils
 from ._lapack import check_info, dgbtrf, dgbtrs, dgeqrf, dormqr, dpbtrs
-from .geometry import DiagonalMetricProfile, RadialGrid
+from .geometry import DiagonalMetricProfile, RadialGrid, _check_integer
 from .gluing import WeightFunction, _NormPlan, rho_cutoff, weight
-from .operators import _residual_and_system
+from .operators import CERTIFY_TOL, _residual_and_system
 
 __all__ = [
     "NumericalError",
@@ -44,7 +44,6 @@ _PROBE_TOL = 1e-12      # relative change that stops the spectral probe
 _PROBE_STEPS = 400      # step cap of the spectral probe
 _PANEL = 48             # columns per panel of the probe's banded QR
 _FINITE_BLOCK = 512     # columns per finiteness check of a band
-_VERIFY_TOL = 1e-6      # residual below which verify_einstein passes a profile
 MODES = ("newton", "frozen_jacobian")   # the values of SolverConfig.mode
 
 
@@ -52,17 +51,6 @@ class NumericalError(ValueError):
     """Non-finite state reached a linear solve: the Newton matrix or a
     right-hand side holds infs or NaNs.  A subclass of ValueError, so that
     callers catching ValueError still catch it."""
-
-
-def _is_count(value, least):
-    """True for an integer (not a bool) of at least `least`."""
-    return (isinstance(value, numbers.Integral) and not isinstance(value, bool)
-            and value >= least)
-
-
-def _check_count(count):
-    if not _is_count(count, 1):
-        raise ValueError(f"count must be an integer >= 1, got {count!r}")
 
 
 def _check_finite(band):
@@ -98,9 +86,7 @@ class SolverConfig:
     mode: str = "newton"
 
     def __post_init__(self):
-        if not _is_count(self.max_iterations, 0):
-            raise ValueError(f"max_iterations must be an integer >= 0, "
-                             f"got {self.max_iterations!r}")
+        _check_integer(self.max_iterations, "max_iterations", 0)
         tol = self.residual_tolerance
         if not (isinstance(tol, numbers.Real) and np.isfinite(tol) and tol > 0):
             raise ValueError(f"residual_tolerance must be finite and positive, "
@@ -305,7 +291,7 @@ class BandedLinearization:
         The loop stops when no estimate moves by more than _PROBE_TOL
         relative, or after _PROBE_STEPS steps.
         """
-        _check_count(count)
+        _check_integer(count, "count", 1)
         d = np.ones(self.size) if scale is None else np.asarray(scale, dtype=float)
         if d.shape != (self.size,) or not np.all(np.isfinite(d) & (d != 0)):
             raise ValueError(f"scale must be a ({self.size},) array of finite"
@@ -545,15 +531,15 @@ def _fit_orders(history):
 
 
 def verify_einstein(profile):
-    """Report-only certification of a profile against the reduced system,
-    at tolerance _VERIFY_TOL."""
+    """Report-only certification of a profile against the reduced system:
+    it passes when EinsteinResidual.worst() is below CERTIFY_TOL."""
     res, sys = _residual_and_system(profile)
     report = {
         "max_e1_normalized": res.max_e1(),
         "max_e2": res.max_e2(),
         "max_e2_relative": res.max_e2_relative(),
-        "tolerance": _VERIFY_TOL,
-        "passes": max(res.max_e1(), res.max_e2_relative()) < _VERIFY_TOL,
+        "tolerance": CERTIFY_TOL,
+        "passes": res.worst() < CERTIFY_TOL,
     }
     if profile.n == 3:
         k12 = -sys.q[0]
@@ -584,7 +570,6 @@ def kernel_spectrum(profile, count=1, weight_fn: WeightFunction | None = None,
     QR, and each step is one dpbtrs call on R.  Deterministic start block;
     see BandedLinearization.sigma_min.
     """
-    _check_count(count)
     scale = None
     if conjugate:
         if weight_fn is None:
@@ -598,8 +583,7 @@ def _unknown_weights(profile, weight_fn):
     return _to_unknowns(np.broadcast_to(w, profile.f.shape))
 
 
-def rayleigh_quotient(profile, direction, lin=None):
+def rayleigh_quotient(profile, direction):
     """||A h|| / ||h|| for one direction."""
-    lin = BandedLinearization(profile) if lin is None else lin
-    y = lin.matvec(direction)
+    y = BandedLinearization(profile).matvec(direction)
     return float(np.linalg.norm(y) / np.linalg.norm(direction))

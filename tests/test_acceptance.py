@@ -22,9 +22,9 @@ from dehnfill.gluing import (WeightFunction, glue, residual_decay_sweep,
 from dehnfill.operators import (InvariantTensor, bh_kernel_variation,
                                 einstein_residual, linearized_residual,
                                 sqrtdet_sinh_check)
-from dehnfill.solver import (BandedLinearization, SolverConfig,
-                             kernel_spectrum, newton_solve, rayleigh_quotient,
-                             trivial_direction, verify_einstein)
+from dehnfill.solver import (SolverConfig, kernel_spectrum, newton_solve,
+                             rayleigh_quotient, trivial_direction,
+                             verify_einstein)
 
 
 def report(num, ok, detail):
@@ -233,9 +233,8 @@ def test_criterion_12_weighted_invertibility():
         ell = theta_period(n) * np.sqrt(v_profile(n, R)[0])
         p = glue(n, ell, nodes=nodes)
         wf = WeightFunction(n, R)
-        lin = BandedLinearization(p)
         vec = trivial_direction(p, np.array([0.0, 0.7, -0.7]))
-        plain.append(rayleigh_quotient(p, vec, lin=lin))
+        plain.append(rayleigh_quotient(p, vec))
         conj.append(float(kernel_spectrum(p, weight_fn=wf, conjugate=True)[0]))
         # reported, not bounded: the Einstein correction against the glued
         # residual, the constant the invertibility makes independent of R

@@ -265,3 +265,16 @@ def test_bvp_rejects_a_right_hand_side_without_columns():
 def test_harness_rejects_fewer_than_one_trial(trials):
     with pytest.raises(ValueError, match="trials"):
         ugly_estimate_harness(4, 16.0, 0.5, trials=trials)
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: solve_euler_bvp(EulerODE(4.0, -6.0), np.zeros(4), (0.0, 1.0),
+                             np.geomspace(2.0, 16.0, 4)), "grid"),
+    (lambda: solve_euler_bvp(EulerODE(4.0, -6.0), np.zeros(6), (0.0, 1.0),
+                             np.array([2.0, 3.0, 3.0, 4.0, 5.0, 6.0])), "grid"),
+    (lambda: ugly_estimate_harness(4, 16.0, 1.0, trials=2), "alpha"),
+    (lambda: ugly_estimate_harness(4, 16.0, -0.1, trials=2), "alpha"),
+], ids=["few nodes", "repeated node", "alpha at 1", "negative alpha"])
+def test_asymptotics_rejects_bad_input_by_name(call, name):
+    with pytest.raises(ValueError, match=name):
+        call()

@@ -621,3 +621,17 @@ def test_value_on_a_closed_bound_of_its_domain_is_accepted(
     code, out, err = _run_with(command, key, repr(bound), form, tmp_path)
     assert (code, err) == (0, "")
     assert out
+
+
+@pytest.mark.parametrize("line, message", [
+    ("n 4", "run.cfg:1: expected key=value"),
+    ("n = four", "bad value for --n: invalid literal for int() with base 10: 'four'"),
+    ("n = 4\nell = x", "bad value for --ell: could not convert string to float: 'x'"),
+], ids=["no =", "int", "float"])
+def test_config_file_line_it_cannot_read_exits_2(tmp_path, line, message):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    code, out, err = run_cli(["glue", "--config", str(cfg), "--n", "3"])
+    assert (code, out) == (2, "")
+    assert err.startswith("dehnfill: configuration error: ")
+    assert err.rstrip("\n").endswith(message)

@@ -1,12 +1,17 @@
+import re
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from dehnfill.geometry import (ArclengthMap, RadialGrid, _v_from_offset,
+from dehnfill.asymptotics import ugly_estimate_harness
+from dehnfill.geometry import (ArclengthMap, DiagonalMetricProfile, RadialGrid,
+                               TrivialVariation, _v_from_offset,
                                black_hole_profile, coordinate_curvature_oracle,
                                metric_gap, r_plus, radius_for_meridian,
                                sectional_curvatures, theta_period, v_profile)
+from dehnfill.gluing import glue
 
 
 def test_r_plus_values():
@@ -267,3 +272,31 @@ def test_radial_grid_validation():
         RadialGrid(np.array([1.0, 1.0, 2.0]), 4)
     with pytest.raises(ValueError, match="r_plus"):
         RadialGrid(np.array([1.0, 1.1, 1.2]), 4)
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: sectional_curvatures(4, 1.0), "r >= r_plus"),
+    (lambda: DiagonalMetricProfile(4, np.linspace(0, 1, 5), np.ones((2, 5)), 1.0), "f must"),
+    (lambda: DiagonalMetricProfile(4, np.linspace(0, 1, 5), -np.ones((3, 5)), 1.0),
+     "profile functions"),
+    (lambda: TrivialVariation(np.array([[0.0, 1.0], [0.0, 0.0]])), "u must"),
+    (lambda: TrivialVariation(np.zeros((2, 3))), "u must"),
+    (lambda: black_hole_profile(4, 20.0, 7), "nodes"),
+    (lambda: black_hole_profile(4, 1.0, 64), "r_max"),
+], ids=["curvature r", "f shape", "f sign", "u symmetric", "u square", "nodes",
+        "r_max"])
+def test_geometry_rejects_bad_input_by_name(call, name):
+    with pytest.raises(ValueError, match=re.escape(name)):
+        call()
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: ugly_estimate_harness(4, 16.0, 0.5, trials=2.5), "trials"),
+    (lambda: glue(3, 10.0, nodes=2048.0), "nodes"),
+    (lambda: black_hole_profile(3, 20.0, 100.0), "nodes"),
+    (lambda: black_hole_profile(3, 20.0, True), "nodes"),
+], ids=["trials", "glue nodes", "black_hole_profile nodes", "bool nodes"])
+def test_a_count_that_is_not_an_integer_is_rejected_by_name(call, name):
+    # one rule for every integer argument: an integer, not a bool, in range
+    with pytest.raises(ValueError, match=rf"{name} must be an integer"):
+        call()

@@ -595,3 +595,29 @@ def test_collar_r_range_reads_cap_map_only():
     assert float(end.cap_map.s_of_r(lo)) == pytest.approx(
         end.s_R - _COLLAR_WIDTH, abs=1e-9)
     assert "amap" not in vars(end)
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: GluedEnd(3, 10.0, r_out_factor=1.0), "outer factor"),
+    (lambda: glue(3, 10.0, nodes=65), "nodes"),
+    (lambda: WeightFunction(4, 1.0), "R_k"),
+    (lambda: residual_decay_sweep(3, [6.0, 12.0]), "sweep points"),
+], ids=["outer factor", "nodes", "R_k", "sweep points"])
+def test_gluing_rejects_bad_input_by_name(call, name):
+    with pytest.raises(ValueError, match=name):
+        call()
+
+
+def test_norms_take_the_grid_that_fits_window_takes():
+    # the norms refuse a grid exactly when fits_window does: the log r steps
+    # of geomspace(1.5, 64, N) are 3.75 / (N - 1), over the window 0.5 at 8
+    wf = WeightFunction(4, 64.0)
+    for nodes in (8, 9):
+        r = np.geomspace(1.5, 64.0, nodes)
+        assert gluing.fits_window(r) == (nodes == 9)
+        h = InvariantTensor.zero(RadialGrid(r, 4))
+        if nodes == 9:
+            weighted_norms(h, wf)
+        else:
+            with pytest.raises(ValueError, match="seminorm window"):
+                weighted_norms(h, wf)

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from dehnfill._stencils import block_residual
-from dehnfill.geometry import (DiagonalMetricProfile, TrivialVariation,
-                               black_hole_profile, cusp_profile, r_plus,
-                               theta_period, v_profile)
+from dehnfill.geometry import (DiagonalMetricProfile, RadialGrid,
+                               TrivialVariation, black_hole_profile,
+                               cusp_profile, r_plus, theta_period, v_profile)
 from dehnfill.gluing import glue
-from dehnfill.operators import (bh_kernel_variation, einstein_residual,
-                                linearized_residual, sqrtdet_sinh_check)
+from dehnfill.operators import (InvariantTensor, bh_kernel_variation,
+                                einstein_residual, linearized_residual,
+                                sqrtdet_sinh_check)
+from dehnfill.solver import verify_einstein
 
 
 def sym_e2(vals):
@@ -292,3 +294,45 @@ def test_cone_family_solves_system():
         worst.append(max(res.max_e1(), res.max_e2()))
     assert max(worst) < 0.2 * dlt**2
     assert worst[1] == pytest.approx(worst[0], rel=0.05)
+
+
+@pytest.mark.parametrize("nodes", [512, 1024])
+def test_sinh_check_certifies_as_verify_einstein_does(nodes):
+    # one certificate: the residual reads 3.5e-6 at 512 nodes, refused by
+    # both, and 8.6e-7 at 1024, passed by both
+    p = black_hole_profile(4, 20.0, nodes)
+    passes = verify_einstein(p)["passes"]
+    assert passes == (nodes == 1024)
+    if passes:
+        sqrtdet_sinh_check(p)
+    else:
+        with pytest.raises(ValueError, match="not Einstein"):
+            sqrtdet_sinh_check(p)
+
+
+def _open_profile_with_a_zero_torus_radius():
+    """A profile without a cap whose f_3 vanishes at node 0."""
+    p = cusp_profile(4, 0.5, 2.0, 128)
+    p.f[1, 0] = 0.0
+    return p
+
+
+_GRID = RadialGrid(np.geomspace(1.5, 64.0, 100), 4)
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: InvariantTensor(_GRID, np.zeros(99), None, None), "component arrays"),
+    (lambda: InvariantTensor(_GRID, None, None, np.tile(np.triu(np.ones((3, 3))),
+                                                        (100, 1, 1))), "torus block"),
+    (lambda: einstein_residual(cusp_profile(4, 0.3, 2.0, 40)), "interior nodes"),
+    (lambda: einstein_residual(_open_profile_with_a_zero_torus_radius()),
+     "profile functions"),
+    (lambda: linearized_residual(cusp_profile(4, 0.3, 2.0, 128), np.zeros((128, 2, 2))),
+     "dM"),
+    (lambda: bh_kernel_variation(4, TrivialVariation(np.eye(3)),
+                                 black_hole_profile(4, 20.0, 64)), "u must act"),
+], ids=["component shapes", "symmetric torus block", "nodes", "torus radius at node 0",
+        "dM shape", "u shape"])
+def test_operators_reject_bad_input_by_name(call, name):
+    with pytest.raises(ValueError, match=name):
+        call()
