@@ -247,6 +247,8 @@ class RadialGrid:
         self.nodes = np.asarray(self.nodes, dtype=float)
         if self.nodes.size < 3:
             raise ValueError("need at least 3 nodes")
+        if not np.isfinite(self.nodes).all():
+            raise ValueError("nodes must be finite")
         if np.any(np.diff(self.nodes) <= 0):
             raise ValueError("nodes must be strictly increasing")
         if self.nodes[0] < r_plus(self.n) * (1.0 - 1e-12):
@@ -404,6 +406,7 @@ def cusp_profile(n, s_lo, s_hi, nodes, rate=1.0):
     non-Einstein profiles for residual tests.
     """
     n = _check_dimension(n)
+    nodes = _check_integer(nodes, "nodes", 2)   # a grid with a spacing
     s = np.linspace(float(s_lo), float(s_hi), nodes)
     f = np.tile(np.exp(rate * s), (n - 1, 1))
     return DiagonalMetricProfile(n, s, f, theta_period(n), r=np.exp(s))

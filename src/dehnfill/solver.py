@@ -40,6 +40,7 @@ __all__ = [
 
 _PARITY_W = np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / 12.0
 _STEP_CLIP = 1.0        # bound on each Newton update of log f_i
+_REUSE_THETA = 1e-2     # contraction at which a Newton step keeps the factor
 _PROBE_TOL = 1e-12      # relative change that stops the spectral probe
 _PROBE_STEPS = 400      # step cap of the spectral probe
 _PANEL = 48             # columns per panel of the probe's banded QR
@@ -429,28 +430,33 @@ def _cone_angle_ratio(profile):
 def newton_solve(g0: DiagonalMetricProfile, cfg: SolverConfig | None = None):
     """Drive the glued profile to a discrete Einstein profile.
 
-    Newton mode reassembles the linearization every step; frozen_jacobian
-    mode assembles and factors it once, at the initial profile, and
-    afterwards evaluates only the residual, realizing the fixed point
-    iteration h -> h - L^{-1} Phi(g + h).  A matrix is assembled only when
-    a step follows; the unknowns are numbered once a solve.  Each
+    One loop serves both modes, with one rule: after step k the next step
+    keeps the held LU factor when Theta_k = |dx_k|/|dx_(k-1)| (max norms of
+    the clipped log-f corrections; the first step has none) is at most
+    theta, and otherwise builds a new system with partials and writes its
+    band into the spent factor's work array.  Newton mode takes theta =
+    _REUSE_THETA, so only steps at the roundoff floor are simplified Newton
+    steps (Deuflhard 2004, sec. 2.1); frozen_jacobian mode takes theta =
+    inf, so the factor at the initial profile serves the fixed point
+    iteration h -> h - L^{-1} Phi(g + h).  Convergence is judged on the
+    true residual at every iterate.  A matrix is built only when a step
+    follows; the unknowns are numbered once a solve.  Each
     step is negated, clipped and exponentiated in the solve's output array
     and multiplies f in place through the _node_major views.  Between
-    steps a solve holds only what the next step reads: in Newton mode the
-    spent step's dgbtrf work array and stencil tables, which the next
-    system and band are written into, so a solve allocates one band and one
-    pair of tables; in frozen mode the one linearization's factors, whose
-    stencil system is dropped once they exist.  A step's residual,
-    right-hand side and update are dropped once read.  When the profile
-    carries its radii and cap radius, each iterate's perturbation is
-    measured, before its system is built, in the star and double-star
-    norms of the weight at the cap radius, through one order-0 norm plan
-    built per solve: from its torus diagonal f_i^2 - f0_i^2 alone, formed
-    in one array, through the same norm core as double_star_norm, whose
-    order-0 values on the full tensor it equals bit for bit.  Returns
-    (profile, report).
+    steps a solve holds only what the next step reads: the held factor,
+    its stencil system dropped, or the spent factor's work array and
+    stencil tables, which the next system and band are written into.  A
+    step's residual, right-hand side and update are dropped once read.
+    When the profile carries its radii and cap radius, each iterate's
+    perturbation is measured, before its system is built, in the star and
+    double-star norms of the weight at the cap radius, through one order-0
+    norm plan built per solve: from its torus diagonal f_i^2 - f0_i^2
+    alone, formed in one array, through the same norm core as
+    double_star_norm, whose order-0 values on the full tensor it equals
+    bit for bit.  Returns (profile, report).
     """
     cfg = SolverConfig() if cfg is None else cfg
+    theta = _REUSE_THETA if cfg.mode == "newton" else np.inf
     profile = g0.copy()
     plan = None
     if g0.cap_radius is not None and g0.r is not None:
@@ -459,6 +465,7 @@ def newton_solve(g0: DiagonalMetricProfile, cfg: SolverConfig | None = None):
         f0_squared = g0.f**2
     numbering = _unknown_index(profile.n, profile.s.size)
     lin = work = tables = None
+    last = 0.0              # |dx_(k-1)|, none before the first step
     history, stars, dstars = [], [], []
     grow, diverged, message = 0, False, ""
     for it in range(cfg.max_iterations + 1):
@@ -469,7 +476,7 @@ def newton_solve(g0: DiagonalMetricProfile, cfg: SolverConfig | None = None):
             stars.append(norms.star)
             dstars.append(norms.double_star)
             del diag
-        # partials only where a matrix may be assembled from this system
+        # partials only where a matrix is built from this system
         fresh = lin is None
         sys = _stencils.DiagonalSystem(profile.n, profile.s, profile.f, partials=fresh,
                                        _tables=tables)
@@ -494,15 +501,19 @@ def newton_solve(g0: DiagonalMetricProfile, cfg: SolverConfig | None = None):
         del e1n, e2             # read: none of a step is kept to the next
         # -solve(r) is solve(-r), bit for bit: negation is exact
         step = lin.solve(rhs)
-        lin.sys = rhs = None    # later frozen steps read the factors alone
+        lin.sys = rhs = None    # a held factor is read alone
         np.negative(step, out=step)
         np.clip(step, -_STEP_CLIP, _STEP_CLIP, out=step)
+        size = max(step.max(), -step.min())     # |dx_k|, with no temporary
+        keep = (size / last if last else np.inf) <= theta
+        last = size
         np.exp(step, out=step)
         parity, rows = _node_major(step, profile.n)
         profile.f[1:, 0] *= parity
         np.multiply(profile.f[:, 1:-1], rows.T, out=profile.f[:, 1:-1])
-        if cfg.mode == "newton":    # keep the spent step's arrays, not its objects
-            work, tables, lin = lin._lu, (sys.wd, sys.wq), None
+        if not keep:            # keep the spent step's arrays, not its objects
+            work, lin = lin._lu, None
+        tables = (sys.wd, sys.wq) if fresh and not keep else None
         del step, parity, rows, sys
     orders = _fit_orders(history)
     report = NewtonReport(

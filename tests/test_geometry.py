@@ -9,7 +9,7 @@ from dehnfill.asymptotics import ugly_estimate_harness
 from dehnfill.geometry import (ArclengthMap, DiagonalMetricProfile, RadialGrid,
                                TrivialVariation, _v_from_offset,
                                black_hole_profile, coordinate_curvature_oracle,
-                               metric_gap, r_plus, radius_for_meridian,
+                               cusp_profile, metric_gap, r_plus, radius_for_meridian,
                                sectional_curvatures, theta_period, v_profile)
 from dehnfill.gluing import glue
 
@@ -272,6 +272,22 @@ def test_radial_grid_validation():
         RadialGrid(np.array([1.0, 1.0, 2.0]), 4)
     with pytest.raises(ValueError, match="r_plus"):
         RadialGrid(np.array([1.0, 1.1, 1.2]), 4)
+
+
+@pytest.mark.parametrize("nodes", [[1.5, np.nan, 3.0, 4.0], [1.5, 2.0, 3.0, np.inf],
+                                   [-np.inf, 2.0, 3.0, 4.0]])
+def test_radial_grid_rejects_a_non_finite_node(nodes):
+    # a NaN difference compares False against 0, so the increasing check
+    # alone lets a NaN node through
+    with pytest.raises(ValueError, match="nodes must be finite"):
+        RadialGrid(np.array(nodes), 4)
+
+
+@pytest.mark.parametrize("nodes", [100.0, True, 1, np.float64(64)])
+def test_cusp_profile_takes_an_integer_node_count(nodes):
+    with pytest.raises(ValueError, match="nodes must be an integer >= 2"):
+        cusp_profile(4, 0.0, 1.0, nodes)
+    assert cusp_profile(4, 0.0, 1.0, np.int64(2)).s.size == 2
 
 
 @pytest.mark.parametrize("call, name", [

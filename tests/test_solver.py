@@ -405,9 +405,26 @@ def test_non_finite_and_singular_bands_raise(monkeypatch):
     assert np.array_equal(lin.ab, BandedLinearization(q).ab)
 
 
-@pytest.mark.parametrize("mode", ["newton", "frozen_jacobian"])
+def _recording_solves(monkeypatch):
+    """Patch BandedLinearization.solve to record (lin, rhs, x) of each call;
+    returns the record, which holds every linearization alive."""
+    calls, solve = [], BandedLinearization.solve
+
+    def recording_solve(self, rhs):
+        x = solve(self, rhs)
+        calls.append((self, rhs.copy(), x.copy()))
+        return x
+
+    monkeypatch.setattr(BandedLinearization, "solve", recording_solve)
+    return calls
+
+
+@pytest.mark.parametrize("mode", solver.MODES)
 def test_matrix_assembled_and_factored_only_for_steps(monkeypatch, mode):
-    # a matrix is built only when a step follows, and factored once
+    # a matrix is built only when a step follows, and factored once; after
+    # the first step a new one is built exactly when the last correction
+    # contracted by less than theta, _REUSE_THETA in Newton mode and
+    # infinity in frozen mode
     built, factored = [], []
     init, factor = solver.BandedLinearization.__init__, solver.BandedLinearization._factor
 
@@ -421,10 +438,71 @@ def test_matrix_assembled_and_factored_only_for_steps(monkeypatch, mode):
 
     monkeypatch.setattr(solver.BandedLinearization, "__init__", counting_init)
     monkeypatch.setattr(solver.BandedLinearization, "_factor", counting_factor)
-    _, rep = newton_solve(glue(3, 10.0, nodes=256), SolverConfig(mode=mode))
-    assert rep.converged and rep.iterations >= 2
-    assert len(built) == (rep.iterations if mode == "newton" else 1)
-    assert factored == built
+    calls = _recording_solves(monkeypatch)
+    theta = solver._REUSE_THETA if mode == "newton" else np.inf
+    for n, ell, tol, built_in_newton in [
+            (3, 10.0, 1e-8, 4),     # 4 steps, each contracting too little
+            (4, 20.0, 1e-11, 3)]:   # 4 steps, the floor step keeps a factor
+        del built[:], factored[:], calls[:]
+        cfg = SolverConfig(mode=mode, residual_tolerance=tol)
+        _, rep = newton_solve(glue(n, ell, nodes=256), cfg)
+        assert rep.iterations == len(calls) >= 3
+        lins = [lin for lin, _, _ in calls]
+        sizes = [min(solver._STEP_CLIP, np.abs(x).max()) for _, _, x in calls]
+        # the first step has no contraction: the second builds anew unless
+        # theta is infinite
+        rule = [theta < np.inf] + [b > theta * a for a, b in zip(sizes, sizes[1:-1])]
+        assert [b is not a for a, b in zip(lins, lins[1:])] == rule
+        assert built == list(dict.fromkeys(lins)) == factored
+        assert len(built) == (built_in_newton if mode == "newton" else 1)
+
+
+@pytest.mark.parametrize("nodes", [2048, 8192])
+@pytest.mark.parametrize("R", [8.0, 16.0, 18.0, 32.0])
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+def test_keeping_the_factor_changes_no_outcome(monkeypatch, n, R, nodes):
+    # a Newton step keeps the held factor only after a 100-fold contraction,
+    # at the roundoff floor: against solves that build a matrix every step,
+    # the iteration count is the same, the final residual is floor noise
+    # apart and the cone angle moves by roundoff alone.  The verdict is the
+    # same unless both final residuals lie within 2x of the tolerance, where
+    # floor noise decides it: at (3, R = 18, 8192) the kept step ends at
+    # 8.4e-9, converged, and a new factor at 1.03e-8, stalled
+    g0 = glue(n, ell_for_radius(n, R), nodes=nodes)
+    tol = SolverConfig().residual_tolerance
+    _, rep = newton_solve(g0)
+    monkeypatch.setattr(solver, "_REUSE_THETA", 0.0)
+    _, ref = newton_solve(g0)
+    assert rep.iterations == ref.iterations
+    got, want = rep.residual_history[-1], ref.residual_history[-1]
+    assert abs(got - want) <= 2.0 * max(tol, want)
+    if not tol / 2 < min(got, want) <= max(got, want) < 2 * tol:
+        assert rep.converged == ref.converged
+    assert rep.cone_angle_ratio == pytest.approx(ref.cone_angle_ratio, rel=1e-9)
+
+
+@pytest.mark.parametrize("mode, built", [("newton", 3), ("frozen_jacobian", 1)])
+def test_a_kept_step_is_the_held_factors_solve(monkeypatch, mode, built):
+    # on the stalled (4, 20, 8192) case, 4 steps: each step that keeps a
+    # factor equals, bit for bit, a fresh linearization at the iterate where
+    # that factor was built, solved against the residual of its own iterate
+    g0 = glue(4, 20.0, nodes=8192)
+    calls = _recording_solves(monkeypatch)
+    _, rep = newton_solve(g0, SolverConfig(mode=mode))
+    lins = [lin for lin, _, _ in calls]
+    assert len(dict.fromkeys(lins)) == built < rep.iterations
+    monkeypatch.undo()
+
+    def iterate(k):
+        return newton_solve(g0, SolverConfig(mode=mode, max_iterations=k))[0]
+
+    for k, (lin, rhs, x) in enumerate(calls):
+        j = lins.index(lin)
+        if j == k:
+            continue
+        new_rhs = BandedLinearization(iterate(k)).residual_vector()
+        assert new_rhs.tobytes() == rhs.tobytes()
+        assert BandedLinearization(iterate(j)).solve(new_rhs).tobytes() == x.tobytes()
 
 
 def test_assembly_and_solve_hold_one_matrix():
@@ -568,15 +646,22 @@ def test_frozen_solve_peak_stays_under_2_bands(monkeypatch):
 def _free_mask_newton(g0, steps):
     """The profile after `steps` Newton steps taken through the free mask:
     the residual scattered to index[free], the update gathered from
-    step[index[free]], as the solver once moved its vectors."""
+    step[index[free]], as the solver once moved its vectors; a step keeps
+    the last factor by the solver's rule, Theta <= _REUSE_THETA."""
     p = g0.copy()
     index = solver._unknown_index(p.n, p.s.size)
     free = index >= 0
+    lin, last = None, 0.0
     for _ in range(steps):
-        lin = BandedLinearization(p)
-        step = lin.solve(_free_mask_residual(index, lin.sys))
-        step = np.exp(np.clip(-step, -solver._STEP_CLIP, solver._STEP_CLIP))
-        p.f[free] *= step[index[free]]
+        sys = _stencils.DiagonalSystem(p.n, p.s, p.f, partials=True)
+        lin = BandedLinearization(p, sys) if lin is None else lin
+        step = np.clip(-lin.solve(_free_mask_residual(index, sys)),
+                       -solver._STEP_CLIP, solver._STEP_CLIP)
+        size = np.abs(step).max()
+        if size > solver._REUSE_THETA * last:
+            lin = None
+        p.f[free] *= np.exp(step)[index[free]]
+        last = size
     return p
 
 
